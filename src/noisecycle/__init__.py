@@ -6,21 +6,19 @@ from .channel import (ChannelModel, ChannelOutput, NoiseBlock, build_gm_model,
 from .decoders import (AbandonmentPolicy, BpDecoder, DecodeOutcome,
                        OrbgrandDecoder, SgrandabDecoder, SoftBlock, bp_decode,
                        confidence, llrs, orbgrand_decode, sgrandab_decode)
-from .gf2 import (CodeSpec, CrcSpec, SparseParityCheck, crc_check, crc_encode,
-                  encode, ml_decode_bruteforce, parse_alist, sample_regular_ldpc,
-                  sample_rlc, serialize_alist, syndrome)
+from .gf2 import (CodeSpec, CrcSpec, SparseParityCheck, code_from_parity_check,
+                  crc_check, crc_encode, encode, ml_decode_bruteforce, parse_alist,
+                  sample_regular_ldpc, sample_rlc, serialize_alist, syndrome)
 from .harness import (BlerPoint, ExperimentConfig, SweepSpec, emit_csv,
                       run_bler_sweep, run_trial, wilson_interval)
-from .ordering import (RecycleGraph, RecyclingPlan, bfs_order, brute_force_plan,
+from .ordering import (RecycleGraph, RecyclingPlan, brute_force_plan,
                        build_recycle_graph, constrain_root_child,
-                       max_arborescence)
-from .pipeline import (BlockResult, PipelineConfig, decode_and_estimate,
-                       dynamic_noise_recycling, independent_decoding,
-                       re_recycle, run_block, static_noise_recycling)
+                       max_arborescence, plan_for)
+from .pipeline import BlockResult, PipelineConfig, run_block
 from .recycling import (NoiseEstimate, composite_bler, effective_snr,
                         effective_variance, estimate_noise, llse_update,
                         normalized_corr)
-from .theory import (CovariancePair, RateReport, UpperBoundBreakdown,
+from .theory import (RateReport, UpperBoundBreakdown,
                      achievable_rates, capacity, gm_average_rate,
                      independent_rates, joint_capacity, pair_upper_bound,
                      water_fill)

@@ -16,8 +16,7 @@ import numpy as np
 from . import configio, theory
 from .channel import build_gm_model
 from .harness import ExperimentConfig, csv_text, run_bler_sweep, worker_count
-from .ordering import bfs_order, build_recycle_graph, constrain_root_child, \
-    max_arborescence
+from .ordering import build_recycle_graph, plan_for
 
 
 def _float_list(text: str) -> list[float]:
@@ -37,7 +36,10 @@ def _cmd_bler(args: argparse.Namespace) -> int:
     raw = configio.read_json(args.config)
     if args.seed is not None:
         raw["base_seed"] = args.seed
-    config = ExperimentConfig.from_dict(raw)
+    try:
+        config = ExperimentConfig.from_dict(raw)
+    except ValueError as exc:
+        raise SystemExit(f"noisecycle bler: {args.config}: {exc}") from None
     points = run_bler_sweep(config, workers=worker_count(args.workers),
                             output_path=args.output or config.output_path)
     sys.stdout.write(csv_text(points))
@@ -46,16 +48,14 @@ def _cmd_bler(args: argparse.Namespace) -> int:
 
 def _cmd_order(args: argparse.Namespace) -> int:
     model = configio.load_channel_model(configio.read_json(args.model))
-    graph = build_recycle_graph(model)
-    if args.forced_lead is not None:
-        graph = constrain_root_child(graph, args.forced_lead)
-    plan = max_arborescence(graph)
+    plan = plan_for(model, forced_lead=args.forced_lead)
+    weights = build_recycle_graph(model).weights
     print("edge,source,target,weight")
-    for ch in bfs_order(plan):
+    for ch in plan.order:
         parent = plan.parent_of(ch)
-        print(f"{parent}->{ch},{parent},{ch},{graph.weights[parent, ch]:.6g}")
+        print(f"{parent}->{ch},{parent},{ch},{weights[parent, ch]:.6g}")
     print(f"total_snr,,,{plan.total_snr:.6g}")
-    print(f"decode_order,,,{' '.join(str(c) for c in bfs_order(plan))}")
+    print(f"decode_order,,,{' '.join(str(c) for c in plan.order)}")
     return 0
 
 

@@ -27,8 +27,8 @@ import numpy as np
 
 from .channel import ChannelModel, build_gm_model
 from .decoders import BpDecoder, OrbgrandDecoder, SgrandabDecoder
-from .gf2 import (CodeSpec, CrcSpec, gf2_nullspace, gf2_row_reduce,
-                  parse_alist, sample_regular_ldpc, sample_rlc)
+from .gf2 import (CodeSpec, CrcSpec, code_from_parity_check, parse_alist,
+                  sample_regular_ldpc, sample_rlc)
 from .pipeline import PipelineConfig
 
 __all__ = [
@@ -75,16 +75,6 @@ def _crc_from_spec(spec: Mapping[str, Any]) -> CrcSpec | None:
     return CrcSpec(degree=len(poly) - 1, polynomial=str(poly))
 
 
-def _code_from_alist(text: str, crc: CrcSpec | None, label: str) -> CodeSpec:
-    sparse = parse_alist(text)
-    h = sparse.to_dense()
-    g = gf2_nullspace(h)
-    k = g.shape[0]
-    basis, _ = gf2_row_reduce(h)
-    return CodeSpec(n=sparse.n, k=k, generator=g, parity_check=basis[: sparse.n - k],
-                    crc=crc, label=label or f"alist[{sparse.n},{k}]", sparse=sparse)
-
-
 def load_code(spec: Mapping[str, Any]) -> CodeSpec:
     kind = spec["type"]
     crc = _crc_from_spec(spec)
@@ -93,17 +83,13 @@ def load_code(spec: Mapping[str, Any]) -> CodeSpec:
         return sample_rlc(int(spec["n"]), int(spec["k"]), int(spec["seed"]),
                           crc=crc, label=label)
     if kind == "ldpc":
-        code = sample_regular_ldpc(int(spec["n"]), int(spec["col_weight"]),
+        return sample_regular_ldpc(int(spec["n"]), int(spec["col_weight"]),
                                    int(spec["row_weight"]), int(spec["seed"]),
-                                   label=label)
-        if crc is not None:
-            code = CodeSpec(n=code.n, k=code.k, generator=code.generator,
-                            parity_check=code.parity_check, crc=crc,
-                            label=code.label, sparse=code.sparse)
-        return code
+                                   crc=crc, label=label)
     if kind == "alist":
-        text = Path(spec["alist_path"]).read_text(encoding="utf-8")
-        return _code_from_alist(text, crc, label)
+        sparse = parse_alist(Path(spec["alist_path"]).read_text(encoding="utf-8"))
+        return code_from_parity_check(
+            sparse, crc=crc, label=label or (lambda n, k: f"alist[{n},{k}]"))
     raise ValueError(f"unknown code type {kind!r}")
 
 
@@ -126,10 +112,3 @@ def load_pipeline(spec: Mapping[str, Any]) -> PipelineConfig:
         forced_lead=spec.get("forced_lead"),
         genie=bool(spec.get("genie", False)),
     )
-
-
-def explicit_parents(spec: Mapping[str, Any]) -> tuple[int, ...] | None:
-    parents = spec.get("parents")
-    if parents is None:
-        return None
-    return tuple(int(p) for p in parents)

@@ -15,9 +15,10 @@ proxy.  Pattern orderings are deterministic:
   lexicographically.  Rank sets of a given weight are the partitions of
   that weight into distinct parts <= n.
 
-All decoders are pure given their inputs.  The module keeps per-process
-caches (ORBGRAND rank streams, BP graph layouts); they are not guarded by
-locks, so share work across processes rather than threads.
+All decoders are pure given their inputs.  The module keeps a per-process
+cache of ORBGRAND rank streams, and codes cache their packed column masks
+and Tanner-graph layouts on first use; none of these is guarded by a lock,
+so share work across processes rather than threads.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .gf2 import CodeSpec, pack_columns
-from .recycling import CONFIRMED, UNCONFIRMED, NoiseEstimate
+from .gf2 import CodeSpec
 
 __all__ = [
     "SoftBlock",
@@ -85,17 +85,16 @@ class DecodeOutcome:
     """Decoder verdict plus confidence metadata.
 
     ``queries`` counts codebook queries for guessing decoders and iterations
-    for message passing.  ``noise_estimate`` is taken against the decoder's
-    own input signal; pipelines re-derive estimates against original channel
-    outputs when chaining.  ``source_channel`` of that estimate is -1 until
-    a pipeline binds it.
+    for message passing.  ``noise_nll`` is the Gaussian negative
+    log-likelihood of the noise the decision implies on the decoder's own
+    input, ``z = y - x_hat`` at the input's noise variance; it is +inf
+    unless the block was decoded.
     """
 
     status: str
     queries: int
     codeword: np.ndarray | None
-    noise_estimate: NoiseEstimate
-    noise_variance: float
+    noise_nll: float = math.inf
 
     def __post_init__(self) -> None:
         if self.status not in (STATUS_DECODED, STATUS_ABANDONED, STATUS_CRC_FAILED):
@@ -109,26 +108,9 @@ def llrs(soft: SoftBlock) -> np.ndarray:
     return 2.0 * soft.received / soft.noise_variance
 
 
-def _zero_estimate(n: int) -> NoiseEstimate:
-    return NoiseEstimate(values=np.zeros(n), source_channel=-1,
-                         validated=UNCONFIRMED)
-
-
 # ---------------------------------------------------------------------------
 # guessing decoders
 # ---------------------------------------------------------------------------
-
-_COL_MASK_CACHE: dict[int, tuple[CodeSpec, list[int]]] = {}
-
-
-def _column_masks(code: CodeSpec) -> list[int]:
-    # keyed by id; the cache keeps the code alive so ids cannot be recycled
-    hit = _COL_MASK_CACHE.get(id(code))
-    if hit is None or hit[0] is not code:
-        hit = (code, pack_columns(code.parity_check))
-        _COL_MASK_CACHE[id(code)] = hit
-    return hit[1]
-
 
 def _syndrome_int(bits: np.ndarray, masks: list[int]) -> int:
     s = 0
@@ -228,18 +210,16 @@ def _accept(code: CodeSpec, candidate: np.ndarray, soft: SoftBlock,
     message = code.message_from_codeword(candidate)
     if not code.valid_message(message):
         return None
-    est = NoiseEstimate(values=soft.received - (1.0 - 2.0 * candidate.astype(float)),
-                        source_channel=-1,
-                        validated=CONFIRMED if code.crc else UNCONFIRMED)
+    z = soft.received - (1.0 - 2.0 * candidate.astype(float))
+    sigma2 = soft.noise_variance
+    nll = float(np.sum(z * z) / (2.0 * sigma2)
+                + z.size * 0.5 * math.log(2.0 * math.pi * sigma2))
     return DecodeOutcome(status=STATUS_DECODED, queries=queries,
-                         codeword=candidate, noise_estimate=est,
-                         noise_variance=soft.noise_variance)
+                         codeword=candidate, noise_nll=nll)
 
 
-def _abandon(code: CodeSpec, soft: SoftBlock, queries: int) -> DecodeOutcome:
-    return DecodeOutcome(status=STATUS_ABANDONED, queries=queries, codeword=None,
-                         noise_estimate=_zero_estimate(code.n),
-                         noise_variance=soft.noise_variance)
+def _abandon(queries: int) -> DecodeOutcome:
+    return DecodeOutcome(status=STATUS_ABANDONED, queries=queries, codeword=None)
 
 
 def sgrandab_decode(code: CodeSpec, soft: SoftBlock,
@@ -255,7 +235,7 @@ def sgrandab_decode(code: CodeSpec, soft: SoftBlock,
     hard = (llr < 0).astype(np.uint8)
     reliab = np.abs(llr)
     order = np.argsort(reliab, kind="stable")
-    masks = _column_masks(code)
+    masks = code.column_masks
     base = _syndrome_int(hard, masks)
 
     queries = 1
@@ -288,7 +268,7 @@ def sgrandab_decode(code: CodeSpec, soft: SoftBlock,
             hit = _accept(code, candidate, soft, queries)
             if hit is not None:
                 return hit
-    return _abandon(code, soft, queries)
+    return _abandon(queries)
 
 
 def orbgrand_decode(code: CodeSpec, soft: SoftBlock,
@@ -297,7 +277,7 @@ def orbgrand_decode(code: CodeSpec, soft: SoftBlock,
     llr = llrs(soft)
     hard = (llr < 0).astype(np.uint8)
     order = np.argsort(np.abs(llr), kind="stable")  # order[r-1] = rank-r position
-    masks = _column_masks(code)
+    masks = code.column_masks
     base = _syndrome_int(hard, masks)
     rank_masks = [masks[int(p)] for p in order]
 
@@ -322,7 +302,7 @@ def orbgrand_decode(code: CodeSpec, soft: SoftBlock,
             hit = _accept(code, candidate, soft, queries)
             if hit is not None:
                 return hit
-    return _abandon(code, soft, queries)
+    return _abandon(queries)
 
 
 # ---------------------------------------------------------------------------
@@ -330,40 +310,6 @@ def orbgrand_decode(code: CodeSpec, soft: SoftBlock,
 # ---------------------------------------------------------------------------
 
 _ATANH_LIM = np.nextafter(1.0, 0.0)
-
-
-class _BpLayout:
-    """Edge arrays and padded row-slot table for one sparse parity check."""
-
-    def __init__(self, sparse) -> None:
-        erow, ecol = [], []
-        for r, cols in enumerate(sparse.row_cols):
-            for c in cols:
-                erow.append(r)
-                ecol.append(c)
-        self.erow = np.asarray(erow, dtype=np.int64)
-        self.ecol = np.asarray(ecol, dtype=np.int64)
-        self.n_edges = self.erow.size
-        dmax = max((len(c) for c in sparse.row_cols), default=0)
-        self.row_slots = np.full((sparse.m_rows, dmax), -1, dtype=np.int64)
-        fill = np.zeros(sparse.m_rows, dtype=np.int64)
-        for e in range(self.n_edges):
-            r = self.erow[e]
-            self.row_slots[r, fill[r]] = e
-            fill[r] += 1
-        self.valid = self.row_slots >= 0
-        self.h_dense = sparse.to_dense()
-
-
-_BP_CACHE: dict[int, tuple[object, _BpLayout]] = {}
-
-
-def _bp_layout(sparse) -> _BpLayout:
-    hit = _BP_CACHE.get(id(sparse))
-    if hit is None or hit[0] is not sparse:
-        hit = (sparse, _BpLayout(sparse))
-        _BP_CACHE[id(sparse)] = hit
-    return hit[1]
 
 
 def bp_decode(code: CodeSpec, soft: SoftBlock, max_iters: int = 50) -> DecodeOutcome:
@@ -375,7 +321,7 @@ def bp_decode(code: CodeSpec, soft: SoftBlock, max_iters: int = 50) -> DecodeOut
     """
     if code.sparse is None:
         raise ValueError("bp_decode needs a code with a sparse parity check")
-    lay = _bp_layout(code.sparse)
+    lay = code.sparse.tanner
     llr = llrs(soft)
     v2c = llr[lay.ecol]
 
@@ -402,12 +348,10 @@ def bp_decode(code: CodeSpec, soft: SoftBlock, max_iters: int = 50) -> DecodeOut
             if hit is not None:
                 return hit
             return DecodeOutcome(status=STATUS_CRC_FAILED, queries=it,
-                                 codeword=None,
-                                 noise_estimate=_zero_estimate(code.n),
-                                 noise_variance=soft.noise_variance)
+                                 codeword=None)
         v2c = total[lay.ecol] - c2v
 
-    return _abandon(code, soft, max_iters)
+    return _abandon(max_iters)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +366,7 @@ def confidence(outcome: DecodeOutcome, metric: str) -> float:
     """Lower is more confident; non-decoded outcomes map to +inf.
 
     ``query_count`` returns the query/iteration count.  ``noise_nll``
-    returns the Gaussian negative log-likelihood of the estimated noise,
+    returns the outcome's Gaussian negative log-likelihood of the noise,
     sum(z^2) / (2 sigma^2) + n * ln(sigma * sqrt(2 pi)), so the most likely
     noise sequence wins the comparison.
     """
@@ -432,10 +376,7 @@ def confidence(outcome: DecodeOutcome, metric: str) -> float:
         return math.inf
     if metric == METRIC_QUERY_COUNT:
         return float(outcome.queries)
-    z = outcome.noise_estimate.values
-    sigma2 = outcome.noise_variance
-    return float(np.sum(z * z) / (2.0 * sigma2)
-                 + z.size * 0.5 * math.log(2.0 * math.pi * sigma2))
+    return outcome.noise_nll
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ pack column ``j`` of H into a single Python integer whose bit ``r`` is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -27,6 +29,7 @@ __all__ = [
     "syndrome",
     "sample_rlc",
     "sample_regular_ldpc",
+    "code_from_parity_check",
     "crc_encode",
     "crc_check",
     "parse_alist",
@@ -81,7 +84,10 @@ def gf2_rank(mat: np.ndarray) -> int:
 
 def gf2_nullspace(mat: np.ndarray) -> np.ndarray:
     """Basis of the right nullspace of ``mat`` over GF(2), as rows."""
-    a, pivots = gf2_row_reduce(mat)
+    return _nullspace_of_rref(*gf2_row_reduce(mat))
+
+
+def _nullspace_of_rref(a: np.ndarray, pivots: list[int]) -> np.ndarray:
     _, cols = a.shape
     free = [c for c in range(cols) if c not in pivots]
     basis = np.zeros((len(free), cols), dtype=np.uint8)
@@ -240,6 +246,34 @@ class SparseParityCheck:
             h[r, list(cols)] = 1
         return h
 
+    @cached_property
+    def tanner(self) -> "TannerLayout":
+        """Edge arrays of the Tanner graph, built on first use."""
+        return TannerLayout(self)
+
+
+class TannerLayout:
+    """Edge arrays and padded row-slot table for one sparse parity check."""
+
+    def __init__(self, sparse: SparseParityCheck) -> None:
+        erow, ecol = [], []
+        for r, cols in enumerate(sparse.row_cols):
+            for c in cols:
+                erow.append(r)
+                ecol.append(c)
+        self.erow = np.asarray(erow, dtype=np.int64)
+        self.ecol = np.asarray(ecol, dtype=np.int64)
+        self.n_edges = self.erow.size
+        dmax = max((len(c) for c in sparse.row_cols), default=0)
+        self.row_slots = np.full((sparse.m_rows, dmax), -1, dtype=np.int64)
+        fill = np.zeros(sparse.m_rows, dtype=np.int64)
+        for e in range(self.n_edges):
+            r = self.erow[e]
+            self.row_slots[r, fill[r]] = e
+            fill[r] += 1
+        self.valid = self.row_slots >= 0
+        self.h_dense = sparse.to_dense()
+
 
 class AlistError(ValueError):
     """Malformed alist text; message names the offending line."""
@@ -373,6 +407,11 @@ class CodeSpec:
     def rate(self) -> float:
         return self.k / self.n
 
+    @cached_property
+    def column_masks(self) -> list[int]:
+        """Columns of H packed as ints (see the module docstring), built on first use."""
+        return pack_columns(self.parity_check)
+
     @property
     def payload_bits(self) -> int:
         """Message bits carried before CRC attachment (= k without CRC)."""
@@ -450,7 +489,8 @@ def _reduce_four_cycles(col_rows: list[set[int]], rng: np.random.Generator,
 
 
 def sample_regular_ldpc(n: int, col_weight: int, row_weight: int, seed: int,
-                        label: str = "", max_attempts: int = 200) -> CodeSpec:
+                        crc: CrcSpec | None = None, label: str = "",
+                        max_attempts: int = 200) -> CodeSpec:
     """(col_weight, row_weight)-regular LDPC code via random edge permutation.
 
     Repeated edges are resolved by retrying the permutation (bounded), then a
@@ -492,13 +532,31 @@ def sample_regular_ldpc(n: int, col_weight: int, row_weight: int, seed: int,
     for c, rows in enumerate(col_rows):
         h[sorted(rows), c] = 1
 
-    g = gf2_nullspace(h)
-    k = g.shape[0]
-    basis, _ = gf2_row_reduce(h)
-    h_basis = basis[: n - k]
-    return CodeSpec(n=n, k=k, generator=g, parity_check=h_basis,
-                    label=label or f"ldpc({col_weight},{row_weight})[{n},{k}]s{seed}",
-                    sparse=SparseParityCheck.from_dense(h))
+    return code_from_parity_check(
+        h, crc=crc,
+        label=label or (lambda n, k: f"ldpc({col_weight},{row_weight})[{n},{k}]s{seed}"))
+
+
+def code_from_parity_check(h: np.ndarray | SparseParityCheck,
+                           crc: CrcSpec | None = None,
+                           label: str | Callable[[int, int], str] = "") -> CodeSpec:
+    """The code whose codewords ``h`` annihilates, so k = n - rank(h).
+
+    ``h`` is a dense bit matrix or a :class:`SparseParityCheck` and may carry
+    redundant rows: ``parity_check`` keeps a row basis of it and ``sparse``
+    keeps ``h`` itself for message passing.  ``label`` may be a function of
+    (n, k), for labels that name the code's dimensions.
+    """
+    if isinstance(h, SparseParityCheck):
+        sparse, dense = h, h.to_dense()
+    else:
+        dense = _as_bits(h)
+        sparse = SparseParityCheck.from_dense(dense)
+    red, pivots = gf2_row_reduce(dense)
+    n, k = sparse.n, sparse.n - len(pivots)
+    return CodeSpec(n=n, k=k, generator=_nullspace_of_rref(red, pivots),
+                    parity_check=red[: n - k], crc=crc,
+                    label=label(n, k) if callable(label) else label, sparse=sparse)
 
 
 def codebook(code: CodeSpec) -> np.ndarray:

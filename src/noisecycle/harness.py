@@ -31,8 +31,7 @@ import numpy as np
 from . import configio
 from .channel import ebn0_to_sigma2, modulate_bpsk, sample_noise, transmit, ChannelModel
 from .gf2 import crc_encode, encode
-from .ordering import RecyclingPlan, bfs_order_from_parent, build_recycle_graph, \
-    constrain_root_child, max_arborescence
+from .ordering import plan_for
 from .pipeline import MODE_STATIC, BlockResult, run_block
 
 __all__ = [
@@ -66,6 +65,15 @@ class SweepSpec:
             raise ValueError("need 0 < min_trials <= max_trials")
 
 
+def _reject_unknown(raw: dict, spec: type, where: str) -> None:
+    """Raise on keys of ``raw`` that name no field of the dataclass ``spec``."""
+    known = [f.name for f in dataclasses.fields(spec)]
+    unknown = sorted(set(raw) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {where} key(s) {', '.join(map(repr, unknown))}; "
+                         f"expected some of {', '.join(known)}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative experiment: all fields are plain JSON-compatible data."""
@@ -85,7 +93,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        """Build from experiment JSON; unknown keys raise ``ValueError``."""
+        _reject_unknown(raw, cls, "experiment")
         sweep = raw["sweep"]
+        _reject_unknown(sweep, SweepSpec, "sweep")
         return cls(
             channel=dict(raw["channel"]),
             codes=tuple(dict(c) for c in raw["codes"]),
@@ -156,19 +167,8 @@ class _PointSetup:
 
         pipe = configio.load_pipeline(config.pipeline)
         if pipe.mode == MODE_STATIC and pipe.plan is None:
-            parents = configio.explicit_parents(config.pipeline)
-            if parents is not None:
-                graph = build_recycle_graph(self.model)
-                plan = RecyclingPlan(parent=parents,
-                                     order=bfs_order_from_parent(parents),
-                                     total_snr=float(sum(
-                                         graph.weights[parents[ch - 1], ch]
-                                         for ch in range(1, base.m + 1))))
-            else:
-                graph = build_recycle_graph(self.model)
-                if pipe.forced_lead is not None:
-                    graph = constrain_root_child(graph, pipe.forced_lead)
-                plan = max_arborescence(graph)
+            plan = plan_for(self.model, pipe.forced_lead,
+                            config.pipeline.get("parents"))
             pipe = dataclasses.replace(pipe, plan=plan)
         self.pipeline = pipe
 
@@ -253,7 +253,11 @@ def _run_range(config: ExperimentConfig, point_index: int, start: int,
 def worker_count(explicit: int | None = None) -> int:
     if explicit is not None:
         return max(1, explicit)
-    return max(1, int(os.environ.get(WORKERS_ENV, "1")))
+    raw = os.environ.get(WORKERS_ENV, "1")
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
 
 
 def _chunks(start: int, stop: int, parts: int) -> list[tuple[int, int]]:

@@ -5,7 +5,8 @@ edges carry each channel's raw SNR, and a cross edge (i, j) carries the
 effective SNR channel j would see when recycling channel i's noise
 estimate.  A maximum-weight arborescence rooted at the zero node therefore
 maximizes the total effective SNR over all single-decode orders; its BFS
-traversal is the decode order.
+traversal is the decode order, ``RecyclingPlan.order``.  :func:`plan_for`
+is the one place a pipeline's static plan is built.
 
 Node ids follow the graph convention: node 0 is the zero node and node j
 (1-based) is channel j, i.e. channel index j - 1 elsewhere in the package.
@@ -20,7 +21,7 @@ instances and always agree on the optimal total.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +35,7 @@ __all__ = [
     "constrain_root_child",
     "max_arborescence",
     "brute_force_plan",
-    "bfs_order",
+    "plan_for",
 ]
 
 
@@ -74,31 +75,34 @@ class RecycleGraph:
 
 @dataclass(frozen=True)
 class RecyclingPlan:
-    """Arborescence over channels: parent[j-1] is the parent node of channel j."""
+    """Arborescence over channels: parent[j-1] is the parent node of channel j.
+
+    ``order`` is derived from ``parent``: the BFS decode order, zero-node
+    children first (ascending), then level by level, so every channel comes
+    after its parent.
+    """
 
     parent: tuple[int, ...]
-    order: tuple[int, ...]
     total_snr: float
+    order: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         m = len(self.parent)
-        if sorted(self.order) != list(range(1, m + 1)):
-            raise ValueError("order must be a permutation of channels 1..m")
-        seen_pos = {ch: pos for pos, ch in enumerate(self.order)}
+        children: dict[int, list[int]] = {i: [] for i in range(m + 1)}
         for ch in range(1, m + 1):
             p = self.parent[ch - 1]
             if not 0 <= p <= m or p == ch:
                 raise ValueError(f"invalid parent {p} for channel {ch}")
-            if p != 0 and seen_pos[p] > seen_pos[ch]:
-                raise ValueError(f"channel {ch} ordered before its parent {p}")
-        # reachability from the zero node (no cycles)
-        for ch in range(1, m + 1):
-            hops, node = 0, ch
-            while node != 0:
-                node = self.parent[node - 1]
-                hops += 1
-                if hops > m:
-                    raise ValueError("parent links contain a cycle")
+            children[p].append(ch)
+        order: list[int] = []
+        queue = children[0]
+        while queue:
+            ch = queue.pop(0)
+            order.append(ch)
+            queue.extend(children[ch])
+        if len(order) != m:  # some channel is unreachable from the zero node
+            raise ValueError("parent links contain a cycle")
+        object.__setattr__(self, "order", tuple(order))
 
     @property
     def m(self) -> int:
@@ -140,8 +144,26 @@ def _order_total(graph: RecycleGraph, parent: tuple[int, ...]) -> float:
 
 
 def _plan_from_parent(graph: RecycleGraph, parent: tuple[int, ...]) -> RecyclingPlan:
-    return RecyclingPlan(parent=parent, order=bfs_order_from_parent(parent),
-                         total_snr=_order_total(graph, parent))
+    return RecyclingPlan(parent=parent, total_snr=_order_total(graph, parent))
+
+
+def plan_for(model: ChannelModel, forced_lead: int | None = None,
+             parents=None) -> RecyclingPlan:
+    """The static recycling plan for ``model``.
+
+    Pinned ``parents`` (the parent node of each channel, 0 for the zero
+    node) are scored on the recycle graph and take precedence; otherwise
+    the maximum arborescence is solved, with ``forced_lead`` (a 1-based
+    channel) as the zero node's only child when given.
+    """
+    graph = build_recycle_graph(model)
+    if parents is not None:
+        if len(parents) != model.m:
+            raise ValueError(f"parents must list {model.m} entries, one per channel")
+        return _plan_from_parent(graph, tuple(int(p) for p in parents))
+    if forced_lead is not None:
+        graph = constrain_root_child(graph, forced_lead)
+    return max_arborescence(graph)
 
 
 def max_arborescence(graph: RecycleGraph) -> RecyclingPlan:
@@ -280,22 +302,3 @@ def _is_arborescence(parent: tuple[int, ...]) -> bool:
             if hops > m:
                 return False
     return True
-
-
-def bfs_order_from_parent(parent: tuple[int, ...]) -> tuple[int, ...]:
-    m = len(parent)
-    children: dict[int, list[int]] = {i: [] for i in range(m + 1)}
-    for ch in range(1, m + 1):
-        children[parent[ch - 1]].append(ch)
-    order: list[int] = []
-    queue = sorted(children[0])
-    while queue:
-        ch = queue.pop(0)
-        order.append(ch)
-        queue.extend(sorted(children[ch]))
-    return tuple(order)
-
-
-def bfs_order(plan: RecyclingPlan) -> tuple[int, ...]:
-    """Decode order: zero-node children first (ascending), then level by level."""
-    return bfs_order_from_parent(plan.parent)

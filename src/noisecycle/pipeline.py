@@ -1,19 +1,32 @@
-"""End-to-end block decoding: independent, static recycling, dynamic
-recycling, and re-recycling.
+"""End-to-end block decoding: one recycling step under four schedules.
 
-Noise estimates handed between channels are always taken against the
-original channel output, never against an LLSE-updated signal, so the full
-(correlated) noise propagates along recycling chains.  A failed decode
-contributes a zero estimate, which leaves the downstream channel decoding
-its raw output at its raw noise variance.
+Channels help each other in one way only.  Once channel i is decoded, its
+noise estimate ``z_hat_i = y_i - x_hat_i`` is scaled by ``rho'_{i,j}`` and
+subtracted from channel j's output, and j is decoded from the result at the
+reduced variance ``sigma_j^2 (1 - rho_ij^2)``.  :func:`run_block` schedules
+that step:
 
-The genie switch zeroes estimates from decodes that disagree with the true
+* independent: every channel once, from its raw output;
+* static: in the plan's order, each channel recycling its plan parent;
+* dynamic: every channel from its raw output, then outward from the most
+  confident one, each channel recycling its inward neighbour;
+* re-recycling (static or dynamic): one more decode of the lead, recycling
+  the plan child most correlated with it (static) or the most confident
+  non-lead (dynamic).
+
+Noise estimates are always taken against the original channel output, never
+against an LLSE-updated signal, so the full (correlated) noise propagates
+along recycling chains.  A failed decode leaves no estimate, so a channel
+that would recycle it decodes its raw output at its raw noise variance.
+
+The genie switch drops estimates from decodes that disagree with the true
 transmission; it exists for validation experiments that need error-free
 recycling detection and is off everywhere else.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,16 +40,7 @@ from .ordering import RecyclingPlan
 from .recycling import (NoiseEstimate, effective_variance, estimate_noise,
                         llse_update)
 
-__all__ = [
-    "PipelineConfig",
-    "BlockResult",
-    "independent_decoding",
-    "static_noise_recycling",
-    "dynamic_noise_recycling",
-    "decode_and_estimate",
-    "re_recycle",
-    "run_block",
-]
+__all__ = ["PipelineConfig", "BlockResult", "run_block"]
 
 MODE_INDEPENDENT = "independent"
 MODE_STATIC = "static"
@@ -49,7 +53,7 @@ class PipelineConfig:
 
     ``forced_lead`` (a 1-based channel number) constrains the static plan's
     zero node to a single child; it is resolved when the plan is built.
-    ``genie`` enables truth-checked estimate zeroing (validation only).
+    ``genie`` enables truth-checked estimate dropping (validation only).
     """
 
     mode: str = MODE_INDEPENDENT
@@ -77,248 +81,115 @@ class BlockResult:
     queries_spent: tuple[int, ...]  # total queries across all decode attempts
 
 
-def _truth_bits(outputs: ChannelOutput, idx: int) -> np.ndarray:
-    return (outputs.transmitted[idx] < 0).astype(np.uint8)
+class _Block:
+    """One block's decode state: latest outcome, queries spent and usable
+    noise estimate of every channel."""
 
+    def __init__(self, outputs: ChannelOutput, codes: Sequence[CodeSpec],
+                 decoders: Sequence, model: ChannelModel, genie: bool) -> None:
+        self.outputs, self.codes, self.decoders = outputs, codes, decoders
+        self.model, self.genie = model, genie
+        self.outcomes: list[DecodeOutcome | None] = [None] * model.m
+        self.queries = [0] * model.m
+        self.estimates: list[NoiseEstimate | None] = [None] * model.m
 
-def _is_correct(outcome: DecodeOutcome, outputs: ChannelOutput, idx: int) -> bool:
-    return (outcome.status == STATUS_DECODED
-            and bool(np.array_equal(outcome.codeword, _truth_bits(outputs, idx))))
+    def correct(self, j: int) -> bool:
+        outcome = self.outcomes[j]
+        truth = (self.outputs.transmitted[j] < 0).astype(np.uint8)
+        return (outcome.status == STATUS_DECODED
+                and bool(np.array_equal(outcome.codeword, truth)))
 
+    def decode(self, j: int, source: int | None = None) -> None:
+        """Decode channel ``j``, recycling ``source``'s estimate if it has one.
 
-def _bound_estimate(outcome: DecodeOutcome, outputs: ChannelOutput, idx: int,
-                    genie: bool) -> NoiseEstimate | None:
-    """Estimate against the original output of channel ``idx``, or None.
-
-    None means "nothing usable to recycle": the decode failed, or the genie
-    saw that it was wrong.
-    """
-    if outcome.status != STATUS_DECODED:
-        return None
-    if genie and not _is_correct(outcome, outputs, idx):
-        return None
-    return estimate_noise(outputs.received[idx], modulate_bpsk(outcome.codeword),
-                          source=idx, validated=outcome.noise_estimate.validated)
-
-
-def _raw_soft(outputs: ChannelOutput, model: ChannelModel, idx: int) -> SoftBlock:
-    return SoftBlock(received=outputs.received[idx],
-                     noise_variance=float(model.sigma2[idx]))
-
-
-def independent_decoding(outputs: ChannelOutput, codes: Sequence[CodeSpec],
-                         decoders: Sequence, model: ChannelModel) -> BlockResult:
-    outcomes = tuple(decoders[i].decode(codes[i], _raw_soft(outputs, model, i))
-                     for i in range(model.m))
-    return BlockResult(
-        outcomes=outcomes,
-        correct=tuple(_is_correct(o, outputs, i) for i, o in enumerate(outcomes)),
-        lead_channel=None,
-        queries_spent=tuple(o.queries for o in outcomes),
-    )
-
-
-def static_noise_recycling(outputs: ChannelOutput, codes: Sequence[CodeSpec],
-                           decoders: Sequence, model: ChannelModel,
-                           plan: RecyclingPlan, *, genie: bool = False) -> BlockResult:
-    """Decode in the plan's BFS order, recycling each parent's estimate.
-
-    Zero-node children decode their raw outputs; every other channel j gets
-    ``y_j - rho' z_hat_parent`` and the correspondingly reduced variance.
-    Estimates propagate whether or not the parent decoded correctly (no
-    genie by default); a parent with no usable estimate leaves the child
-    decoding raw.
-    """
-    if plan.m != model.m:
-        raise ValueError("plan size disagrees with channel model")
-    outcomes: list[DecodeOutcome | None] = [None] * model.m
-    estimates: dict[int, NoiseEstimate | None] = {}
-    for ch in plan.order:
-        idx = ch - 1
-        parent = plan.parent_of(ch)
-        if parent == 0 or estimates.get(parent) is None:
-            soft = _raw_soft(outputs, model, idx)
+        Records the outcome, adds its queries, and replaces j's estimate
+        with one taken against j's original output, or with None when the
+        decode failed or the genie rejected it.
+        """
+        y = self.outputs.received[j]
+        sigma2 = float(self.model.sigma2[j])
+        est = None if source is None else self.estimates[source]
+        if est is None:
+            soft = SoftBlock(received=y, noise_variance=sigma2)
         else:
-            est = estimates[parent]
-            updated = llse_update(outputs.received[idx], est, model, idx)
-            var = effective_variance(float(model.sigma2[idx]),
-                                     float(model.corr[parent - 1, idx]))
-            soft = SoftBlock(received=updated, noise_variance=var)
-        outcome = decoders[idx].decode(codes[idx], soft)
-        outcomes[idx] = outcome
-        estimates[ch] = _bound_estimate(outcome, outputs, idx, genie)
+            var = effective_variance(sigma2, float(self.model.corr[source, j]))
+            soft = SoftBlock(received=llse_update(y, est, self.model, j),
+                             noise_variance=var)
+        outcome = self.decoders[j].decode(self.codes[j], soft)
+        self.outcomes[j] = outcome
+        self.queries[j] += outcome.queries
+        usable = (outcome.status == STATUS_DECODED
+                  and not (self.genie and not self.correct(j)))
+        self.estimates[j] = (estimate_noise(y, modulate_bpsk(outcome.codeword), source=j)
+                             if usable else None)
 
-    done = tuple(outcomes)  # every channel decoded exactly once
-    return BlockResult(
-        outcomes=done,
-        correct=tuple(_is_correct(o, outputs, i) for i, o in enumerate(done)),
-        lead_channel=plan.order[0] - 1,
-        queries_spent=tuple(o.queries for o in done),
-    )
-
-
-def decode_and_estimate(y: np.ndarray, z_hat: NoiseEstimate | None, source: int,
-                        target: int, code: CodeSpec, decoder,
-                        model: ChannelModel, *,
-                        assume_reduced: bool = True) -> tuple[DecodeOutcome, NoiseEstimate | None]:
-    """Decode ``target`` from its LLSE-updated output; re-estimate its noise.
-
-    The fresh estimate is taken against the original ``y`` (not the updated
-    signal), so it contains the target's full noise including the part that
-    was just subtracted.  With ``z_hat`` None the channel decodes raw.
-    """
-    if source == target:
-        raise ValueError("source and target channels must differ")
-    sigma2 = float(model.sigma2[target])
-    if z_hat is None:
-        soft = SoftBlock(received=y, noise_variance=sigma2)
-    else:
-        updated = llse_update(y, z_hat, model, target)
-        var = (effective_variance(sigma2, float(model.corr[source, target]))
-               if assume_reduced else sigma2)
-        soft = SoftBlock(received=updated, noise_variance=var)
-    outcome = decoder.decode(code, soft)
-    if outcome.status != STATUS_DECODED:
-        return outcome, None
-    fresh = estimate_noise(y, modulate_bpsk(outcome.codeword), source=target,
-                           validated=outcome.noise_estimate.validated)
-    return outcome, fresh
-
-
-def dynamic_noise_recycling(outputs: ChannelOutput, codes: Sequence[CodeSpec],
-                            decoders: Sequence, model: ChannelModel,
-                            metric: str, *, genie: bool = False) -> BlockResult:
-    """Confidence-led recycling with one round of competition.
-
-    Phase 1 decodes every channel from its raw output.  The most confident
-    decoding (lowest metric value, ties to the lowest channel index) leads;
-    the remaining channels are re-decoded outward from the lead in index
-    distance (lead+1, lead-1, lead+2, ...), each recycling its inward
-    neighbor's freshest estimate.
-    """
-    m = model.m
-    if m < 2:
-        raise ValueError("dynamic recycling needs at least two channels")
-    phase1 = [decoders[i].decode(codes[i], _raw_soft(outputs, model, i))
-              for i in range(m)]
-    conf = [confidence(o, metric) for o in phase1]
-    queries = [o.queries for o in phase1]
-
-    if all(c == float("inf") for c in conf):
-        done = tuple(phase1)
-        return BlockResult(outcomes=done,
-                           correct=tuple(_is_correct(o, outputs, i)
-                                         for i, o in enumerate(done)),
-                           lead_channel=None,
-                           queries_spent=tuple(queries))
-
-    lead = min(range(m), key=lambda i: (conf[i], i))
-    outcomes = list(phase1)
-    estimates: list[NoiseEstimate | None] = [None] * m
-    estimates[lead] = _bound_estimate(phase1[lead], outputs, lead, genie)
-
-    for step in range(1, max(m - 1 - lead, lead) + 1):
-        for target, source in ((lead + step, lead + step - 1),
-                               (lead - step, lead - step + 1)):
-            if not 0 <= target < m:
-                continue
-            outcome, fresh = decode_and_estimate(
-                outputs.received[target], estimates[source], source, target,
-                codes[target], decoders[target], model)
-            outcomes[target] = outcome
-            queries[target] += outcome.queries
-            if fresh is not None and genie and not _is_correct(outcome, outputs, target):
-                fresh = None
-            estimates[target] = fresh
-
-    done = tuple(outcomes)
-    return BlockResult(outcomes=done,
-                       correct=tuple(_is_correct(o, outputs, i)
-                                     for i, o in enumerate(done)),
-                       lead_channel=lead,
-                       queries_spent=tuple(queries))
-
-
-def _static_feedback_channel(result: BlockResult, model: ChannelModel,
-                             plan: RecyclingPlan) -> int | None:
-    lead_ch = result.lead_channel + 1
-    children = plan.children_of(lead_ch)
-    if not children:
-        return None
-    # largest rho^2 to the lead wins; ties to the lowest channel number
-    return min(children,
-               key=lambda ch: (-model.corr[ch - 1, lead_ch - 1] ** 2, ch)) - 1
-
-
-def _dynamic_feedback_channel(result: BlockResult, metric: str) -> int | None:
-    lead = result.lead_channel
-    candidates = [i for i in range(len(result.outcomes)) if i != lead]
-    best = min(candidates,
-               key=lambda i: (confidence(result.outcomes[i], metric), i))
-    if confidence(result.outcomes[best], metric) == float("inf"):
-        return None
-    return best
-
-
-def re_recycle(result: BlockResult, outputs: ChannelOutput,
-               codes: Sequence[CodeSpec], decoders: Sequence,
-               model: ChannelModel, *, plan: RecyclingPlan | None = None,
-               metric: str | None = None, genie: bool = False) -> BlockResult:
-    """Feed a recycled estimate back to the lead channel and re-decode it.
-
-    The feedback channel is the plan child with the largest squared
-    correlation to the lead (static) or the most confident non-lead
-    (dynamic).  Only the lead's outcome is replaced; if the feedback
-    channel produced no usable estimate the result is returned unchanged.
-    """
-    lead = result.lead_channel
-    if lead is None:
-        return result
-    if plan is not None:
-        fb = _static_feedback_channel(result, model, plan)
-    elif metric is not None:
-        fb = _dynamic_feedback_channel(result, metric)
-    else:
-        raise ValueError("re_recycle needs a plan (static) or a metric (dynamic)")
-    if fb is None:
-        return result
-    est = _bound_estimate(result.outcomes[fb], outputs, fb, genie)
-    if est is None:
-        return result
-
-    updated = llse_update(outputs.received[lead], est, model, lead)
-    var = effective_variance(float(model.sigma2[lead]),
-                             float(model.corr[fb, lead]))
-    outcome = decoders[lead].decode(codes[lead],
-                                    SoftBlock(received=updated, noise_variance=var))
-    outcomes = list(result.outcomes)
-    outcomes[lead] = outcome
-    correct = list(result.correct)
-    correct[lead] = _is_correct(outcome, outputs, lead)
-    queries = list(result.queries_spent)
-    queries[lead] += outcome.queries
-    return BlockResult(outcomes=tuple(outcomes), correct=tuple(correct),
-                       lead_channel=lead, queries_spent=tuple(queries))
+    def result(self, lead: int | None) -> BlockResult:
+        return BlockResult(outcomes=tuple(self.outcomes),
+                           correct=tuple(self.correct(j) for j in range(self.model.m)),
+                           lead_channel=lead, queries_spent=tuple(self.queries))
 
 
 def run_block(config: PipelineConfig, outputs: ChannelOutput,
               codes: Sequence[CodeSpec], decoders: Sequence,
               model: ChannelModel) -> BlockResult:
-    """Dispatch one block through the configured pipeline."""
+    """Decode one block under the configured schedule.
+
+    Dynamic mode leads with the most confident decoding (lowest metric
+    value, ties to the lowest channel index) and re-decodes the others
+    outward from it in index distance (lead+1, lead-1, lead+2, ...).  With
+    every channel undecoded there is no lead and nothing is re-decoded.
+    """
+    m = model.m
+    block = _Block(outputs, codes, decoders, model, config.genie)
     if config.mode == MODE_INDEPENDENT:
-        return independent_decoding(outputs, codes, decoders, model)
+        for j in range(m):
+            block.decode(j)
+        return block.result(None)
+
     if config.mode == MODE_STATIC:
-        if config.plan is None:
+        plan = config.plan
+        if plan is None:
             raise ValueError("static mode needs a recycling plan")
-        result = static_noise_recycling(outputs, codes, decoders, model,
-                                        config.plan, genie=config.genie)
-        if config.rerecycle:
-            result = re_recycle(result, outputs, codes, decoders, model,
-                                plan=config.plan, genie=config.genie)
-        return result
-    result = dynamic_noise_recycling(outputs, codes, decoders, model,
-                                     config.confidence_metric, genie=config.genie)
-    if config.rerecycle and result.lead_channel is not None:
-        result = re_recycle(result, outputs, codes, decoders, model,
-                            metric=config.confidence_metric, genie=config.genie)
-    return result
+        if plan.m != m:
+            raise ValueError("plan size disagrees with channel model")
+        for ch in plan.order:
+            parent = plan.parent_of(ch)
+            block.decode(ch - 1, parent - 1 if parent else None)
+        lead = plan.order[0] - 1
+    else:
+        if m < 2:
+            raise ValueError("dynamic recycling needs at least two channels")
+        for j in range(m):
+            block.decode(j)
+        conf = [confidence(o, config.confidence_metric) for o in block.outcomes]
+        if all(c == math.inf for c in conf):
+            return block.result(None)
+        lead = min(range(m), key=lambda i: (conf[i], i))
+        for step in range(1, max(m - 1 - lead, lead) + 1):
+            for target, source in ((lead + step, lead + step - 1),
+                                   (lead - step, lead - step + 1)):
+                if 0 <= target < m:
+                    block.decode(target, source)
+
+    if config.rerecycle:
+        feedback = _feedback_channel(config, block, lead)
+        if feedback is not None and block.estimates[feedback] is not None:
+            block.decode(lead, feedback)
+    return block.result(lead)
+
+
+def _feedback_channel(config: PipelineConfig, block: _Block, lead: int) -> int | None:
+    """The channel whose estimate re-recycling feeds back to the lead.
+
+    Static: the lead's plan child with the largest squared correlation to
+    it.  Dynamic: the most confident non-lead.  Ties go to the lowest
+    channel.
+    """
+    if config.mode == MODE_STATIC:
+        children = config.plan.children_of(lead + 1)
+        if not children:
+            return None
+        corr = block.model.corr
+        return min(children, key=lambda ch: (-corr[ch - 1, lead] ** 2, ch)) - 1
+    return min((i for i in range(block.model.m) if i != lead),
+               key=lambda i: (confidence(block.outcomes[i], config.confidence_metric), i))

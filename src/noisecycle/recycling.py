@@ -26,31 +26,18 @@ __all__ = [
     "composite_bler",
 ]
 
-CONFIRMED = "confirmed"
-UNCONFIRMED = "unconfirmed"
-KNOWN_WRONG = "known_wrong"
-_VALIDATION_STATES = (CONFIRMED, UNCONFIRMED, KNOWN_WRONG)
-
 
 @dataclass(frozen=True)
 class NoiseEstimate:
-    """Estimated noise of one channel, tagged with a validation state.
-
-    ``validated`` is "confirmed" when a CRC vouched for the decoding,
-    "unconfirmed" otherwise, and "known_wrong" only in genie experiments
-    that compare against the true transmission.
-    """
+    """Estimated noise of one channel (0-based ``source_channel``)."""
 
     values: np.ndarray
     source_channel: int
-    validated: str = UNCONFIRMED
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1:
             raise ValueError("estimate must be a vector")
-        if self.validated not in _VALIDATION_STATES:
-            raise ValueError(f"validated must be one of {_VALIDATION_STATES}")
         object.__setattr__(self, "values", v)
 
 
@@ -63,14 +50,13 @@ def normalized_corr(model: ChannelModel, i: int, j: int) -> float:
     return float(model.corr[i, j] * np.sqrt(model.sigma2[j] / model.sigma2[i]))
 
 
-def estimate_noise(received, decoded_modulated, source: int,
-                   validated: str = UNCONFIRMED) -> NoiseEstimate:
+def estimate_noise(received, decoded_modulated, source: int) -> NoiseEstimate:
     """z_hat = y - x_hat."""
     y = np.asarray(received, dtype=float)
     x = np.asarray(decoded_modulated, dtype=float)
     if y.shape != x.shape:
         raise ValueError("length mismatch between received and decoded signals")
-    return NoiseEstimate(values=y - x, source_channel=source, validated=validated)
+    return NoiseEstimate(values=y - x, source_channel=source)
 
 
 def llse_update(target_received, est: NoiseEstimate, model: ChannelModel,

@@ -20,7 +20,6 @@ from .recycling import effective_snr
 
 __all__ = [
     "RateReport",
-    "CovariancePair",
     "UpperBoundBreakdown",
     "capacity",
     "achievable_rates",
@@ -44,24 +43,6 @@ class RateReport:
             raise ValueError("rates must be nonnegative")
         if not np.isclose(self.sum_rate, sum(self.per_channel_rates)):
             raise ValueError("sum_rate must equal the sum of per-channel rates")
-
-
-@dataclass(frozen=True)
-class CovariancePair:
-    """Input and noise covariances for the joint encoder-decoder capacity."""
-
-    lambda_x: np.ndarray
-    lambda_z: np.ndarray
-
-    def __post_init__(self) -> None:
-        for mat in (self.lambda_x, self.lambda_z):
-            a = np.asarray(mat, dtype=float)
-            if a.ndim != 2 or a.shape[0] != a.shape[1]:
-                raise ValueError("covariances must be square")
-            if not np.allclose(a, a.T, atol=1e-10):
-                raise ValueError("covariances must be symmetric")
-            if np.linalg.eigvalsh(a).min() < -1e-10:
-                raise ValueError("covariances must be positive semidefinite")
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,13 @@ scans.  Production code must agree with them, never the other way around.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from noisecycle import ChannelModel, DecodeOutcome, NoiseEstimate
+from noisecycle import ChannelModel, DecodeOutcome
 from noisecycle.channel import modulate_bpsk
 
 
@@ -43,6 +44,20 @@ def enumerate_codebook(generator: np.ndarray) -> np.ndarray:
     return words
 
 
+def gaussian_nll(z, sigma2: float) -> float:
+    """-ln of the i.i.d. N(0, sigma2) density at the noise vector ``z``."""
+    z = np.asarray(z, dtype=float)
+    return float(np.sum(z * z) / (2.0 * sigma2)
+                 + z.size * 0.5 * math.log(2.0 * math.pi * sigma2))
+
+
+def decoded_outcome(codeword, soft, queries: int) -> DecodeOutcome:
+    """A decoded outcome scored the way the decoders score theirs."""
+    nll = gaussian_nll(soft.received - modulate_bpsk(codeword), soft.noise_variance)
+    return DecodeOutcome(status="decoded", queries=queries, codeword=codeword,
+                         noise_nll=nll)
+
+
 def fig2_model() -> ChannelModel:
     """Three channels whose best recycling order is unique.
 
@@ -66,10 +81,7 @@ class PerfectDecoder:
     codeword: np.ndarray
 
     def decode(self, code, soft) -> DecodeOutcome:
-        est = NoiseEstimate(values=soft.received - modulate_bpsk(self.codeword),
-                            source_channel=-1)
-        return DecodeOutcome(status="decoded", queries=1, codeword=self.codeword,
-                             noise_estimate=est, noise_variance=soft.noise_variance)
+        return decoded_outcome(self.codeword, soft, 1)
 
 
 @dataclass
@@ -79,9 +91,7 @@ class FailingDecoder:
     queries: int = 5
 
     def decode(self, code, soft) -> DecodeOutcome:
-        est = NoiseEstimate(values=np.zeros(soft.received.size), source_channel=-1)
-        return DecodeOutcome(status="abandoned", queries=self.queries, codeword=None,
-                             noise_estimate=est, noise_variance=soft.noise_variance)
+        return DecodeOutcome(status="abandoned", queries=self.queries, codeword=None)
 
 
 @dataclass
@@ -94,11 +104,7 @@ class RecordingDecoder:
 
     def decode(self, code, soft) -> DecodeOutcome:
         self.log.append(soft)
-        est = NoiseEstimate(values=soft.received - modulate_bpsk(self.codeword),
-                            source_channel=-1)
-        return DecodeOutcome(status="decoded", queries=self.queries,
-                             codeword=self.codeword, noise_estimate=est,
-                             noise_variance=soft.noise_variance)
+        return decoded_outcome(self.codeword, soft, self.queries)
 
 
 @pytest.fixture

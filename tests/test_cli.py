@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,6 +96,25 @@ class TestBlerCommand:
         assert len(file_points) == 2
         assert all(p.trials == 200 for p in file_points)
         assert (tmp_path / "out.csv.meta.json").exists()
+
+    def test_unknown_key_exits_nonzero_naming_it(self, tmp_path):
+        config = {
+            "channel": {"m": 1, "mode": "gm", "rho": 0.0},
+            "codes": [{"type": "rlc", "n": 32, "k": 26, "seed": 1}],
+            "decoders": [{"type": "orbgrand", "max_queries": 2000}],
+            "sweep": {"ebn0_db": [3.0], "min_trial": 7},
+        }
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(config))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-m", "noisecycle.cli", "bler",
+                               str(cfg_path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode != 0
+        assert "'min_trial'" in proc.stderr
+        assert proc.stdout == ""
 
     def test_seed_override_changes_output(self, tmp_path, capsys):
         config = {

@@ -117,13 +117,14 @@ class TestSgrandabDecode:
         if out.status == "abandoned":
             assert out.codeword is None
 
-    def test_noise_estimate_matches_decision(self, rng):
+    def test_noise_nll_matches_decision(self, rng):
         code = sample_rlc(16, 8, seed=8)
         cw = encode(code, rng.integers(0, 2, size=8, dtype=np.uint8))
         y = modulate_bpsk(cw) + 0.3 * rng.normal(size=16)
         out = sgrandab_decode(code, SoftBlock(y, 0.09), AbandonmentPolicy(1000))
-        assert np.allclose(out.noise_estimate.values,
-                           y - modulate_bpsk(out.codeword))
+        z = y - modulate_bpsk(out.codeword)
+        want = float(z @ z) / (2 * 0.09) + 16 * 0.5 * math.log(2 * math.pi * 0.09)
+        assert out.noise_nll == pytest.approx(want, rel=1e-12)
 
 
 class TestOrbgrandDecode:
@@ -221,31 +222,34 @@ class TestBpDecode:
 
 class TestConfidence:
     def _decoded(self, z, sigma2):
-        from noisecycle import DecodeOutcome, NoiseEstimate
-        est = NoiseEstimate(values=np.asarray(z, dtype=float), source_channel=0)
-        return DecodeOutcome(status="decoded", queries=17,
-                             codeword=np.zeros(len(z), dtype=np.uint8),
-                             noise_estimate=est, noise_variance=sigma2)
+        # for |z| < 1 the hard decision of 1 + z is the all-zero codeword, so
+        # the first ORBGRAND query accepts it and the decoded noise is z
+        z = np.asarray(z, dtype=float)
+        code = sample_rlc(z.size, 1, seed=0)
+        out = orbgrand_decode(code, SoftBlock(1.0 + z, sigma2), AbandonmentPolicy(1))
+        assert out.status == "decoded" and not out.codeword.any()
+        return out
 
     def test_query_count_metric(self):
-        assert confidence(self._decoded([0.0, 0.0], 1.0), "query_count") == 17.0
+        from noisecycle import DecodeOutcome
+        out = DecodeOutcome(status="decoded", queries=17,
+                            codeword=np.zeros(2, dtype=np.uint8))
+        assert confidence(out, "query_count") == 17.0
 
     def test_noise_nll_at_zero_estimate(self):
         out = self._decoded([0.0, 0.0], 1.0)
         assert confidence(out, "noise_nll") == pytest.approx(math.log(2 * math.pi))
 
     def test_nll_ordering_matches_energy_for_equal_sigma(self, rng):
-        outs = [self._decoded(rng.normal(size=8), 0.7) for _ in range(20)]
-        nll = [confidence(o, "noise_nll") for o in outs]
-        energy = [float(np.sum(o.noise_estimate.values ** 2)) for o in outs]
+        noises = [rng.uniform(-0.9, 0.9, size=8) for _ in range(20)]
+        nll = [confidence(self._decoded(z, 0.7), "noise_nll") for z in noises]
+        energy = [float(np.sum(z ** 2)) for z in noises]
         assert np.argsort(nll).tolist() == np.argsort(energy).tolist()
 
     def test_non_decoded_is_infinitely_unconfident(self):
-        from noisecycle import DecodeOutcome, NoiseEstimate
-        out = DecodeOutcome(status="abandoned", queries=5, codeword=None,
-                            noise_estimate=NoiseEstimate(values=np.zeros(4),
-                                                         source_channel=0),
-                            noise_variance=1.0)
+        from noisecycle import DecodeOutcome
+        out = DecodeOutcome(status="abandoned", queries=5, codeword=None)
+        assert out.noise_nll == math.inf
         assert confidence(out, "query_count") == math.inf
         assert confidence(out, "noise_nll") == math.inf
 

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from noisecycle import (CodeSpec, CrcSpec, SparseParityCheck, crc_check,
-                        crc_encode, encode, ml_decode_bruteforce, parse_alist,
-                        sample_regular_ldpc, sample_rlc, serialize_alist,
-                        syndrome)
-from noisecycle.gf2 import AlistError, gf2_rank
+from noisecycle import (CodeSpec, CrcSpec, SparseParityCheck,
+                        code_from_parity_check, crc_check, crc_encode, encode,
+                        ml_decode_bruteforce, parse_alist, sample_regular_ldpc,
+                        sample_rlc, serialize_alist, syndrome)
+from noisecycle.gf2 import AlistError, gf2_rank, pack_columns
 
 from conftest import crc_longdivision, enumerate_codebook, mod2
 
@@ -201,6 +201,61 @@ class TestRegularLdpc:
     def test_divisibility_required(self):
         with pytest.raises(ValueError):
             sample_regular_ldpc(7, 2, 3, seed=1)
+
+    def test_crc_attaches_without_changing_the_code(self):
+        crc = CrcSpec(degree=4, polynomial="10011")
+        plain = sample_regular_ldpc(24, 3, 6, seed=8)
+        with_crc = sample_regular_ldpc(24, 3, 6, seed=8, crc=crc)
+        assert with_crc.crc == crc and plain.crc is None
+        assert (with_crc.label, with_crc.k) == (plain.label, plain.k)
+        assert plain.label == f"ldpc(3,6)[24,{plain.k}]s8"
+        assert np.array_equal(with_crc.generator, plain.generator)
+        assert np.array_equal(with_crc.parity_check, plain.parity_check)
+        assert with_crc.sparse == plain.sparse
+
+
+class TestCodeFromParityCheck:
+    # third row is the sum of the first two, so rank 2 and k = 5 - 2
+    H = np.array([[1, 1, 0, 1, 0],
+                  [0, 1, 1, 0, 1],
+                  [1, 0, 1, 1, 1]], dtype=np.uint8)
+
+    def test_redundant_rows(self):
+        code = code_from_parity_check(self.H, label="toy")
+        assert (code.n, code.k, code.label) == (5, 3, "toy")
+        assert code.parity_check.shape == (2, 5)
+        assert not mod2(code.generator, self.H.T).any()
+        assert gf2_rank(np.vstack([code.parity_check, self.H])) == 2
+        assert code.sparse == SparseParityCheck.from_dense(self.H)
+
+    def test_sparse_input_kept_and_label_from_dimensions(self):
+        sparse = SparseParityCheck.from_dense(self.H)
+        crc = CrcSpec(degree=1, polynomial="11")
+        code = code_from_parity_check(sparse, crc=crc,
+                                      label=lambda n, k: f"toy[{n},{k}]")
+        assert code.sparse is sparse
+        assert code.label == "toy[5,3]" and code.crc == crc
+        dense = code_from_parity_check(self.H)
+        assert np.array_equal(code.generator, dense.generator)
+        assert np.array_equal(code.parity_check, dense.parity_check)
+
+
+class TestDerivedLayouts:
+    def test_column_masks_cached_per_code(self):
+        code = sample_rlc(16, 11, seed=3)
+        assert "column_masks" not in vars(code)  # built on first use
+        masks = code.column_masks
+        assert masks is code.column_masks
+        assert masks == pack_columns(code.parity_check)
+        assert sample_rlc(16, 11, seed=3).column_masks is not masks
+
+    def test_tanner_layout_cached_per_parity_check(self):
+        code = sample_regular_ldpc(12, 3, 6, seed=2)
+        lay = code.sparse.tanner
+        assert lay is code.sparse.tanner
+        assert lay.n_edges == 36
+        assert np.array_equal(lay.h_dense, code.sparse.to_dense())
+        assert lay.h_dense[lay.erow, lay.ecol].all()
 
 
 class TestMlBruteforce:

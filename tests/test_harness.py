@@ -7,7 +7,9 @@ import pytest
 from noisecycle import (BlerPoint, ExperimentConfig, SweepSpec, emit_csv,
                         run_bler_sweep, run_trial, wilson_interval)
 from noisecycle.channel import ebn0_to_sigma2
-from noisecycle.harness import csv_text, parse_csv
+from noisecycle.harness import WORKERS_ENV, _setup, csv_text, parse_csv, worker_count
+from noisecycle.ordering import (build_recycle_graph, constrain_root_child,
+                                 max_arborescence, plan_for)
 
 
 def tiny_config(**overrides):
@@ -39,8 +41,10 @@ class TestRunTrial:
 
     def test_distinct_trials_differ(self):
         config = tiny_config()
-        blocks = {tuple(run_trial(config, 0, t).outcomes[0].noise_estimate.values)
-                  for t in range(4)}
+        blocks = set()
+        for t in range(4):
+            first = run_trial(config, 0, t).outcomes[0]
+            blocks.add((first.codeword.tobytes(), first.noise_nll))
         assert len(blocks) == 4
 
     def test_noiseless_limit_decodes_everything(self):
@@ -74,6 +78,41 @@ class TestRunTrial:
             se = np.sqrt(2 * max(p_single[0].bler, 1e-4)
                          * (1 - p_single[0].bler) / 6000)
             assert diff < 3.5 * se
+
+
+class TestStaticPlanChoice:
+    """The plan a static sweep decodes with, as set by the pipeline JSON."""
+
+    def _config(self, pipeline):
+        return tiny_config(
+            channel={"m": 3, "mode": "gm", "rho": 0.6},
+            codes=tuple({"type": "rlc", "n": 32, "k": 26, "seed": s} for s in (1, 2, 3)),
+            decoders=({"type": "orbgrand", "max_queries": 2000},) * 3,
+            pipeline=pipeline)
+
+    def _check_trials(self, config, plan):
+        assert _setup(config, 0).pipeline.plan == plan
+        for t in range(5):
+            assert run_trial(config, 0, t).lead_channel == plan.order[0] - 1
+
+    def test_pinned_parents(self):
+        config = self._config({"mode": "static", "parents": [3, 3, 0]})
+        model = _setup(config, 0).model
+        plan = _setup(config, 0).pipeline.plan
+        w = build_recycle_graph(model).weights
+        assert plan.parent == (3, 3, 0)
+        assert plan.order == (3, 1, 2)
+        assert plan.total_snr == float(w[3, 1] + w[3, 2] + w[0, 3])
+        assert plan == plan_for(model, parents=(3, 3, 0))
+        self._check_trials(config, plan)
+
+    def test_forced_lead(self):
+        config = self._config({"mode": "static", "forced_lead": 3})
+        model = _setup(config, 0).model
+        want = max_arborescence(constrain_root_child(build_recycle_graph(model), 3))
+        assert want.children_of(0) == [3]
+        assert want == plan_for(model, forced_lead=3)
+        self._check_trials(config, want)
 
 
 class TestSweepControl:
@@ -173,6 +212,39 @@ class TestSidecar:
 
 
 class TestValidation:
+    RAW = {
+        "channel": {"m": 1, "mode": "gm", "rho": 0.0},
+        "codes": [{"type": "rlc", "n": 32, "k": 26, "seed": 1}],
+        "decoders": [{"type": "orbgrand", "max_queries": 2000}],
+        "sweep": {"ebn0_db": [3.0], "min_trials": 7},
+    }
+
+    def test_from_dict_reads_known_keys(self):
+        config = ExperimentConfig.from_dict(self.RAW)
+        assert config.sweep.min_trials == 7
+        assert config.pipeline == {}
+
+    def test_unknown_sweep_key_named(self):
+        raw = json.loads(json.dumps(self.RAW))
+        raw["sweep"]["min_trial"] = raw["sweep"].pop("min_trials")
+        with pytest.raises(ValueError, match="'min_trial'"):
+            ExperimentConfig.from_dict(raw)
+
+    def test_unknown_top_level_key_named(self):
+        raw = dict(self.RAW, base_sed=4)
+        with pytest.raises(ValueError, match="'base_sed'"):
+            ExperimentConfig.from_dict(raw)
+
+    def test_worker_count_env(self, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV, "3")
+        assert worker_count() == 3
+        assert worker_count(2) == 2
+
+    def test_bad_worker_env_named(self, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV, "abc")
+        with pytest.raises(ValueError, match=f"{WORKERS_ENV}.*'abc'"):
+            worker_count()
+
     def test_channel_count_mismatch(self):
         with pytest.raises(ValueError):
             tiny_config(codes=({"type": "rlc", "n": 32, "k": 26, "seed": 1},))

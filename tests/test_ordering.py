@@ -3,9 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from noisecycle import (RecycleGraph, RecyclingPlan, bfs_order, brute_force_plan,
+from noisecycle import (RecycleGraph, RecyclingPlan, brute_force_plan,
                         build_gm_model, build_recycle_graph, capacity,
-                        constrain_root_child, max_arborescence)
+                        constrain_root_child, max_arborescence, plan_for)
 from noisecycle.channel import ChannelModel
 
 from conftest import fig2_model
@@ -161,21 +161,26 @@ class TestFig2Instance:
 class TestBfsOrder:
     def test_fig2_order(self):
         plan = max_arborescence(build_recycle_graph(fig2_model()))
-        assert bfs_order(plan) == (2, 1, 3)
+        assert plan.order == (2, 1, 3)
 
     def test_chain_order(self):
-        plan = RecyclingPlan(parent=(0, 1, 2), order=(1, 2, 3), total_snr=3.0)
-        assert bfs_order(plan) == (1, 2, 3)
+        plan = RecyclingPlan(parent=(0, 1, 2), total_snr=3.0)
+        assert plan.order == (1, 2, 3)
 
     def test_star_rooted_at_three(self):
-        plan = RecyclingPlan(parent=(3, 3, 0), order=(3, 1, 2), total_snr=3.0)
-        assert bfs_order(plan) == (3, 1, 2)
+        plan = RecyclingPlan(parent=(3, 3, 0), total_snr=3.0)
+        assert plan.order == (3, 1, 2)
+
+    def test_level_by_level(self):
+        # zero-node children ascending, then each level in parent order
+        plan = RecyclingPlan(parent=(4, 0, 2, 0, 1), total_snr=0.0)
+        assert plan.order == (2, 4, 3, 1, 5)
 
     def test_every_channel_after_its_parent(self, rng):
         for _ in range(50):
             graph = random_graph(rng, 5)
             plan = max_arborescence(graph)
-            order = bfs_order(plan)
+            order = plan.order
             assert sorted(order) == [1, 2, 3, 4, 5]
             pos = {ch: i for i, ch in enumerate(order)}
             for ch in order:
@@ -202,8 +207,42 @@ class TestConstrainedRoot:
 class TestPlanValidation:
     def test_cycle_rejected(self):
         with pytest.raises(ValueError):
-            RecyclingPlan(parent=(2, 1, 0), order=(3, 1, 2), total_snr=1.0)
+            RecyclingPlan(parent=(2, 1, 0), total_snr=1.0)
 
-    def test_child_before_parent_rejected(self):
+    def test_out_of_range_parent_rejected(self):
+        for parent in ((0, 3), (0, -1), (2, 2)):
+            with pytest.raises(ValueError):
+                RecyclingPlan(parent=parent, total_snr=1.0)
+
+    def test_order_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            RecyclingPlan(parent=(0, 1), order=(1, 2), total_snr=1.0)
+
+
+class TestPlanFor:
+    def test_default_is_max_arborescence(self):
+        model = fig2_model()
+        assert plan_for(model) == max_arborescence(build_recycle_graph(model))
+
+    def test_forced_lead(self):
+        model = fig2_model()
+        want = max_arborescence(constrain_root_child(build_recycle_graph(model), 3))
+        got = plan_for(model, forced_lead=3)
+        assert got == want
+        assert got.children_of(0) == [3]
+
+    def test_pinned_parents_scored_on_the_graph(self):
+        model = fig2_model()
+        w = build_recycle_graph(model).weights
+        plan = plan_for(model, parents=(3, 3, 0))
+        assert plan.parent == (3, 3, 0)
+        assert plan.order == (3, 1, 2)
+        assert plan.total_snr == float(w[3, 1] + w[3, 2] + w[0, 3])
+
+    def test_pinned_parents_win_over_forced_lead(self):
+        plan = plan_for(fig2_model(), forced_lead=1, parents=(0, 0, 0))
+        assert plan.parent == (0, 0, 0)
+
+    def test_pinned_parents_length_checked(self):
         with pytest.raises(ValueError):
-            RecyclingPlan(parent=(0, 1, 2), order=(3, 2, 1), total_snr=1.0)
+            plan_for(fig2_model(), parents=(0, 1))

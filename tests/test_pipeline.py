@@ -3,13 +3,20 @@ import pytest
 
 from noisecycle import (NoiseEstimate, OrbgrandDecoder,
                         PipelineConfig, build_gm_model, build_recycle_graph,
-                        decode_and_estimate, dynamic_noise_recycling,
-                        effective_variance, encode, independent_decoding,
-                        max_arborescence, modulate_bpsk, re_recycle, run_block,
-                        sample_noise, sample_rlc, static_noise_recycling,
-                        transmit)
+                        effective_variance, encode, llse_update,
+                        max_arborescence, modulate_bpsk, run_block,
+                        sample_noise, sample_rlc, transmit)
 from noisecycle.ordering import RecyclingPlan
 from conftest import FailingDecoder, PerfectDecoder, RecordingDecoder, fig2_model
+
+INDEPENDENT = PipelineConfig(mode="independent")
+DYNAMIC_Q = PipelineConfig(mode="dynamic", confidence_metric="query_count")
+CHAIN2 = RecyclingPlan(parent=(0, 1), total_snr=0.0)
+CHAIN3 = RecyclingPlan(parent=(0, 1, 2), total_snr=0.0)
+
+
+def static(plan, **kw):
+    return PipelineConfig(mode="static", plan=plan, **kw)
 
 
 def make_outputs(model, codes, rng, messages=None):
@@ -34,10 +41,9 @@ class TestModeEquivalenceAtZeroRho:
         plan = max_arborescence(build_recycle_graph(model))
         for _ in range(40):
             outputs, _, _ = make_outputs(model, codes, rng)
-            ind = independent_decoding(outputs, codes, decoders, model)
-            sta = static_noise_recycling(outputs, codes, decoders, model, plan)
-            dyn = dynamic_noise_recycling(outputs, codes, decoders, model,
-                                          "query_count")
+            ind = run_block(INDEPENDENT, outputs, codes, decoders, model)
+            sta = run_block(static(plan), outputs, codes, decoders, model)
+            dyn = run_block(DYNAMIC_Q, outputs, codes, decoders, model)
             for a, b in ((ind, sta), (ind, dyn)):
                 assert a.correct == b.correct
                 for oa, ob in zip(a.outcomes, b.outcomes):
@@ -52,13 +58,12 @@ class TestStaticRecycling:
         # minus the clean signal has variance sigma^2 (1 - rho^2) = 0.36
         model = build_gm_model(2, 0.8, 1.0)
         codes = [sample_rlc(64, 46, seed=s) for s in (4, 5)]
-        plan = RecyclingPlan(parent=(0, 1), order=(1, 2), total_snr=0.0)
         residuals = []
         for _ in range(400):
             outputs, cws, _ = make_outputs(model, codes, rng)
             log: list = []
             decoders = [PerfectDecoder(cws[0]), RecordingDecoder(cws[1], 1, log)]
-            static_noise_recycling(outputs, codes, decoders, model, plan)
+            run_block(static(CHAIN2), outputs, codes, decoders, model)
             soft = log[0]
             residuals.append(soft.received - modulate_bpsk(cws[1]))
             assert soft.noise_variance == pytest.approx(0.36)
@@ -81,7 +86,7 @@ class TestStaticRecycling:
                 return PerfectDecoder(cws[self.idx]).decode(code, soft)
 
         decoders = [Tagger(0), Tagger(1), Tagger(2)]
-        result = static_noise_recycling(outputs, codes, decoders, model, plan)
+        result = run_block(static(plan), outputs, codes, decoders, model)
         assert [idx for idx, _ in log] == [1, 0, 2]  # channels 2, 1, 3
         assert result.lead_channel == 1
         # channels 1 and 3 saw reduced variances from recycling channel 2
@@ -92,11 +97,10 @@ class TestStaticRecycling:
     def test_parent_abandonment_falls_back_to_raw(self, rng):
         model = build_gm_model(2, 0.8, 1.0)
         codes = [sample_rlc(16, 11, seed=s) for s in (9, 10)]
-        plan = RecyclingPlan(parent=(0, 1), order=(1, 2), total_snr=0.0)
         outputs, cws, _ = make_outputs(model, codes, rng)
         log: list = []
         decoders = [FailingDecoder(), RecordingDecoder(cws[1], 1, log)]
-        result = static_noise_recycling(outputs, codes, decoders, model, plan)
+        result = run_block(static(CHAIN2), outputs, codes, decoders, model)
         assert not result.correct[0]
         soft = log[0]
         assert np.array_equal(soft.received, outputs.received[1])
@@ -105,14 +109,13 @@ class TestStaticRecycling:
     def test_genie_zeroes_wrong_lead_estimate(self, rng):
         model = build_gm_model(2, 0.8, 1.0)
         codes = [sample_rlc(16, 11, seed=s) for s in (11, 12)]
-        plan = RecyclingPlan(parent=(0, 1), order=(1, 2), total_snr=0.0)
         outputs, cws, _ = make_outputs(model, codes, rng)
         wrong = cws[0].copy()
         wrong[0] ^= 1  # scripted decoder returns a wrong word
         log: list = []
         decoders = [PerfectDecoder(wrong), RecordingDecoder(cws[1], 1, log)]
-        result = static_noise_recycling(outputs, codes, decoders, model, plan,
-                                        genie=True)
+        result = run_block(static(CHAIN2, genie=True), outputs, codes, decoders,
+                           model)
         assert not result.correct[0]
         soft = log[0]
         assert np.array_equal(soft.received, outputs.received[1])
@@ -129,8 +132,7 @@ class TestDynamicRecycling:
         outputs, cws, _ = make_outputs(model, codes, rng)
         log: list = []
         decoders = self._scripted(cws, [9, 2], log)
-        result = dynamic_noise_recycling(outputs, codes, decoders, model,
-                                         "query_count")
+        result = run_block(DYNAMIC_Q, outputs, codes, decoders, model)
         assert result.lead_channel == 1
         # phase 1: both raw; phase 2: channel 0 re-decoded with recycling
         assert len(log) == 3
@@ -156,8 +158,7 @@ class TestDynamicRecycling:
                     code, soft)
 
         decoders = [Tagger(0, 50), Tagger(1, 1), Tagger(2, 50)]
-        result = dynamic_noise_recycling(outputs, codes, decoders, model,
-                                         "query_count")
+        result = run_block(DYNAMIC_Q, outputs, codes, decoders, model)
         assert result.lead_channel == 1
         # phase 1 hits 0,1,2; then outward from the lead: 2 first, then 0
         assert [i for i, _ in log] == [0, 1, 2, 2, 0]
@@ -170,8 +171,7 @@ class TestDynamicRecycling:
         codes = [sample_rlc(16, 11, seed=s) for s in (18, 19)]
         outputs, cws, _ = make_outputs(model, codes, rng)
         decoders = self._scripted(cws, [3, 3], [])
-        result = dynamic_noise_recycling(outputs, codes, decoders, model,
-                                         "query_count")
+        result = run_block(DYNAMIC_Q, outputs, codes, decoders, model)
         assert result.lead_channel == 0
 
     def test_all_abandoned_returns_phase_one(self, rng):
@@ -179,8 +179,7 @@ class TestDynamicRecycling:
         codes = [sample_rlc(16, 11, seed=s) for s in (20, 21)]
         outputs, _, _ = make_outputs(model, codes, rng)
         decoders = [FailingDecoder(), FailingDecoder()]
-        result = dynamic_noise_recycling(outputs, codes, decoders, model,
-                                         "query_count")
+        result = run_block(DYNAMIC_Q, outputs, codes, decoders, model)
         assert result.lead_channel is None
         assert all(o.status == "abandoned" for o in result.outcomes)
 
@@ -189,46 +188,42 @@ class TestDynamicRecycling:
         codes = [sample_rlc(16, 11, seed=s) for s in (22, 23)]
         outputs, cws, _ = make_outputs(model, codes, rng)
         decoders = [FailingDecoder(), RecordingDecoder(cws[1], 999, [])]
-        result = dynamic_noise_recycling(outputs, codes, decoders, model,
-                                         "query_count")
+        result = run_block(DYNAMIC_Q, outputs, codes, decoders, model)
         assert result.lead_channel == 1
 
 
 class TestDecodeAndEstimate:
-    def test_none_estimate_is_plain_decode(self, rng):
-        model = build_gm_model(2, 0.8, 1.0)
-        code = sample_rlc(16, 11, seed=24)
-        cw = encode(code, rng.integers(0, 2, size=11, dtype=np.uint8))
-        y = modulate_bpsk(cw) + 0.2 * rng.normal(size=16)
-        out, fresh = decode_and_estimate(y, None, 0, 1, code,
-                                         PerfectDecoder(cw), model)
-        assert out.noise_variance == pytest.approx(1.0)
-        assert np.allclose(fresh.values, y - modulate_bpsk(cw))
+    """The one decode step every schedule uses, seen through a static chain."""
 
-    def test_zero_estimate_without_reduction_matches_plain(self, rng):
-        model = build_gm_model(2, 0.8, 1.0)
-        code = sample_rlc(16, 11, seed=24)
-        cw = encode(code, rng.integers(0, 2, size=11, dtype=np.uint8))
-        y = modulate_bpsk(cw) + 0.2 * rng.normal(size=16)
-        zero = NoiseEstimate(values=np.zeros(16), source_channel=0)
-        out, fresh = decode_and_estimate(y, zero, 0, 1, code, PerfectDecoder(cw),
-                                         model, assume_reduced=False)
-        assert out.noise_variance == pytest.approx(1.0)
-        assert np.allclose(fresh.values, y - modulate_bpsk(cw))
+    def test_none_estimate_is_plain_decode(self, rng):
+        # channel 1's parent fails, so channel 1 decodes raw; its estimate,
+        # taken against its own output, is what channel 2 then recycles
+        model = build_gm_model(3, 0.8, 1.0)
+        codes = [sample_rlc(16, 11, seed=24)] * 3
+        outputs, cws, _ = make_outputs(model, codes, rng)
+        log: list = []
+        decoders = [FailingDecoder(), RecordingDecoder(cws[1], 1, log),
+                    RecordingDecoder(cws[2], 1, log)]
+        run_block(static(CHAIN3), outputs, codes, decoders, model)
+        y = outputs.received
+        assert log[0].noise_variance == pytest.approx(1.0)
+        assert np.array_equal(log[0].received, y[1])
+        fresh = y[1] - modulate_bpsk(cws[1])
+        assert np.allclose(log[1].received, y[2] - 0.8 * fresh)
 
     def test_fresh_estimate_taken_against_original_signal(self, rng):
-        # the returned estimate must contain the full channel noise, not the
-        # residual left after the recycling subtraction
-        model = build_gm_model(2, 0.8, 1.0)
-        code = sample_rlc(16, 11, seed=25)
-        cw = encode(code, rng.integers(0, 2, size=11, dtype=np.uint8))
-        z_true = 0.3 * rng.normal(size=16)
-        y = modulate_bpsk(cw) + z_true
-        est = NoiseEstimate(values=rng.normal(size=16), source_channel=0)
-        out, fresh = decode_and_estimate(y, est, 0, 1, code, PerfectDecoder(cw),
-                                         model)
-        assert np.allclose(fresh.values, z_true)
-        assert out.noise_variance == pytest.approx(0.36)
+        # the estimate a recycled decode passes on must contain the full
+        # channel noise, not the residual left after the recycling subtraction
+        model = build_gm_model(3, 0.8, 1.0)
+        codes = [sample_rlc(16, 11, seed=25)] * 3
+        outputs, cws, noise = make_outputs(model, codes, rng)
+        log: list = []
+        decoders = [PerfectDecoder(cws[0]), RecordingDecoder(cws[1], 1, log),
+                    RecordingDecoder(cws[2], 1, log)]
+        run_block(static(CHAIN3), outputs, codes, decoders, model)
+        z_true = noise.samples[1]
+        assert np.allclose(log[1].received, outputs.received[2] - 0.8 * z_true)
+        assert log[0].noise_variance == pytest.approx(0.36)
 
     def test_chained_hops_keep_effective_variance(self, rng):
         # three-channel chain with perfect decodes: each hop's decoder input
@@ -239,16 +234,16 @@ class TestDecodeAndEstimate:
         hop1, hop2 = [], []
         for _ in range(300):
             outputs, cws, _ = make_outputs(model, codes, rng)
-            est0 = NoiseEstimate(values=outputs.received[0] - modulate_bpsk(cws[0]),
-                                 source_channel=0)
-            out1, est1 = decode_and_estimate(outputs.received[1], est0, 0, 1,
-                                             codes[1], PerfectDecoder(cws[1]),
-                                             model)
-            out2, est2 = decode_and_estimate(outputs.received[2], est1, 1, 2,
-                                             codes[2], PerfectDecoder(cws[2]),
-                                             model)
-            y1 = outputs.received[1] - 0.7 * est0.values
-            y2 = outputs.received[2] - 0.7 * est1.values
+            log: list = []
+            decoders = [PerfectDecoder(cws[0]), RecordingDecoder(cws[1], 1, log),
+                        RecordingDecoder(cws[2], 1, log)]
+            run_block(static(CHAIN3), outputs, codes, decoders, model)
+            est0 = outputs.received[0] - modulate_bpsk(cws[0])
+            est1 = outputs.received[1] - modulate_bpsk(cws[1])
+            y1 = outputs.received[1] - 0.7 * est0
+            y2 = outputs.received[2] - 0.7 * est1
+            assert np.allclose(log[0].received, y1)
+            assert np.allclose(log[1].received, y2)
             hop1.append(y1 - modulate_bpsk(cws[1]))
             hop2.append(y2 - modulate_bpsk(cws[2]))
         expect = effective_variance(1.0, rho)
@@ -256,11 +251,14 @@ class TestDecodeAndEstimate:
         assert np.concatenate(hop2).var() == pytest.approx(expect, rel=0.03)
 
     def test_same_channel_rejected(self):
+        # a channel can never recycle its own estimate: no plan may make a
+        # channel its own parent, and the LLSE update refuses it too
         model = build_gm_model(2, 0.5, 1.0)
-        code = sample_rlc(8, 4, seed=29)
         with pytest.raises(ValueError):
-            decode_and_estimate(np.zeros(8), None, 1, 1, code,
-                                PerfectDecoder(np.zeros(8, dtype=np.uint8)), model)
+            RecyclingPlan(parent=(0, 2), total_snr=0.0)
+        est = NoiseEstimate(values=np.zeros(8), source_channel=1)
+        with pytest.raises(ValueError):
+            llse_update(np.zeros(8), est, model, 1)
 
 
 class TestReRecycle:
@@ -268,14 +266,13 @@ class TestReRecycle:
         rho = 0.6
         model = build_gm_model(2, rho, 1.0)
         codes = [sample_rlc(64, 46, seed=s) for s in (30, 31)]
-        plan = RecyclingPlan(parent=(0, 1), order=(1, 2), total_snr=0.0)
         residuals = []
         for _ in range(600):
             outputs, cws, _ = make_outputs(model, codes, rng)
             log: list = []
             decoders = [RecordingDecoder(cws[0], 1, log), PerfectDecoder(cws[1])]
-            result = static_noise_recycling(outputs, codes, decoders, model, plan)
-            result = re_recycle(result, outputs, codes, decoders, model, plan=plan)
+            run_block(static(CHAIN2, rerecycle=True), outputs, codes, decoders,
+                      model)
             redec = log[1]  # second decode of the lead
             residuals.append(redec.received - modulate_bpsk(cws[0]))
             assert redec.noise_variance == pytest.approx(0.64)
@@ -284,12 +281,12 @@ class TestReRecycle:
     def test_zero_rho_leaves_outcome_unchanged(self, rng):
         model = build_gm_model(2, 0.0, 0.3)
         codes = [sample_rlc(16, 11, seed=s) for s in (32, 33)]
-        plan = RecyclingPlan(parent=(0, 1), order=(1, 2), total_snr=0.0)
         decoders = [OrbgrandDecoder(max_queries=4000)] * 2
         for _ in range(20):
             outputs, _, _ = make_outputs(model, codes, rng)
-            base = static_noise_recycling(outputs, codes, decoders, model, plan)
-            rr = re_recycle(base, outputs, codes, decoders, model, plan=plan)
+            base = run_block(static(CHAIN2), outputs, codes, decoders, model)
+            rr = run_block(static(CHAIN2, rerecycle=True), outputs, codes,
+                           decoders, model)
             assert rr.correct == base.correct
             for a, b in zip(base.outcomes, rr.outcomes):
                 assert a.status == b.status
@@ -299,12 +296,77 @@ class TestReRecycle:
     def test_failed_feedback_channel_is_a_no_op(self, rng):
         model = build_gm_model(2, 0.8, 1.0)
         codes = [sample_rlc(16, 11, seed=s) for s in (34, 35)]
-        plan = RecyclingPlan(parent=(0, 1), order=(1, 2), total_snr=0.0)
         outputs, cws, _ = make_outputs(model, codes, rng)
-        decoders = [PerfectDecoder(cws[0]), FailingDecoder()]
-        base = static_noise_recycling(outputs, codes, decoders, model, plan)
-        rr = re_recycle(base, outputs, codes, decoders, model, plan=plan)
-        assert rr is base
+        log: list = []
+        decoders = [RecordingDecoder(cws[0], 1, log), FailingDecoder()]
+        base = run_block(static(CHAIN2), outputs, codes, decoders, model)
+        rr = run_block(static(CHAIN2, rerecycle=True), outputs, codes, decoders,
+                       model)
+        assert len(log) == 2  # the lead decoded once per block, never again
+        assert (rr.correct, rr.queries_spent, rr.lead_channel) == \
+            (base.correct, base.queries_spent, base.lead_channel)
+        assert [o.status for o in rr.outcomes] == [o.status for o in base.outcomes]
+
+    def test_dynamic_lead_redecoded_from_most_confident_non_lead(self, rng):
+        model = build_gm_model(3, 0.7, 1.0)
+        codes = [sample_rlc(16, 11, seed=s) for s in (43, 44, 45)]
+        outputs, cws, _ = make_outputs(model, codes, rng)
+        log: list = []
+
+        class Tagger:
+            def __init__(self, idx, queries):
+                self.idx, self.queries = idx, queries
+
+            def decode(self, code, soft):
+                log.append((self.idx, soft))
+                return RecordingDecoder(cws[self.idx], self.queries, []).decode(
+                    code, soft)
+
+        decoders = [Tagger(0, 5), Tagger(1, 1), Tagger(2, 3)]
+        config = PipelineConfig(mode="dynamic", confidence_metric="query_count",
+                                rerecycle=True)
+        result = run_block(config, outputs, codes, decoders, model)
+        assert result.lead_channel == 1
+        # phase 1, outward re-decodes, then the lead once more
+        assert [i for i, _ in log] == [0, 1, 2, 2, 0, 1]
+        # channel 2 (3 queries) beats channel 0 (5); its estimate is taken
+        # against its original output
+        est2 = outputs.received[2] - modulate_bpsk(cws[2])
+        assert np.allclose(log[5][1].received, outputs.received[1] - 0.7 * est2)
+        assert log[5][1].noise_variance == pytest.approx(effective_variance(1.0, 0.7))
+        assert result.queries_spent == (10, 2, 6)
+
+    def test_dynamic_failed_feedback_channel_is_a_no_op(self, rng):
+        model = build_gm_model(2, 0.8, 1.0)
+        codes = [sample_rlc(16, 11, seed=s) for s in (46, 47)]
+        outputs, cws, _ = make_outputs(model, codes, rng)
+        log: list = []
+        decoders = [RecordingDecoder(cws[0], 1, log), FailingDecoder()]
+        config = PipelineConfig(mode="dynamic", confidence_metric="query_count",
+                                rerecycle=True)
+        rr = run_block(config, outputs, codes, decoders, model)
+        assert rr.lead_channel == 0
+        assert len(log) == 1  # the lead is not re-decoded
+        base = run_block(DYNAMIC_Q, outputs, codes, decoders, model)
+        assert (rr.correct, rr.queries_spent, rr.lead_channel) == \
+            (base.correct, base.queries_spent, base.lead_channel)
+
+    def test_dynamic_genie_rejected_feedback_is_a_no_op(self, rng):
+        # the most confident non-lead decoded a wrong word: the genie drops
+        # its estimate, so there is nothing to feed back to the lead
+        model = build_gm_model(2, 0.8, 1.0)
+        codes = [sample_rlc(16, 11, seed=s) for s in (48, 49)]
+        outputs, cws, _ = make_outputs(model, codes, rng)
+        wrong = cws[1].copy()
+        wrong[0] ^= 1
+        log: list = []
+        decoders = [RecordingDecoder(cws[0], 1, log), RecordingDecoder(wrong, 2, [])]
+        config = PipelineConfig(mode="dynamic", confidence_metric="query_count",
+                                rerecycle=True, genie=True)
+        result = run_block(config, outputs, codes, decoders, model)
+        assert result.lead_channel == 0
+        assert len(log) == 1
+        assert result.correct == (True, False)
 
     def test_lead_bler_ordering_static(self, rng):
         # symmetric two-channel setup: with re-recycling the lead channel's
@@ -395,14 +457,14 @@ class TestRunBlockDispatch:
 
         decoders = [Counting(i) for i in range(3)]
         plan = max_arborescence(build_recycle_graph(model))
-        static_noise_recycling(outputs, codes, decoders, model, plan)
+        run_block(static(plan), outputs, codes, decoders, model)
         assert counts == [1, 1, 1]
         counts[:] = [0, 0, 0]
-        dynamic_noise_recycling(outputs, codes, decoders, model, "query_count")
+        run_block(DYNAMIC_Q, outputs, codes, decoders, model)
         assert sorted(counts) == [1, 2, 2]
         counts[:] = [0, 0, 0]
         config = PipelineConfig(mode="static", plan=plan, rerecycle=True)
         result = run_block(config, outputs, codes, decoders, model)
         lead = result.lead_channel
-        assert counts[lead] <= 3
+        assert counts[lead] == 2
         assert all(c == 1 for i, c in enumerate(counts) if i != lead)

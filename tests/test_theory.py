@@ -6,7 +6,7 @@ from noisecycle import (achievable_rates, build_gm_model, build_recycle_graph,
                         joint_capacity, max_arborescence, pair_upper_bound,
                         water_fill)
 from noisecycle.ordering import RecyclingPlan
-from noisecycle.theory import CovariancePair, RateReport
+from noisecycle.theory import RateReport
 
 from conftest import fig2_model
 
@@ -38,8 +38,7 @@ class TestAchievableRates:
 
     def test_gm_chain_rates(self):
         model = build_gm_model(4, 0.5, 1.0, 1.0)
-        plan = RecyclingPlan(parent=(0, 1, 2, 3), order=(1, 2, 3, 4),
-                             total_snr=0.0)
+        plan = RecyclingPlan(parent=(0, 1, 2, 3), total_snr=0.0)
         rates = achievable_rates(model, plan).per_channel_rates
         assert rates[0] == pytest.approx(0.5)
         for r in rates[1:]:
@@ -208,10 +207,3 @@ class TestReportTypes:
         with pytest.raises(ValueError):
             RateReport(per_channel_rates=(0.5, 0.5), sum_rate=2.0,
                        average_rate=1.0, label="broken")
-
-    def test_covariance_pair_validates_psd(self):
-        good = CovariancePair(lambda_x=np.eye(2), lambda_z=np.eye(2))
-        assert good.lambda_x.shape == (2, 2)
-        with pytest.raises(ValueError):
-            CovariancePair(lambda_x=np.array([[1.0, 2.0], [2.0, 1.0]]),
-                           lambda_z=np.eye(2))
