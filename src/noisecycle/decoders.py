@@ -1,19 +1,25 @@
 """Soft-decision decoders: ORBGRAND, SGRANDAB, and belief propagation.
 
+A decoder is any object with ``decode(code, soft) -> DecodeOutcome``.  The
+three here are frozen dataclasses whose fields are their configuration,
+``OrbgrandDecoder(max_queries)``, ``SgrandabDecoder(max_queries)`` and
+``BpDecoder(max_iters=50)``; each rejects a limit below 1 when built.
+
 The guessing decoders invert putative noise-effect patterns on the hard
 decision, most plausible first, and query codebook membership by syndrome
 (plus CRC when the code carries one).  The first hit is returned together
 with the number of queries spent, which doubles as a decoding-confidence
-proxy.  Pattern orderings are deterministic:
+proxy.  Both share one prologue and one flip-and-accept step; their
+pattern orderings are deterministic:
 
 * SGRANDAB enumerates flip sets in exactly nondecreasing sum of flipped
   |LLR| via a priority-queue successor expansion, so an accepted answer is
   a maximum-likelihood decoding and memory stays O(queries).
-* ORBGRAND ranks positions by ascending |LLR| (rank 1 = least reliable,
-  ties by position) and sweeps flip sets in nondecreasing logistic weight,
-  the sum of flipped ranks; equal-weight sets are ordered by size then
-  lexicographically.  Rank sets of a given weight are the partitions of
-  that weight into distinct parts <= n.
+* ORBGRAND (Duffy, ICASSP 2021) ranks positions by ascending |LLR| (rank 1
+  = least reliable, ties by position) and sweeps flip sets in nondecreasing
+  logistic weight, the sum of flipped ranks; equal-weight sets are ordered
+  by size then lexicographically.  Rank sets of a given weight are the
+  partitions of that weight into distinct parts <= n.
 
 All decoders are pure given their inputs.  The module keeps a per-process
 cache of ORBGRAND rank streams, and codes cache their packed column masks
@@ -24,6 +30,7 @@ so share work across processes rather than threads.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -34,15 +41,10 @@ from .gf2 import CodeSpec
 
 __all__ = [
     "SoftBlock",
-    "AbandonmentPolicy",
     "DecodeOutcome",
     "llrs",
-    "sgrandab_decode",
-    "orbgrand_decode",
-    "bp_decode",
     "confidence",
     "orbgrand_rank_patterns",
-    "sgrand_flip_patterns",
     "OrbgrandDecoder",
     "SgrandabDecoder",
     "BpDecoder",
@@ -67,17 +69,6 @@ class SoftBlock:
         if self.noise_variance <= 0:
             raise ValueError("noise variance must be positive")
         object.__setattr__(self, "received", y)
-
-
-@dataclass(frozen=True)
-class AbandonmentPolicy:
-    """Give up after ``max_queries`` codebook queries."""
-
-    max_queries: int
-
-    def __post_init__(self) -> None:
-        if self.max_queries < 1:
-            raise ValueError("need max_queries >= 1")
 
 
 @dataclass(frozen=True)
@@ -112,40 +103,6 @@ def llrs(soft: SoftBlock) -> np.ndarray:
 # guessing decoders
 # ---------------------------------------------------------------------------
 
-def _syndrome_int(bits: np.ndarray, masks: list[int]) -> int:
-    s = 0
-    for pos in np.nonzero(bits)[0]:
-        s ^= masks[int(pos)]
-    return s
-
-
-def sgrand_flip_patterns(reliabilities: np.ndarray) -> Iterator[tuple[int, ...]]:
-    """Index sets into the ascending-reliability order, nondecreasing score.
-
-    Score of a set is the sum of its (sorted) reliabilities.  Successor
-    expansion from {0}: a popped set either grows by the next index or
-    slides its largest index one step up, which reaches every nonempty set
-    exactly once while children never score below their parent.
-    """
-    r = np.sort(np.asarray(reliabilities, dtype=float))
-    n = r.size
-    yield ()
-    if n == 0:
-        return
-    heap: list[tuple[float, int, tuple[int, ...]]] = [(float(r[0]), 0, (0,))]
-    seq = 1
-    while heap:
-        score, _, pat = heapq.heappop(heap)
-        t = pat[-1]
-        if t + 1 < n:
-            grow = float(score + r[t + 1])
-            heapq.heappush(heap, (grow, seq, pat + (t + 1,)))
-            seq += 1
-            heapq.heappush(heap, (float(grow - r[t]), seq, pat[:-1] + (t + 1,)))
-            seq += 1
-        yield pat
-
-
 def _rank_subsets(weight: int, size: int, lo: int, n: int) -> Iterator[tuple[int, ...]]:
     # ascending tuples of `size` distinct ranks in [lo, n] summing to `weight`
     if size == 1:
@@ -179,36 +136,45 @@ def orbgrand_rank_patterns(n: int, max_weight: int | None = None
             size += 1
 
 
-class _RankStreamCache:
-    """Lazily extended prefix of the ORBGRAND rank stream for one n."""
-
-    def __init__(self, n: int) -> None:
-        self._gen = orbgrand_rank_patterns(n)
-        self.patterns: list[tuple[int, ...]] = []
-
-    def extend_to(self, count: int) -> None:
-        while len(self.patterns) < count:
-            try:
-                self.patterns.append(next(self._gen))
-            except StopIteration:
-                break
+# n -> (cached prefix of the rank stream, the generator that extends it)
+_RANK_CACHE: dict[int, tuple[list[tuple[int, ...]], Iterator[tuple[int, ...]]]] = {}
 
 
-_RANK_CACHE: dict[int, _RankStreamCache] = {}
+def _rank_prefix(n: int, count: int) -> list[tuple[int, ...]]:
+    """The shared, only-growing cached prefix of ``orbgrand_rank_patterns(n)``,
+    extended to at least ``count`` sets unless the stream ends first."""
+    cached = _RANK_CACHE.get(n)
+    if cached is None:
+        cached = _RANK_CACHE[n] = ([], orbgrand_rank_patterns(n))
+    prefix, stream = cached
+    if len(prefix) < count:
+        prefix.extend(itertools.islice(stream, count - len(prefix)))
+    return prefix
 
 
-def _rank_cache(n: int) -> _RankStreamCache:
-    cache = _RANK_CACHE.get(n)
-    if cache is None:
-        cache = _RankStreamCache(n)
-        _RANK_CACHE[n] = cache
-    return cache
+def _prologue(code: CodeSpec, soft: SoftBlock):
+    """What both guessing decoders start from: the hard decision, positions
+    by ascending reliability (rank r at ``order[r - 1]``, ties by position),
+    the sorted reliabilities, the base syndrome and the column masks in
+    reliability order."""
+    llr = llrs(soft)
+    hard = (llr < 0).astype(np.uint8)
+    reliab = np.abs(llr)
+    order = np.argsort(reliab, kind="stable")
+    masks = code.column_masks
+    base = 0
+    for pos in np.nonzero(hard)[0]:
+        base ^= masks[int(pos)]
+    return hard, order, reliab[order], base, [masks[int(p)] for p in order]
 
 
-def _accept(code: CodeSpec, candidate: np.ndarray, soft: SoftBlock,
-            queries: int) -> DecodeOutcome | None:
-    message = code.message_from_codeword(candidate)
-    if not code.valid_message(message):
+def _accept(code: CodeSpec, soft: SoftBlock, hard: np.ndarray,
+            flips: np.ndarray | list[int], queries: int) -> DecodeOutcome | None:
+    """``hard`` with the bits at positions ``flips`` inverted, as a decoded
+    outcome, or None if its message fails the code's CRC."""
+    candidate = hard.copy()
+    candidate[flips] ^= 1
+    if not code.valid_message(code.message_from_codeword(candidate)):
         return None
     z = soft.received - (1.0 - 2.0 * candidate.astype(float))
     sigma2 = soft.noise_variance
@@ -218,91 +184,89 @@ def _accept(code: CodeSpec, candidate: np.ndarray, soft: SoftBlock,
                          codeword=candidate, noise_nll=nll)
 
 
-def _abandon(queries: int) -> DecodeOutcome:
-    return DecodeOutcome(status=STATUS_ABANDONED, queries=queries, codeword=None)
+def _check_limit(name: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value!r}")
 
 
-def sgrandab_decode(code: CodeSpec, soft: SoftBlock,
-                    policy: AbandonmentPolicy) -> DecodeOutcome:
-    """Maximum-likelihood-ordered guessing with abandonment.
+@dataclass(frozen=True)
+class OrbgrandDecoder:
+    """Logistic-weight-ordered guessing, abandoned after ``max_queries``."""
 
-    Flip patterns are applied in exactly nonincreasing likelihood, so the
-    first codebook hit (that also passes any CRC) is an ML decoding.  The
-    heap mirrors :func:`sgrand_flip_patterns` but carries each pattern's
-    syndrome incrementally, one XOR per successor.
+    max_queries: int
+
+    def __post_init__(self) -> None:
+        _check_limit("max_queries", self.max_queries)
+
+    def decode(self, code: CodeSpec, soft: SoftBlock) -> DecodeOutcome:
+        hard, order, _, base, rank_masks = _prologue(code, soft)
+        cap = self.max_queries
+        patterns: list[tuple[int, ...]] = []
+        queries = 0
+        while queries < cap:
+            if queries == len(patterns):
+                # grow the shared prefix geometrically instead of all at once
+                patterns = _rank_prefix(code.n, min(cap, max(1024, 2 * queries)))
+                if queries == len(patterns):
+                    break  # stream exhausted (tiny n)
+            pat = patterns[queries]
+            queries += 1
+            s = base
+            for r in pat:
+                s ^= rank_masks[r - 1]
+            if s == 0:
+                hit = _accept(code, soft, hard, order[[r - 1 for r in pat]], queries)
+                if hit is not None:
+                    return hit
+        return DecodeOutcome(STATUS_ABANDONED, queries, None)
+
+
+@dataclass(frozen=True)
+class SgrandabDecoder:
+    """Maximum-likelihood-ordered guessing, abandoned after ``max_queries``.
+
+    Flip sets are index sets into the reliability order.  Successor
+    expansion from {0}: a popped set either grows by the next index or
+    slides its largest index one step up, which reaches every nonempty set
+    once while children never score below their parent.  Each heap entry
+    carries its set's syndrome, one or two XORs from its parent's.
     """
-    llr = llrs(soft)
-    hard = (llr < 0).astype(np.uint8)
-    reliab = np.abs(llr)
-    order = np.argsort(reliab, kind="stable")
-    masks = code.column_masks
-    base = _syndrome_int(hard, masks)
 
-    queries = 1
-    if base == 0:
-        hit = _accept(code, hard, soft, queries)
-        if hit is not None:
-            return hit
+    max_queries: int
 
-    r = reliab[order].tolist()
-    sorted_masks = [masks[int(p)] for p in order]
-    n = code.n
-    cap = policy.max_queries
-    heappush, heappop = heapq.heappush, heapq.heappop
-    heap = [(r[0], 0, (0,), base ^ sorted_masks[0])] if n else []
-    seq = 1
-    while heap and queries < cap:
-        score, _, pat, s = heappop(heap)
-        queries += 1
-        t = pat[-1]
-        if t + 1 < n:
-            grow = score + r[t + 1]
-            nxt = sorted_masks[t + 1]
-            heappush(heap, (grow, seq, pat + (t + 1,), s ^ nxt))
-            heappush(heap, (grow - r[t], seq + 1, pat[:-1] + (t + 1,),
-                            s ^ nxt ^ sorted_masks[t]))
-            seq += 2
-        if s == 0:
-            candidate = hard.copy()
-            candidate[order[list(pat)]] ^= 1
-            hit = _accept(code, candidate, soft, queries)
+    def __post_init__(self) -> None:
+        _check_limit("max_queries", self.max_queries)
+
+    def decode(self, code: CodeSpec, soft: SoftBlock) -> DecodeOutcome:
+        hard, order, reliab, base, sorted_masks = _prologue(code, soft)
+        queries = 1
+        if base == 0:
+            hit = _accept(code, soft, hard, [], queries)
             if hit is not None:
                 return hit
-    return _abandon(queries)
 
-
-def orbgrand_decode(code: CodeSpec, soft: SoftBlock,
-                    policy: AbandonmentPolicy) -> DecodeOutcome:
-    """Logistic-weight-ordered guessing with abandonment."""
-    llr = llrs(soft)
-    hard = (llr < 0).astype(np.uint8)
-    order = np.argsort(np.abs(llr), kind="stable")  # order[r-1] = rank-r position
-    masks = code.column_masks
-    base = _syndrome_int(hard, masks)
-    rank_masks = [masks[int(p)] for p in order]
-
-    cache = _rank_cache(code.n)
-    patterns = cache.patterns
-    queries = 0
-    while queries < policy.max_queries:
-        if queries >= len(patterns):
-            # grow the shared prefix geometrically instead of all at once
-            cache.extend_to(min(policy.max_queries, max(1024, 2 * len(patterns))))
-            if queries >= len(patterns):
-                break  # stream exhausted (tiny n)
-        pat = patterns[queries]
-        queries += 1
-        s = base
-        for r in pat:
-            s ^= rank_masks[r - 1]
-        if s == 0:
-            candidate = hard.copy()
-            if pat:
-                candidate[order[[r - 1 for r in pat]]] ^= 1
-            hit = _accept(code, candidate, soft, queries)
-            if hit is not None:
-                return hit
-    return _abandon(queries)
+        r = reliab.tolist()
+        n = code.n
+        cap = self.max_queries
+        heappush, heappop = heapq.heappush, heapq.heappop
+        heap = [(r[0], 0, (0,), base ^ sorted_masks[0])] if n else []
+        seq = 1
+        while heap and queries < cap:
+            score, _, pat, s = heappop(heap)
+            queries += 1
+            t = pat[-1]
+            if t + 1 < n:
+                grow = score + r[t + 1]
+                nxt = sorted_masks[t + 1]
+                heappush(heap, (grow, seq, pat + (t + 1,), s ^ nxt))
+                heappush(heap, (grow - r[t], seq + 1, pat[:-1] + (t + 1,),
+                                s ^ nxt ^ sorted_masks[t]))
+                seq += 2
+            if s == 0:
+                hit = _accept(code, soft, hard, order[list(pat)], queries)
+                if hit is not None:
+                    return hit
+        return DecodeOutcome(STATUS_ABANDONED, queries, None)
 
 
 # ---------------------------------------------------------------------------
@@ -312,46 +276,53 @@ def orbgrand_decode(code: CodeSpec, soft: SoftBlock,
 _ATANH_LIM = np.nextafter(1.0, 0.0)
 
 
-def bp_decode(code: CodeSpec, soft: SoftBlock, max_iters: int = 50) -> DecodeOutcome:
+@dataclass(frozen=True)
+class BpDecoder:
     """Sum-product decoding on the Tanner graph of ``code.sparse``.
 
     Check messages use the tanh rule with leave-one-out products computed
     by exclusive prefix/suffix scans (no divisions).  Exits as soon as the
-    hard decision satisfies every check; ``queries`` is the iteration count.
+    hard decision satisfies every check; ``queries`` is the iteration count,
+    at most ``max_iters``.
     """
-    if code.sparse is None:
-        raise ValueError("bp_decode needs a code with a sparse parity check")
-    lay = code.sparse.tanner
-    llr = llrs(soft)
-    v2c = llr[lay.ecol]
 
-    hard = (llr < 0).astype(np.uint8)
-    for it in range(1, max_iters + 1):
-        t = np.tanh(0.5 * v2c)
-        trow = np.ones_like(lay.row_slots, dtype=float)
-        trow[lay.valid] = t[lay.row_slots[lay.valid]]
-        cp = np.cumprod(trow, axis=1)
-        prefix = np.concatenate([np.ones((trow.shape[0], 1)), cp[:, :-1]], axis=1)
-        rcp = np.cumprod(trow[:, ::-1], axis=1)[:, ::-1]
-        suffix = np.concatenate([rcp[:, 1:], np.ones((trow.shape[0], 1))], axis=1)
-        loo = (prefix * suffix)[lay.valid]
-        c2v_slots = 2.0 * np.arctanh(np.clip(loo, -_ATANH_LIM, _ATANH_LIM))
-        c2v = np.empty(lay.n_edges)
-        c2v[lay.row_slots[lay.valid]] = c2v_slots
+    max_iters: int = 50
 
-        col_sum = np.zeros(code.n)
-        np.add.at(col_sum, lay.ecol, c2v)
-        total = llr + col_sum
-        hard = (total < 0).astype(np.uint8)
-        if not ((lay.h_dense @ hard) % 2).any():
-            hit = _accept(code, hard, soft, it)
-            if hit is not None:
-                return hit
-            return DecodeOutcome(status=STATUS_CRC_FAILED, queries=it,
-                                 codeword=None)
-        v2c = total[lay.ecol] - c2v
+    def __post_init__(self) -> None:
+        _check_limit("max_iters", self.max_iters)
 
-    return _abandon(max_iters)
+    def decode(self, code: CodeSpec, soft: SoftBlock) -> DecodeOutcome:
+        if code.sparse is None:
+            raise ValueError("BpDecoder needs a code with a sparse parity check")
+        lay = code.sparse.tanner
+        llr = llrs(soft)
+        v2c = llr[lay.ecol]
+
+        for it in range(1, self.max_iters + 1):
+            t = np.tanh(0.5 * v2c)
+            trow = np.ones_like(lay.row_slots, dtype=float)
+            trow[lay.valid] = t[lay.row_slots[lay.valid]]
+            cp = np.cumprod(trow, axis=1)
+            prefix = np.concatenate([np.ones((trow.shape[0], 1)), cp[:, :-1]], axis=1)
+            rcp = np.cumprod(trow[:, ::-1], axis=1)[:, ::-1]
+            suffix = np.concatenate([rcp[:, 1:], np.ones((trow.shape[0], 1))], axis=1)
+            loo = (prefix * suffix)[lay.valid]
+            c2v_slots = 2.0 * np.arctanh(np.clip(loo, -_ATANH_LIM, _ATANH_LIM))
+            c2v = np.empty(lay.n_edges)
+            c2v[lay.row_slots[lay.valid]] = c2v_slots
+
+            col_sum = np.zeros(code.n)
+            np.add.at(col_sum, lay.ecol, c2v)
+            total = llr + col_sum
+            hard = (total < 0).astype(np.uint8)
+            if not ((lay.h_dense @ hard) % 2).any():
+                hit = _accept(code, soft, hard, [], it)
+                if hit is not None:
+                    return hit
+                return DecodeOutcome(STATUS_CRC_FAILED, it, None)
+            v2c = total[lay.ecol] - c2v
+
+        return DecodeOutcome(STATUS_ABANDONED, self.max_iters, None)
 
 
 # ---------------------------------------------------------------------------
@@ -377,31 +348,3 @@ def confidence(outcome: DecodeOutcome, metric: str) -> float:
     if metric == METRIC_QUERY_COUNT:
         return float(outcome.queries)
     return outcome.noise_nll
-
-
-# ---------------------------------------------------------------------------
-# configured decoder frontends
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OrbgrandDecoder:
-    max_queries: int
-
-    def decode(self, code: CodeSpec, soft: SoftBlock) -> DecodeOutcome:
-        return orbgrand_decode(code, soft, AbandonmentPolicy(self.max_queries))
-
-
-@dataclass(frozen=True)
-class SgrandabDecoder:
-    max_queries: int
-
-    def decode(self, code: CodeSpec, soft: SoftBlock) -> DecodeOutcome:
-        return sgrandab_decode(code, soft, AbandonmentPolicy(self.max_queries))
-
-
-@dataclass(frozen=True)
-class BpDecoder:
-    max_iters: int = 50
-
-    def decode(self, code: CodeSpec, soft: SoftBlock) -> DecodeOutcome:
-        return bp_decode(code, soft, self.max_iters)

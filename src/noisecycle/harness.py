@@ -65,15 +65,6 @@ class SweepSpec:
             raise ValueError("need 0 < min_trials <= max_trials")
 
 
-def _reject_unknown(raw: dict, spec: type, where: str) -> None:
-    """Raise on keys of ``raw`` that name no field of the dataclass ``spec``."""
-    known = [f.name for f in dataclasses.fields(spec)]
-    unknown = sorted(set(raw) - set(known))
-    if unknown:
-        raise ValueError(f"unknown {where} key(s) {', '.join(map(repr, unknown))}; "
-                         f"expected some of {', '.join(known)}")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative experiment: all fields are plain JSON-compatible data."""
@@ -87,27 +78,34 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self) -> None:
-        m = int(self.channel["m"])
+        # load every descriptor once, so a bad one fails here, not in a worker
+        m = configio.load_channel_model(self.channel).m
         if len(self.codes) != m or len(self.decoders) != m:
             raise ValueError("codes and decoders must list one entry per channel")
+        for j, (code, decoder) in enumerate(zip(self.codes, self.decoders)):
+            try:
+                configio.check_code(code)
+                configio.load_decoder(decoder)
+            except ValueError as exc:
+                raise ValueError(f"channel {j + 1}: {exc}") from None
+        configio.load_pipeline(self.pipeline)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        """Build from experiment JSON; unknown keys raise ``ValueError``."""
-        _reject_unknown(raw, cls, "experiment")
-        sweep = raw["sweep"]
-        _reject_unknown(sweep, SweepSpec, "sweep")
+        """Build from experiment JSON; a missing or unknown key anywhere in it
+        raises ``ValueError`` naming the key."""
+        configio.check_keys(raw, "experiment",
+                            required=("channel", "codes", "decoders", "sweep"),
+                            optional=("pipeline", "base_seed", "output_path"))
+        sweep = dict(raw["sweep"])
+        configio.check_keys(sweep, "sweep", *configio.field_keys(SweepSpec))
+        ebn0_db = tuple(float(x) for x in sweep.pop("ebn0_db"))
         return cls(
             channel=dict(raw["channel"]),
             codes=tuple(dict(c) for c in raw["codes"]),
             decoders=tuple(dict(d) for d in raw["decoders"]),
             pipeline=dict(raw.get("pipeline", {})),
-            sweep=SweepSpec(
-                ebn0_db=tuple(float(x) for x in sweep["ebn0_db"]),
-                min_trials=int(sweep.get("min_trials", 1000)),
-                max_trials=int(sweep.get("max_trials", 100_000)),
-                min_block_errors=int(sweep.get("min_block_errors", 50)),
-            ),
+            sweep=SweepSpec(ebn0_db, **{k: int(v) for k, v in sweep.items()}),
             base_seed=int(raw.get("base_seed", 0)),
             output_path=raw.get("output_path"),
         )

@@ -15,14 +15,13 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from noisecycle import (AbandonmentPolicy, ChannelModel, ExperimentConfig,
-                        RecycleGraph, SoftBlock, SweepSpec, achievable_rates,
+from noisecycle import (ChannelModel, ExperimentConfig, RecycleGraph,
+                        SgrandabDecoder, SoftBlock, SweepSpec, achievable_rates,
                         brute_force_plan, build_gm_model, build_recycle_graph,
                         capacity, composite_bler, joint_capacity,
                         max_arborescence, ml_decode_bruteforce,
                         pair_upper_bound, run_bler_sweep, run_trial,
-                        sample_noise, sample_rlc, sgrandab_decode,
-                        wilson_interval)
+                        sample_noise, sample_rlc, wilson_interval)
 from noisecycle.decoders import orbgrand_rank_patterns
 from noisecycle.recycling import normalized_corr
 
@@ -212,6 +211,7 @@ def _count_joint_failures(config):
             target = min(2 * target, sweep.max_trials)
 
 
+@pytest.mark.slow
 def test_c6_composite_bler_closure_with_genie():
     """Genie-validated recycling at lead BLER ~1e-2 (rho 0.6, 3.9 dB,
     rlc[64,46]+CRC8, SGRANDAB capped at 8000 queries): the measured
@@ -303,6 +303,7 @@ def _gain_config(pipeline, grid, seed):
     )
 
 
+@pytest.mark.slow
 def test_c7_static_recycling_gain():
     """Static recycling moves the second channel's 1e-2 BLER crossing at
     least 0.25 dB below independent decoding (>= 50 errors per point)."""
@@ -336,6 +337,7 @@ def _dyn_config(pipeline, seed):
     )
 
 
+@pytest.mark.slow
 def test_c8_dynamic_and_rerecycling_ordering():
     """At 3.5 dB with rho 0.8: dynamic recycling beats independent decoding
     on every channel, and re-recycling the static lead never hurts it; every
@@ -393,11 +395,11 @@ def test_c9_decoder_oracles():
     n <= 12, weight <= 20 (exact)."""
     rng = np.random.default_rng(909)
     code = sample_rlc(8, 4, seed=5)
-    policy = AbandonmentPolicy(256)
+    decoder = SgrandabDecoder(256)
     mismatches = 0
     for _ in range(10_000):
         y = rng.normal(size=8)
-        out = sgrandab_decode(code, SoftBlock(y, 1.0), policy)
+        out = decoder.decode(code, SoftBlock(y, 1.0))
         if out.status != "decoded" or \
                 not np.array_equal(out.codeword, ml_decode_bruteforce(code, y)):
             mismatches += 1

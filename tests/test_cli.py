@@ -116,6 +116,36 @@ class TestBlerCommand:
         assert "'min_trial'" in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("edit, named", [
+        (lambda c: c["pipeline"].update(rerecylce=True), ["pipeline", "'rerecylce'"]),
+        (lambda c: c["decoders"][0].update(max_queries=0), ["channel 1", "max_queries must be >= 1"]),
+        (lambda c: c.pop("sweep"), ["experiment", "'sweep'"]),
+    ])
+    def test_bad_descriptor_exits_before_any_trial(self, tmp_path, edit, named):
+        config = {
+            "channel": {"m": 1, "mode": "gm", "rho": 0.0},
+            "codes": [{"type": "rlc", "n": 32, "k": 26, "seed": 1}],
+            "decoders": [{"type": "orbgrand", "max_queries": 2000}],
+            "pipeline": {"mode": "static"},
+            "sweep": {"ebn0_db": [3.0], "min_trials": 10**6, "max_trials": 10**6},
+        }
+        edit(config)
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(config))
+        out_path = tmp_path / "out.csv"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-m", "noisecycle.cli", "bler",
+                               str(cfg_path), "--output", str(out_path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode != 0
+        for text in named:
+            assert text in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+        assert not out_path.exists()
+
     def test_seed_override_changes_output(self, tmp_path, capsys):
         config = {
             "channel": {"m": 1, "mode": "gm", "rho": 0.0},

@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from noisecycle import (AbandonmentPolicy, CodeSpec, CrcSpec, SoftBlock,
-                        bp_decode, confidence, crc_check, encode, llrs,
-                        ml_decode_bruteforce, modulate_bpsk, orbgrand_decode,
-                        sample_regular_ldpc, sample_rlc, sgrandab_decode,
-                        syndrome)
-from noisecycle.decoders import orbgrand_rank_patterns, sgrand_flip_patterns
+from noisecycle import (BpDecoder, CodeSpec, CrcSpec, OrbgrandDecoder,
+                        SgrandabDecoder, SoftBlock, confidence, crc_check,
+                        encode, llrs, ml_decode_bruteforce, modulate_bpsk,
+                        sample_regular_ldpc, sample_rlc, syndrome)
+from noisecycle.decoders import orbgrand_rank_patterns
+
+from conftest import mod2
 
 
 class TestLlrs:
@@ -26,24 +27,61 @@ class TestLlrs:
         assert np.array_equal(np.sign(a), np.sign(b))
 
 
-class TestSgrandPatternStream:
-    def test_documented_order_for_three_reliabilities(self):
-        got = list(itertools.islice(sgrand_flip_patterns(np.array([0.5, 1.0, 2.0])), 8))
-        assert got == [(), (0,), (1,), (0, 1), (2,), (0, 2), (1, 2), (0, 1, 2)]
+class TestQueryOrder:
+    """Query counts of the decoders as they run, against the pattern orders
+    they promise: on a code without a CRC the count is the 1-based position
+    of the first flip set that turns the hard decision into a codeword."""
 
-    def test_scores_nondecreasing_and_exhaustive(self, rng):
-        reliab = np.sort(rng.uniform(0.1, 3.0, size=10))
-        pats = list(sgrand_flip_patterns(reliab))
-        assert len(pats) == 2 ** 10
-        assert len(set(pats)) == 2 ** 10
-        scores = [sum(reliab[list(p)]) for p in pats]
-        assert all(b >= a - 1e-12 for a, b in zip(scores, scores[1:]))
+    N = 10
 
-    def test_long_prefix_sorted_for_large_n(self, rng):
-        reliab = np.sort(np.abs(rng.normal(size=64)))
-        stream = sgrand_flip_patterns(reliab)
-        scores = [sum(reliab[list(p)]) for p in itertools.islice(stream, 10_000)]
-        assert all(b >= a - 1e-12 for a, b in zip(scores, scores[1:]))
+    def _blocks(self, rng, count):
+        code = sample_rlc(self.N, 5, seed=19)
+        for _ in range(count):
+            y = rng.normal(size=self.N)
+            yield code, y, (y < 0).astype(np.uint8)
+
+    @staticmethod
+    def _first_hit(code, hard, flip_sets):
+        for pos, flips in enumerate(flip_sets, start=1):
+            word = hard.copy()
+            word[list(flips)] ^= 1
+            if not mod2(code.parity_check, word).any():
+                return pos, word
+        raise AssertionError("no flip set gives a codeword")
+
+    def test_sgrandab_count_is_position_in_score_order(self, rng):
+        # all 2^n flip sets sorted by the sum of their flipped |LLR|
+        abandoned = 0
+        for code, y, hard in self._blocks(rng, 200):
+            sets = [c for size in range(self.N + 1)
+                    for c in itertools.combinations(range(self.N), size)]
+            sets.sort(key=lambda c: sum(abs(y[i]) for i in c))
+            pos, word = self._first_hit(code, hard, sets)
+            out = SgrandabDecoder(pos).decode(code, SoftBlock(y, 1.0))
+            assert out.status == "decoded" and out.queries == pos
+            assert np.array_equal(out.codeword, word)
+            if pos > 1:  # one query short of the hit: give up at the cap
+                out = SgrandabDecoder(pos - 1).decode(code, SoftBlock(y, 1.0))
+                assert out.status == "abandoned" and out.queries == pos - 1
+                assert out.codeword is None
+                abandoned += 1
+        assert abandoned > 100
+
+    def test_orbgrand_count_is_position_in_rank_stream(self, rng):
+        abandoned = 0
+        for code, y, hard in self._blocks(rng, 200):
+            order = np.argsort(np.abs(y), kind="stable")  # rank r at order[r-1]
+            sets = [[int(order[r - 1]) for r in ranks]
+                    for ranks in orbgrand_rank_patterns(self.N)]
+            pos, word = self._first_hit(code, hard, sets)
+            out = OrbgrandDecoder(pos).decode(code, SoftBlock(y, 1.0))
+            assert out.status == "decoded" and out.queries == pos
+            assert np.array_equal(out.codeword, word)
+            if pos > 1:
+                out = OrbgrandDecoder(pos - 1).decode(code, SoftBlock(y, 1.0))
+                assert out.status == "abandoned" and out.queries == pos - 1
+                abandoned += 1
+        assert abandoned > 100
 
 
 class TestOrbgrandPatternStream:
@@ -72,39 +110,38 @@ class TestSgrandabDecode:
     def test_noiseless_single_query(self, rng):
         code = sample_rlc(16, 11, seed=4)
         cw = encode(code, rng.integers(0, 2, size=11, dtype=np.uint8))
-        out = sgrandab_decode(code, SoftBlock(modulate_bpsk(cw), 0.4),
-                              AbandonmentPolicy(100))
+        out = SgrandabDecoder(100).decode(code, SoftBlock(modulate_bpsk(cw), 0.4))
         assert out.status == "decoded"
         assert out.queries == 1
         assert np.array_equal(out.codeword, cw)
 
     def test_equals_ml_oracle(self, rng):
         code = sample_rlc(8, 4, seed=5)
-        policy = AbandonmentPolicy(256)
+        decoder = SgrandabDecoder(256)
         for _ in range(2000):
             y = rng.normal(size=8)
-            out = sgrandab_decode(code, SoftBlock(y, 1.0), policy)
+            out = decoder.decode(code, SoftBlock(y, 1.0))
             assert out.status == "decoded"
             assert np.array_equal(out.codeword, ml_decode_bruteforce(code, y))
 
     def test_equals_ml_oracle_larger_dimension(self, rng):
         # same contract away from the tiny-code corner: k = 12
         code = sample_rlc(16, 12, seed=55)
-        policy = AbandonmentPolicy(2 ** 16)
+        decoder = SgrandabDecoder(2 ** 16)
         for _ in range(200):
             cw = encode(code, rng.integers(0, 2, size=12, dtype=np.uint8))
             y = modulate_bpsk(cw) + 0.7 * rng.normal(size=16)
-            out = sgrandab_decode(code, SoftBlock(y, 0.49), policy)
+            out = decoder.decode(code, SoftBlock(y, 0.49))
             assert out.status == "decoded"
             assert np.array_equal(out.codeword, ml_decode_bruteforce(code, y))
 
     def test_equals_ml_oracle_with_crc(self, rng):
         crc = CrcSpec(degree=2, polynomial="111")
         code = sample_rlc(8, 4, seed=6, crc=crc)
-        policy = AbandonmentPolicy(256)
+        decoder = SgrandabDecoder(256)
         for _ in range(500):
             y = rng.normal(size=8)
-            out = sgrandab_decode(code, SoftBlock(y, 1.0), policy)
+            out = decoder.decode(code, SoftBlock(y, 1.0))
             assert out.status == "decoded"
             assert np.array_equal(out.codeword, ml_decode_bruteforce(code, y))
             assert crc_check(crc, code.message_from_codeword(out.codeword))
@@ -112,7 +149,7 @@ class TestSgrandabDecode:
     def test_abandonment_reports_budget(self, rng):
         code = sample_rlc(32, 16, seed=7)
         y = rng.normal(size=32)  # unrelated noise, essentially never query-1
-        out = sgrandab_decode(code, SoftBlock(y, 1.0), AbandonmentPolicy(3))
+        out = SgrandabDecoder(3).decode(code, SoftBlock(y, 1.0))
         assert out.queries <= 3
         if out.status == "abandoned":
             assert out.codeword is None
@@ -121,7 +158,7 @@ class TestSgrandabDecode:
         code = sample_rlc(16, 8, seed=8)
         cw = encode(code, rng.integers(0, 2, size=8, dtype=np.uint8))
         y = modulate_bpsk(cw) + 0.3 * rng.normal(size=16)
-        out = sgrandab_decode(code, SoftBlock(y, 0.09), AbandonmentPolicy(1000))
+        out = SgrandabDecoder(1000).decode(code, SoftBlock(y, 0.09))
         z = y - modulate_bpsk(out.codeword)
         want = float(z @ z) / (2 * 0.09) + 16 * 0.5 * math.log(2 * math.pi * 0.09)
         assert out.noise_nll == pytest.approx(want, rel=1e-12)
@@ -131,18 +168,17 @@ class TestOrbgrandDecode:
     def test_noiseless_single_query(self, rng):
         code = sample_rlc(16, 11, seed=9)
         cw = encode(code, rng.integers(0, 2, size=11, dtype=np.uint8))
-        out = orbgrand_decode(code, SoftBlock(modulate_bpsk(cw), 0.4),
-                              AbandonmentPolicy(100))
+        out = OrbgrandDecoder(100).decode(code, SoftBlock(modulate_bpsk(cw), 0.4))
         assert out.status == "decoded" and out.queries == 1
 
     def test_decodes_to_valid_codewords(self, rng):
         code = sample_rlc(32, 26, seed=10)
-        policy = AbandonmentPolicy(5000)
+        decoder = OrbgrandDecoder(5000)
         decoded = 0
         for _ in range(300):
             cw = encode(code, rng.integers(0, 2, size=26, dtype=np.uint8))
             y = modulate_bpsk(cw) + 0.6 * rng.normal(size=32)
-            out = orbgrand_decode(code, SoftBlock(y, 0.36), policy)
+            out = decoder.decode(code, SoftBlock(y, 0.36))
             if out.status == "decoded":
                 decoded += 1
                 assert not syndrome(code, out.codeword).any()
@@ -154,7 +190,7 @@ class TestOrbgrandDecode:
         cw = encode(code, np.zeros(8, dtype=np.uint8))
         y = modulate_bpsk(cw)
         y[5] = -0.01  # least reliable and wrong
-        out = orbgrand_decode(code, SoftBlock(y, 1.0), AbandonmentPolicy(100))
+        out = OrbgrandDecoder(100).decode(code, SoftBlock(y, 1.0))
         assert out.status == "decoded"
         assert np.array_equal(out.codeword, cw)
         assert out.queries == 2
@@ -163,8 +199,8 @@ class TestOrbgrandDecode:
         code = sample_rlc(24, 18, seed=12)
         y = rng.normal(size=24)
         soft = SoftBlock(y, 0.5)
-        a = orbgrand_decode(code, soft, AbandonmentPolicy(4000))
-        b = orbgrand_decode(code, soft, AbandonmentPolicy(4000))
+        a = OrbgrandDecoder(4000).decode(code, soft)
+        b = OrbgrandDecoder(4000).decode(code, soft)
         assert a.status == b.status and a.queries == b.queries
         if a.codeword is not None:
             assert np.array_equal(a.codeword, b.codeword)
@@ -174,7 +210,7 @@ class TestBpDecode:
     def test_noiseless_converges_first_iteration(self, rng):
         code = sample_regular_ldpc(24, 3, 6, seed=13)
         cw = encode(code, rng.integers(0, 2, size=code.k, dtype=np.uint8))
-        out = bp_decode(code, SoftBlock(modulate_bpsk(cw), 0.25), 50)
+        out = BpDecoder(50).decode(code, SoftBlock(modulate_bpsk(cw), 0.25))
         assert out.status == "decoded" and out.queries == 1
         assert np.array_equal(out.codeword, cw)
 
@@ -185,23 +221,24 @@ class TestBpDecode:
         code = CodeSpec(n=3, k=1, generator=g, parity_check=h,
                         sparse=SparseParityCheck.from_dense(h))
         y = np.array([1.0, 0.0, 1.0])  # middle bit erased, others confident
-        out = bp_decode(code, SoftBlock(y, 0.5), 50)
+        out = BpDecoder(50).decode(code, SoftBlock(y, 0.5))
         assert out.status == "decoded" and out.queries == 1
         assert np.array_equal(out.codeword, [0, 0, 0])
 
     def test_requires_sparse_parity_check(self):
         code = sample_rlc(8, 4, seed=14)
         with pytest.raises(ValueError):
-            bp_decode(code, SoftBlock(np.ones(8), 1.0), 10)
+            BpDecoder(10).decode(code, SoftBlock(np.ones(8), 1.0))
 
     def test_iteration_cap_reported_on_failure(self, rng):
         code = sample_regular_ldpc(24, 3, 6, seed=13)
         y = rng.normal(size=24) * 2.0
-        out = bp_decode(code, SoftBlock(y, 4.0), 5)
+        out = BpDecoder(5).decode(code, SoftBlock(y, 4.0))
         assert out.queries <= 5
         if out.status != "decoded":
             assert out.codeword is None
 
+    @pytest.mark.slow
     def test_moderate_snr_regression(self, rng):
         # frozen baseline: (3,6)-regular n=1024 at 3 dB decodes almost always
         code = sample_regular_ldpc(1024, 3, 6, seed=15)
@@ -212,9 +249,10 @@ class TestBpDecode:
         cw = encode(code, zeros)
         x = modulate_bpsk(cw)
         sig = math.sqrt(sigma2)
+        decoder = BpDecoder(50)
         for _ in range(trials):
             y = x + sig * rng.standard_normal(1024)
-            out = bp_decode(code, SoftBlock(y, sigma2), 50)
+            out = decoder.decode(code, SoftBlock(y, sigma2))
             if out.status != "decoded" or not np.array_equal(out.codeword, cw):
                 errors += 1
         assert errors / trials < 1e-2
@@ -226,7 +264,7 @@ class TestConfidence:
         # the first ORBGRAND query accepts it and the decoded noise is z
         z = np.asarray(z, dtype=float)
         code = sample_rlc(z.size, 1, seed=0)
-        out = orbgrand_decode(code, SoftBlock(1.0 + z, sigma2), AbandonmentPolicy(1))
+        out = OrbgrandDecoder(1).decode(code, SoftBlock(1.0 + z, sigma2))
         assert out.status == "decoded" and not out.codeword.any()
         return out
 
@@ -261,11 +299,11 @@ class TestConfidence:
 class TestDecoderContracts:
     def test_all_decoded_outputs_are_codewords(self, rng):
         code = sample_rlc(24, 16, seed=17)
-        policy = AbandonmentPolicy(2000)
+        decoders = (SgrandabDecoder(2000), OrbgrandDecoder(2000))
         for _ in range(100):
             y = rng.normal(size=24)
-            for decode in (sgrandab_decode, orbgrand_decode):
-                out = decode(code, SoftBlock(y, 1.0), policy)
+            for decoder in decoders:
+                out = decoder.decode(code, SoftBlock(y, 1.0))
                 if out.status == "decoded":
                     assert not syndrome(code, out.codeword).any()
 
@@ -273,12 +311,12 @@ class TestDecoderContracts:
         from noisecycle import crc_encode
         crc = CrcSpec(degree=4, polynomial="10011")
         code = sample_rlc(24, 16, seed=18, crc=crc)
-        policy = AbandonmentPolicy(4000)
+        decoders = (SgrandabDecoder(4000), OrbgrandDecoder(4000))
         for _ in range(100):
             payload = rng.integers(0, 2, size=code.payload_bits, dtype=np.uint8)
             cw = encode(code, crc_encode(crc, payload))
             y = modulate_bpsk(cw) + 0.5 * rng.normal(size=24)
-            for decode in (sgrandab_decode, orbgrand_decode):
-                out = decode(code, SoftBlock(y, 0.25), policy)
+            for decoder in decoders:
+                out = decoder.decode(code, SoftBlock(y, 0.25))
                 if out.status == "decoded":
                     assert crc_check(crc, code.message_from_codeword(out.codeword))

@@ -235,6 +235,42 @@ class TestValidation:
         with pytest.raises(ValueError, match="'base_sed'"):
             ExperimentConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("where, bad, pattern", [
+        ("codes", {"crc_poly": "111"}, r"channel 1: unknown rlc code key\(s\) 'crc_poly'"),
+        ("decoders", {"max_querys": 5}, r"channel 1: unknown orbgrand decoder key\(s\) 'max_querys'"),
+        ("pipeline", {"rerecylce": True}, r"unknown pipeline key\(s\) 'rerecylce'"),
+        ("channel", {"rh0": 0.5}, r"unknown gm channel key\(s\) 'rh0'"),
+    ])
+    def test_unknown_descriptor_key_named(self, where, bad, pattern):
+        raw = json.loads(json.dumps(self.RAW))
+        raw["pipeline"] = {"mode": "independent"}
+        if isinstance(raw[where], list):
+            raw[where][0].update(bad)
+        else:
+            raw[where].update(bad)
+        with pytest.raises(ValueError, match=pattern):
+            ExperimentConfig.from_dict(raw)
+
+    def test_missing_top_level_key_named(self):
+        raw = {"channel": {"m": 1}, "codes": [{}], "decoders": [{}]}
+        with pytest.raises(ValueError, match="experiment is missing key.*'sweep'"):
+            ExperimentConfig.from_dict(raw)
+
+    def test_missing_sweep_key_named(self):
+        raw = dict(self.RAW, sweep={"min_trials": 7})
+        with pytest.raises(ValueError, match="sweep is missing key.*'ebn0_db'"):
+            ExperimentConfig.from_dict(raw)
+
+    def test_missing_descriptor_key_named(self):
+        raw = dict(self.RAW, decoders=[{"type": "orbgrand"}])
+        with pytest.raises(ValueError, match=r"channel 1: orbgrand decoder is missing key.*'max_queries'"):
+            ExperimentConfig.from_dict(raw)
+
+    def test_bad_decoder_limit_fails_at_construction(self):
+        with pytest.raises(ValueError, match=r"channel 2: max_iters must be >= 1"):
+            tiny_config(decoders=({"type": "orbgrand", "max_queries": 2000},
+                                  {"type": "bp", "max_iters": 0}))
+
     def test_worker_count_env(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "3")
         assert worker_count() == 3

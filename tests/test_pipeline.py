@@ -368,6 +368,7 @@ class TestReRecycle:
         assert len(log) == 1
         assert result.correct == (True, False)
 
+    @pytest.mark.slow
     def test_lead_bler_ordering_static(self, rng):
         # symmetric two-channel setup: with re-recycling the lead channel's
         # error rate must not exceed its plain static error rate
@@ -392,6 +393,7 @@ class TestReRecycle:
         assert lead_rr.bler <= lead_plain.bler
 
 
+@pytest.mark.slow
 class TestGenieDecomposition:
     def test_branch_behaviour_matches_independent_runs(self):
         # On every trial where the lead fails, the genie must leave the second
