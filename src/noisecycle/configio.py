@@ -15,10 +15,15 @@ the fields of the decoder class; a limit below 1 is rejected.
 Pipeline: ``{"mode": "independent" | "static" | "dynamic",
 "confidence_metric": "query_count" | "noise_nll", "rerecycle": false,
 "forced_lead": 1, "genie": false, "parents": [0, 1]}`` where ``parents``
-optionally pins the static plan instead of solving for it.
+optionally pins the static plan instead of solving for it.  Each mode takes
+only the keys it reads: ``confidence_metric`` is dynamic-only,
+``forced_lead`` and ``parents`` static-only, and an independent pipeline
+takes ``mode`` alone.
 
-A missing key, or a key the descriptor does not know, raises ``ValueError``
-naming the descriptor and the key: a misspelt key never means its default.
+A missing key, a key the descriptor does not know, or a value of the wrong
+type (an integer key given ``2.5`` or ``true``, a flag given ``"false"``)
+raises ``ValueError`` naming the descriptor or the key: a misspelt key never
+means its default and a value is never truncated or coerced.
 """
 
 from __future__ import annotations
@@ -34,12 +39,12 @@ from .channel import ChannelModel, build_gm_model
 from .decoders import BpDecoder, OrbgrandDecoder, SgrandabDecoder
 from .gf2 import (CodeSpec, CrcSpec, code_from_parity_check, parse_alist,
                   sample_regular_ldpc, sample_rlc)
-from .pipeline import PipelineConfig
+from .pipeline import MODE_DYNAMIC, MODE_INDEPENDENT, MODE_STATIC, PipelineConfig
 
 __all__ = [
     "check_keys",
     "field_keys",
-    "check_code",
+    "checked",
     "load_channel_model",
     "load_code",
     "load_decoder",
@@ -74,11 +79,21 @@ def field_keys(cls: type) -> tuple[list[str], list[str]]:
             [f.name for f in fields if f.default is not dataclasses.MISSING])
 
 
-def _type_of(spec: Mapping[str, Any], table: Mapping[str, Any], what: str) -> str:
-    kind = spec.get("type")
-    if kind not in table:
-        raise ValueError(f"{what} key 'type' must be one of {', '.join(table)}, got {kind!r}")
-    return kind
+_KIND_NAMES = {int: "an integer", bool: "true or false", str: "a string"}
+
+
+def checked(value: Any, key: str, kind: type) -> Any:
+    """``value`` if it is a ``kind`` (int, bool or str), else ``ValueError``
+    naming ``key``; a bool is not an int here."""
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        raise ValueError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def _one_of(value: Any, table: Mapping[str, Any], what: str) -> str:
+    if not isinstance(value, str) or value not in table:
+        raise ValueError(f"{what} must be one of {', '.join(table)}, got {value!r}")
+    return value
 
 
 def _vector(value: Any, m: int, name: str) -> np.ndarray:
@@ -93,12 +108,10 @@ _CHANNEL_CORR_KEY = {"gm": "rho", "explicit": "corr"}
 
 
 def load_channel_model(spec: Mapping[str, Any]) -> ChannelModel:
-    mode = spec.get("mode", "explicit")
-    if mode not in _CHANNEL_CORR_KEY:
-        raise ValueError(f"unknown channel mode {mode!r}")
+    mode = _one_of(spec.get("mode", "explicit"), _CHANNEL_CORR_KEY, "channel key 'mode'")
     check_keys(spec, f"{mode} channel", required=("m", _CHANNEL_CORR_KEY[mode]),
                optional=("mode", "sigma2", "power"))
-    m = int(spec["m"])
+    m = checked(spec["m"], "m", int)
     sigma2 = _vector(spec.get("sigma2", 1.0), m, "sigma2")
     power = _vector(spec.get("power", 1.0), m, "power")
     if mode == "gm":
@@ -112,7 +125,8 @@ def _crc_from_spec(spec: Mapping[str, Any]) -> CrcSpec | None:
     poly = spec.get("crc_polynomial")
     if poly is None:
         return None
-    return CrcSpec(degree=len(poly) - 1, polynomial=str(poly))
+    checked(poly, "crc_polynomial", str)
+    return CrcSpec(degree=len(poly) - 1, polynomial=poly)
 
 
 # code type -> its required keys besides "type"
@@ -123,28 +137,24 @@ _CODE_KEYS = {
 }
 
 
-def check_code(spec: Mapping[str, Any]) -> str:
-    """Check a code descriptor's keys without building it; return its type."""
-    kind = _type_of(spec, _CODE_KEYS, "code")
+def load_code(spec: Mapping[str, Any]) -> CodeSpec:
+    kind = _one_of(spec.get("type"), _CODE_KEYS, "code key 'type'")
     check_keys(spec, f"{kind} code", required=("type", *_CODE_KEYS[kind]),
                optional=("crc_polynomial", "label"))
-    return kind
-
-
-def load_code(spec: Mapping[str, Any]) -> CodeSpec:
-    kind = check_code(spec)
     crc = _crc_from_spec(spec)
-    label = spec.get("label", "")
-    if kind == "rlc":
-        return sample_rlc(int(spec["n"]), int(spec["k"]), int(spec["seed"]),
-                          crc=crc, label=label)
-    if kind == "ldpc":
-        return sample_regular_ldpc(int(spec["n"]), int(spec["col_weight"]),
-                                   int(spec["row_weight"]), int(spec["seed"]),
-                                   crc=crc, label=label)
-    sparse = parse_alist(Path(spec["alist_path"]).read_text(encoding="utf-8"))
-    return code_from_parity_check(
-        sparse, crc=crc, label=label or (lambda n, k: f"alist[{n},{k}]"))
+    label = checked(spec.get("label", ""), "label", str)
+    if kind == "alist":
+        path = Path(checked(spec["alist_path"], "alist_path", str))
+        try:
+            text = path.read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"cannot read alist_path {str(path)!r}: {exc.strerror}") from None
+        return code_from_parity_check(
+            parse_alist(text), crc=crc, label=label or (lambda n, k: f"alist[{n},{k}]"))
+    build = sample_rlc if kind == "rlc" else sample_regular_ldpc
+    # _CODE_KEYS lists the integer keys in the builder's argument order
+    return build(*(checked(spec[key], key, int) for key in _CODE_KEYS[kind]),
+                 crc=crc, label=label)
 
 
 _DECODERS = {"orbgrand": OrbgrandDecoder, "sgrandab": SgrandabDecoder, "bp": BpDecoder}
@@ -153,19 +163,40 @@ _DECODERS = {"orbgrand": OrbgrandDecoder, "sgrandab": SgrandabDecoder, "bp": BpD
 def load_decoder(spec: Mapping[str, Any]):
     """The decoder class named by ``type``, built from the other keys, which
     must be fields of that class (all of them integer limits)."""
-    kind = _type_of(spec, _DECODERS, "decoder")
+    kind = _one_of(spec.get("type"), _DECODERS, "decoder key 'type'")
     cls = _DECODERS[kind]
     required, optional = field_keys(cls)
     check_keys(spec, f"{kind} decoder", required=("type", *required), optional=optional)
-    return cls(**{key: int(value) for key, value in spec.items() if key != "type"})
+    return cls(**{key: checked(value, key, int) for key, value in spec.items()
+                  if key != "type"})
 
 
-_PIPELINE_KEYS = ("mode", "confidence_metric", "rerecycle", "forced_lead", "genie",
-                 "parents")
+# pipeline mode -> the keys it reads, besides "mode"
+_PIPELINE_MODE_KEYS = {
+    MODE_INDEPENDENT: (),
+    MODE_STATIC: ("rerecycle", "genie", "forced_lead", "parents"),
+    MODE_DYNAMIC: ("rerecycle", "genie", "confidence_metric"),
+}
+_PIPELINE_KEY_TYPES = {"confidence_metric": str, "rerecycle": bool, "genie": bool,
+                       "forced_lead": int}
 
 
 def load_pipeline(spec: Mapping[str, Any]) -> PipelineConfig:
     """The pipeline's settings; ``parents`` is read where the plan is built."""
-    check_keys(spec, "pipeline", optional=_PIPELINE_KEYS)
+    check_keys(spec, "pipeline", optional=("mode", *_PIPELINE_KEY_TYPES, "parents"))
+    mode = _one_of(spec.get("mode", MODE_INDEPENDENT), _PIPELINE_MODE_KEYS,
+                   "pipeline key 'mode'")
+    unread = [key for key in spec if key not in ("mode", *_PIPELINE_MODE_KEYS[mode])]
+    if unread:
+        raise ValueError(f"{mode} pipeline does not read key(s) "
+                         f"{', '.join(map(repr, unread))}")
+    for key, kind in _PIPELINE_KEY_TYPES.items():
+        if key in spec:
+            checked(spec[key], key, kind)
+    parents = spec.get("parents", [])
+    if not isinstance(parents, (list, tuple)):
+        raise ValueError(f"parents must be a list, got {parents!r}")
+    for parent in parents:
+        checked(parent, "parents entry", int)
     return PipelineConfig(**{key: value for key, value in spec.items()
                              if key != "parents"})

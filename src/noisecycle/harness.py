@@ -12,17 +12,25 @@ whose length follows a fixed doubling schedule, so results are identical
 for any worker count and any scheduling order.  Trials stop once every
 channel has accumulated ``min_block_errors`` block errors (or at
 ``max_trials``).
+
+An :class:`ExperimentConfig` builds everything a trial needs besides the
+noise when it is constructed: codes, decoders and, per point, the channel
+model, the pipeline with its static plan, and the per-rate noise variances.
+So bad input fails there, before any trial runs, and sweep workers receive
+the built experiment by pickling instead of rebuilding it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -32,7 +40,8 @@ from . import configio
 from .channel import ebn0_to_sigma2, modulate_bpsk, sample_noise, transmit, ChannelModel
 from .gf2 import crc_encode, encode
 from .ordering import plan_for
-from .pipeline import MODE_STATIC, BlockResult, run_block
+from .pipeline import (MODE_DYNAMIC, MODE_INDEPENDENT, MODE_STATIC, BlockResult,
+                       PipelineConfig, run_block)
 
 __all__ = [
     "SweepSpec",
@@ -78,22 +87,50 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self) -> None:
-        # load every descriptor once, so a bad one fails here, not in a worker
-        m = configio.load_channel_model(self.channel).m
-        if len(self.codes) != m or len(self.decoders) != m:
+        # The built experiment lives in private attributes, not fields:
+        # dataclasses.asdict, and so canonical_json and sha256, sees fields only.
+        base = configio.load_channel_model(self.channel)
+        if len(self.codes) != base.m or len(self.decoders) != base.m:
             raise ValueError("codes and decoders must list one entry per channel")
+        codes, decoders = [], []
         for j, (code, decoder) in enumerate(zip(self.codes, self.decoders)):
             try:
-                configio.check_code(code)
-                configio.load_decoder(decoder)
+                codes.append(configio.load_code(code))
+                decoders.append(configio.load_decoder(decoder))
             except ValueError as exc:
                 raise ValueError(f"channel {j + 1}: {exc}") from None
-        configio.load_pipeline(self.pipeline)
+        if len({c.n for c in codes}) != 1:
+            raise ValueError("all channels must share one code length")
+        pipe = configio.load_pipeline(self.pipeline)
+        if pipe.mode == MODE_DYNAMIC and base.m < 2:
+            raise ValueError("dynamic recycling needs at least two channels")
+        if pipe.mode != MODE_INDEPENDENT:
+            # recycling across |rho| = 1 would leave zero noise variance
+            for i, j in itertools.combinations(range(base.m), 2):
+                if abs(base.corr[i, j]) >= 1.0:
+                    raise ValueError(f"channels {i + 1} and {j + 1} have |rho| = 1, "
+                                     f"which {pipe.mode} recycling cannot use")
+
+        per_rate = tuple([ebn0_to_sigma2(ebn0, c.rate) for c in codes]
+                         for ebn0 in self.sweep.ebn0_db)
+        models = tuple(ChannelModel(m=base.m, sigma2=base.sigma2 * rates,
+                                    power=base.power, corr=base.corr)
+                       for rates in per_rate)
+        pipelines = (pipe,) * len(models)
+        if pipe.mode == MODE_STATIC:
+            plans = (plan_for(model, pipe.forced_lead, self.pipeline.get("parents"))
+                     for model in models)
+            pipelines = tuple(dataclasses.replace(pipe, plan=plan) for plan in plans)
+        built = {"_codes": tuple(codes), "_decoders": tuple(decoders),
+                 "_models": models, "_pipelines": pipelines, "_per_rate_sigma2": per_rate,
+                 "_sha": hashlib.sha256(self.canonical_json().encode()).hexdigest()}
+        for name, value in built.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        """Build from experiment JSON; a missing or unknown key anywhere in it
-        raises ``ValueError`` naming the key."""
+        """Build from experiment JSON; a missing or unknown key anywhere in it,
+        or a value of the wrong type, raises ``ValueError`` naming the key."""
         configio.check_keys(raw, "experiment",
                             required=("channel", "codes", "decoders", "sweep"),
                             optional=("pipeline", "base_seed", "output_path"))
@@ -105,8 +142,9 @@ class ExperimentConfig:
             codes=tuple(dict(c) for c in raw["codes"]),
             decoders=tuple(dict(d) for d in raw["decoders"]),
             pipeline=dict(raw.get("pipeline", {})),
-            sweep=SweepSpec(ebn0_db, **{k: int(v) for k, v in sweep.items()}),
-            base_seed=int(raw.get("base_seed", 0)),
+            sweep=SweepSpec(ebn0_db, **{k: configio.checked(v, k, int)
+                                        for k, v in sweep.items()}),
+            base_seed=configio.checked(raw.get("base_seed", 0), "base_seed", int),
             output_path=raw.get("output_path"),
         )
 
@@ -115,11 +153,7 @@ class ExperimentConfig:
         return json.dumps(as_dict, sort_keys=True, separators=(",", ":"))
 
     def sha256(self) -> str:
-        cached = getattr(self, "_sha", None)
-        if cached is None:
-            cached = hashlib.sha256(self.canonical_json().encode()).hexdigest()
-            object.__setattr__(self, "_sha", cached)
-        return cached
+        return self._sha
 
 
 @dataclass(frozen=True)
@@ -141,111 +175,44 @@ class BlerPoint:
 
 
 # ---------------------------------------------------------------------------
-# per-point experiment construction (cached per process)
-# ---------------------------------------------------------------------------
-
-class _PointSetup:
-    def __init__(self, config: ExperimentConfig, point_index: int) -> None:
-        self.codes = [configio.load_code(c) for c in config.codes]
-        self.decoders = [configio.load_decoder(d) for d in config.decoders]
-        lengths = {c.n for c in self.codes}
-        if len(lengths) != 1:
-            raise ValueError("all channels must share one code length")
-        self.n = lengths.pop()
-
-        base = configio.load_channel_model(config.channel)
-        ebn0 = config.sweep.ebn0_db[point_index]
-        sigma2 = np.array([
-            base.sigma2[j] * ebn0_to_sigma2(ebn0, self.codes[j].rate)
-            for j in range(base.m)
-        ])
-        self.model = ChannelModel(m=base.m, sigma2=sigma2, power=base.power,
-                                  corr=base.corr)
-        self.per_rate_sigma2 = [ebn0_to_sigma2(ebn0, c.rate) for c in self.codes]
-
-        pipe = configio.load_pipeline(config.pipeline)
-        if pipe.mode == MODE_STATIC and pipe.plan is None:
-            plan = plan_for(self.model, pipe.forced_lead,
-                            config.pipeline.get("parents"))
-            pipe = dataclasses.replace(pipe, plan=plan)
-        self.pipeline = pipe
-
-    def mode_label(self) -> str:
-        label = self.pipeline.mode
-        if self.pipeline.rerecycle:
-            label += "+rr"
-        if self.pipeline.genie:
-            label += "+genie"
-        return label
-
-
-_SETUP_CACHE: dict[tuple[str, int], _PointSetup] = {}
-
-
-def _setup(config: ExperimentConfig, point_index: int) -> _PointSetup:
-    key = (config.sha256(), point_index)
-    found = _SETUP_CACHE.get(key)
-    if found is None:
-        found = _PointSetup(config, point_index)
-        _SETUP_CACHE[key] = found
-    return found
-
-
-# ---------------------------------------------------------------------------
 # trials
 # ---------------------------------------------------------------------------
 
 def run_trial(config: ExperimentConfig, point_index: int,
               trial_index: int) -> BlockResult:
     """One deterministic block: encode, add correlated noise, run pipeline."""
-    setup = _setup(config, point_index)
     rng = np.random.default_rng((config.base_seed, point_index, trial_index))
-    model, codes = setup.model, setup.codes
+    model, codes = config._models[point_index], config._codes
+    n = codes[0].n
 
-    blocks = np.empty((model.m, setup.n))
+    blocks = np.empty((model.m, n))
     for j, code in enumerate(codes):
         payload = rng.integers(0, 2, size=code.payload_bits, dtype=np.uint8)
         message = crc_encode(code.crc, payload) if code.crc else payload
         blocks[j] = modulate_bpsk(encode(code, message))
 
-    noise = sample_noise(model, setup.n, rng)
+    noise = sample_noise(model, n, rng)
     outputs = transmit(model, blocks, noise)
-    return run_block(setup.pipeline, outputs, codes, setup.decoders, model)
-
-
-@dataclass
-class _Tally:
-    trials: int
-    errors: np.ndarray
-    queries: np.ndarray
-    leads: np.ndarray
-
-    @classmethod
-    def zero(cls, m: int) -> "_Tally":
-        return cls(0, np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64),
-                   np.zeros(m, dtype=np.int64))
-
-    def add(self, other: "_Tally") -> None:
-        self.trials += other.trials
-        self.errors += other.errors
-        self.queries += other.queries
-        self.leads += other.leads
+    return run_block(config._pipelines[point_index], outputs, codes,
+                     config._decoders, model)
 
 
 def _run_range(config: ExperimentConfig, point_index: int, start: int,
-               stop: int) -> _Tally:
-    setup = _setup(config, point_index)
-    tally = _Tally.zero(setup.model.m)
+               stop: int) -> np.ndarray:
+    """Per-channel totals of trials [start, stop): rows errors, queries, leads."""
+    counts = np.zeros((3, config._models[point_index].m), dtype=np.int64)
+    errors, queries, leads = counts  # row views
     for t in range(start, stop):
         result = run_trial(config, point_index, t)
-        tally.trials += 1
-        for j in range(setup.model.m):
-            if not result.correct[j]:
-                tally.errors[j] += 1
-            tally.queries[j] += result.queries_spent[j]
+        errors += np.logical_not(result.correct)
+        queries += result.queries_spent
         if result.lead_channel is not None:
-            tally.leads[result.lead_channel] += 1
-    return tally
+            leads[result.lead_channel] += 1
+    return counts
+
+
+def _mode_label(pipe: PipelineConfig) -> str:
+    return pipe.mode + ("+rr" if pipe.rerecycle else "") + ("+genie" if pipe.genie else "")
 
 
 def worker_count(explicit: int | None = None) -> int:
@@ -276,44 +243,33 @@ def run_bler_sweep(config: ExperimentConfig, workers: int | None = None,
     """
     nworkers = worker_count(workers)
     points: list[BlerPoint] = []
-    sigma2_table: dict[str, list[float]] = {}
-    per_rate_table: dict[str, list[float]] = {}
-
     executor = ProcessPoolExecutor(max_workers=nworkers) if nworkers > 1 else None
+    run = executor.map if executor else map
     try:
         for p_idx, ebn0 in enumerate(config.sweep.ebn0_db):
-            setup = _setup(config, p_idx)
-            m = setup.model.m
-            tally = _Tally.zero(m)
-            target = config.sweep.min_trials
+            counts = np.zeros((3, config._models[p_idx].m), dtype=np.int64)
+            trials, target = 0, config.sweep.min_trials
             while True:
-                start, stop = tally.trials, target
-                if executor is None:
-                    for lo, hi in _chunks(start, stop, 1):
-                        tally.add(_run_range(config, p_idx, lo, hi))
-                else:
-                    futures = [executor.submit(_run_range, config, p_idx, lo, hi)
-                               for lo, hi in _chunks(start, stop, nworkers)]
-                    for fut in futures:
-                        tally.add(fut.result())
-                done_errors = bool((tally.errors >= config.sweep.min_block_errors).all())
-                if done_errors or tally.trials >= config.sweep.max_trials:
+                starts, stops = zip(*_chunks(trials, target, nworkers))
+                counts += sum(run(partial(_run_range, config, p_idx), starts, stops))
+                trials = target
+                done = (counts[0] >= config.sweep.min_block_errors).all()
+                if done or trials >= config.sweep.max_trials:
                     break
                 target = min(2 * target, config.sweep.max_trials)
 
-            for j in range(m):
+            mode = _mode_label(config._pipelines[p_idx])
+            for j, (errors, queries, leads) in enumerate(counts.T):
                 points.append(BlerPoint(
                     ebn0_db=float(ebn0),
                     channel=j + 1,
-                    mode=setup.mode_label(),
-                    trials=tally.trials,
-                    block_errors=int(tally.errors[j]),
-                    bler=float(tally.errors[j] / tally.trials),
-                    mean_queries=float(tally.queries[j] / tally.trials),
-                    lead_fraction=float(tally.leads[j] / tally.trials),
+                    mode=mode,
+                    trials=trials,
+                    block_errors=int(errors),
+                    bler=float(errors / trials),
+                    mean_queries=float(queries / trials),
+                    lead_fraction=float(leads / trials),
                 ))
-            sigma2_table[f"{ebn0:g}"] = [float(s) for s in setup.model.sigma2]
-            per_rate_table[f"{ebn0:g}"] = list(setup.per_rate_sigma2)
     finally:
         if executor is not None:
             executor.shutdown()
@@ -321,11 +277,13 @@ def run_bler_sweep(config: ExperimentConfig, workers: int | None = None,
     target_path = output_path or config.output_path
     if target_path is not None:
         emit_csv(points, target_path)
+        keys = [f"{ebn0:g}" for ebn0 in config.sweep.ebn0_db]
         sidecar = {
             "config_sha256": config.sha256(),
-            "code_labels": [c.label for c in _setup(config, 0).codes],
-            "sigma2": sigma2_table,
-            "ebn0_to_sigma2_by_rate": per_rate_table,
+            "code_labels": [c.label for c in config._codes],
+            "sigma2": {key: [float(s) for s in model.sigma2]
+                       for key, model in zip(keys, config._models)},
+            "ebn0_to_sigma2_by_rate": dict(zip(keys, config._per_rate_sigma2)),
         }
         _atomic_write(Path(f"{target_path}.meta.json"),
                       json.dumps(sidecar, indent=2, sort_keys=True) + "\n")

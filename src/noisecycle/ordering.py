@@ -156,10 +156,14 @@ def plan_for(model: ChannelModel, forced_lead: int | None = None,
     the maximum arborescence is solved, with ``forced_lead`` (a 1-based
     channel) as the zero node's only child when given.
     """
+    m = model.m
+    if parents is not None and (len(parents) != m or not all(0 <= p <= m for p in parents)):
+        raise ValueError(f"parents must list one entry in [0, {m}] for each of the {m} "
+                         f"channels, got {list(parents)}")
+    if forced_lead is not None and not 1 <= forced_lead <= m:
+        raise ValueError(f"forced_lead must be a channel in [1, {m}], got {forced_lead}")
     graph = build_recycle_graph(model)
     if parents is not None:
-        if len(parents) != model.m:
-            raise ValueError(f"parents must list {model.m} entries, one per channel")
         return _plan_from_parent(graph, tuple(int(p) for p in parents))
     if forced_lead is not None:
         graph = constrain_root_child(graph, forced_lead)

@@ -120,6 +120,9 @@ class TestBlerCommand:
         (lambda c: c["pipeline"].update(rerecylce=True), ["pipeline", "'rerecylce'"]),
         (lambda c: c["decoders"][0].update(max_queries=0), ["channel 1", "max_queries must be >= 1"]),
         (lambda c: c.pop("sweep"), ["experiment", "'sweep'"]),
+        (lambda c: c["codes"].__setitem__(0, {"type": "alist", "alist_path": "missing.alist"}),
+         ["channel 1", "alist_path 'missing.alist'"]),
+        (lambda c: c["pipeline"].update(parents=[5]), ["parents", "[0, 1]"]),
     ])
     def test_bad_descriptor_exits_before_any_trial(self, tmp_path, edit, named):
         config = {
@@ -138,7 +141,8 @@ class TestBlerCommand:
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run([sys.executable, "-m", "noisecycle.cli", "bler",
                                str(cfg_path), "--output", str(out_path)],
-                              capture_output=True, text=True, env=env, timeout=120)
+                              capture_output=True, text=True, env=env, timeout=120,
+                              cwd=tmp_path)
         assert proc.returncode != 0
         for text in named:
             assert text in proc.stderr

@@ -1,8 +1,8 @@
 import pytest
 
 from noisecycle import BpDecoder, OrbgrandDecoder, SgrandabDecoder
-from noisecycle.configio import (check_code, load_channel_model, load_code,
-                                 load_decoder, load_pipeline)
+from noisecycle.configio import (load_channel_model, load_code, load_decoder,
+                                 load_pipeline)
 
 
 class TestDecoderTable:
@@ -46,11 +46,11 @@ class TestUnknownKeys:
             load_code(spec)
 
     def test_code_checked_without_building(self):
-        assert check_code({"type": "ldpc", "n": 24, "col_weight": 3,
-                           "row_weight": 6, "seed": 1, "label": "x"}) == "ldpc"
+        assert load_code({"type": "ldpc", "n": 24, "col_weight": 3,
+                          "row_weight": 6, "seed": 1, "label": "x"}).label == "x"
         with pytest.raises(ValueError, match="ldpc code.*'k'"):
-            check_code({"type": "ldpc", "n": 24, "k": 12, "col_weight": 3,
-                        "row_weight": 6, "seed": 1})
+            load_code({"type": "ldpc", "n": 24, "k": 12, "col_weight": 3,
+                       "row_weight": 6, "seed": 1})
 
     def test_pipeline(self):
         spec = {"mode": "static", "forced-lead": 2, "rerecylce": True}

@@ -7,7 +7,7 @@ import pytest
 from noisecycle import (BlerPoint, ExperimentConfig, SweepSpec, emit_csv,
                         run_bler_sweep, run_trial, wilson_interval)
 from noisecycle.channel import ebn0_to_sigma2
-from noisecycle.harness import WORKERS_ENV, _setup, csv_text, parse_csv, worker_count
+from noisecycle.harness import WORKERS_ENV, csv_text, parse_csv, worker_count
 from noisecycle.ordering import (build_recycle_graph, constrain_root_child,
                                  max_arborescence, plan_for)
 
@@ -91,14 +91,14 @@ class TestStaticPlanChoice:
             pipeline=pipeline)
 
     def _check_trials(self, config, plan):
-        assert _setup(config, 0).pipeline.plan == plan
+        assert config._pipelines[0].plan == plan
         for t in range(5):
             assert run_trial(config, 0, t).lead_channel == plan.order[0] - 1
 
     def test_pinned_parents(self):
         config = self._config({"mode": "static", "parents": [3, 3, 0]})
-        model = _setup(config, 0).model
-        plan = _setup(config, 0).pipeline.plan
+        model = config._models[0]
+        plan = config._pipelines[0].plan
         w = build_recycle_graph(model).weights
         assert plan.parent == (3, 3, 0)
         assert plan.order == (3, 1, 2)
@@ -108,7 +108,7 @@ class TestStaticPlanChoice:
 
     def test_forced_lead(self):
         config = self._config({"mode": "static", "forced_lead": 3})
-        model = _setup(config, 0).model
+        model = config._models[0]
         want = max_arborescence(constrain_root_child(build_recycle_graph(model), 3))
         assert want.children_of(0) == [3]
         assert want == plan_for(model, forced_lead=3)
@@ -144,10 +144,18 @@ class TestSweepControl:
         assert any(pa.mean_queries != pb.mean_queries for pa, pb in zip(a, b))
 
     def test_worker_count_does_not_change_results(self, tmp_path):
-        out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
-        run_bler_sweep(tiny_config(), workers=1, output_path=out1)
-        run_bler_sweep(tiny_config(), workers=3, output_path=out2)
-        assert out1.read_bytes() == out2.read_bytes()
+        # built plans and settings reach the workers by pickling the config
+        for name, pipeline in (
+                ("independent", {"mode": "independent"}),
+                ("pinned", {"mode": "static", "parents": [2, 0]}),
+                ("dynamic", {"mode": "dynamic", "confidence_metric": "noise_nll",
+                             "rerecycle": True})):
+            out1, out2 = tmp_path / f"{name}1.csv", tmp_path / f"{name}3.csv"
+            run_bler_sweep(tiny_config(pipeline=pipeline), workers=1, output_path=out1)
+            run_bler_sweep(tiny_config(pipeline=pipeline), workers=3, output_path=out2)
+            assert out1.read_bytes() == out2.read_bytes()
+            assert (tmp_path / f"{name}1.csv.meta.json").read_bytes() == \
+                (tmp_path / f"{name}3.csv.meta.json").read_bytes()
 
 
 class TestCsv:
@@ -271,6 +279,86 @@ class TestValidation:
             tiny_config(decoders=({"type": "orbgrand", "max_queries": 2000},
                                   {"type": "bp", "max_iters": 0}))
 
+    STATIC = {
+        "channel": {"m": 2, "mode": "gm", "rho": 0.6},
+        "codes": [{"type": "rlc", "n": 32, "k": 26, "seed": 1},
+                  {"type": "rlc", "n": 32, "k": 26, "seed": 2}],
+        "decoders": [{"type": "orbgrand", "max_queries": 2000}] * 2,
+        "pipeline": {"mode": "static"},
+        "sweep": {"ebn0_db": [3.0], "min_trials": 10},
+    }
+    RHO_ONE = {"m": 2, "mode": "explicit", "corr": [[1.0, 1.0], [1.0, 1.0]]}
+
+    @staticmethod
+    def _edited(raw, edits):
+        """A copy of ``raw`` with each key path in ``edits`` set to its value."""
+        raw = json.loads(json.dumps(raw))
+        for (*steps, key), value in edits.items():
+            target = raw
+            for step in steps:
+                target = target[step]
+            target[key] = value
+        return raw
+
+    @pytest.mark.parametrize("edits, pattern", [
+        # late or wrongly typed failures
+        ({("codes", 0): {"type": "alist", "alist_path": "missing.alist"}},
+         r"channel 1: cannot read alist_path 'missing.alist'"),
+        ({("pipeline", "parents"): [5, 5]},
+         r"parents must list one entry in \[0, 2\] for each of the 2 channels"),
+        ({("pipeline", "forced_lead"): 7}, r"forced_lead must be a channel in \[1, 2\], got 7"),
+        ({("channel",): RHO_ONE,
+          ("pipeline",): {"mode": "dynamic", "confidence_metric": "noise_nll"}},
+         r"channels 1 and 2 have \|rho\| = 1"),
+        ({("channel",): RHO_ONE}, r"channels 1 and 2 have \|rho\| = 1"),
+        ({("channel", "m"): 1, ("codes",): STATIC["codes"][:1],
+          ("decoders",): STATIC["decoders"][:1],
+          ("pipeline",): {"mode": "dynamic", "confidence_metric": "query_count"}},
+         r"dynamic recycling needs at least two channels"),
+        # value types
+        ({("decoders", 1, "max_queries"): 2.5},
+         r"channel 2: max_queries must be an integer, got 2.5"),
+        ({("decoders", 0, "max_queries"): True}, r"channel 1: max_queries must be an integer"),
+        ({("codes", 0, "n"): 32.0}, r"channel 1: n must be an integer"),
+        ({("codes", 1, "seed"): "2"}, r"channel 2: seed must be an integer"),
+        ({("codes", 0, "crc_polynomial"): 111}, r"channel 1: crc_polynomial must be a string"),
+        ({("channel", "m"): 2.0}, r"m must be an integer"),
+        ({("pipeline", "rerecycle"): "false"}, r"rerecycle must be true or false, got 'false'"),
+        ({("pipeline", "genie"): 1}, r"genie must be true or false"),
+        ({("pipeline", "forced_lead"): 1.0}, r"forced_lead must be an integer"),
+        ({("pipeline", "parents"): [0, True]}, r"parents entry must be an integer"),
+        ({("pipeline", "parents"): 0}, r"parents must be a list"),
+        ({("sweep", "min_trials"): 7.5}, r"min_trials must be an integer, got 7.5"),
+        ({("base_seed",): 1.5}, r"base_seed must be an integer"),
+        ({("base_seed",): False}, r"base_seed must be an integer"),
+        # settings a mode never reads
+        ({("pipeline", "confidence_metric"): "noise_nll"},
+         r"static pipeline does not read key\(s\) 'confidence_metric'"),
+        ({("pipeline",): {"mode": "dynamic", "confidence_metric": "noise_nll", "forced_lead": 1}},
+         r"dynamic pipeline does not read key\(s\) 'forced_lead'"),
+        ({("pipeline",): {"mode": "dynamic", "confidence_metric": "noise_nll", "parents": [0, 1]}},
+         r"dynamic pipeline does not read key\(s\) 'parents'"),
+        ({("pipeline",): {"mode": "independent", "rerecycle": False, "genie": False}},
+         r"independent pipeline does not read key\(s\) 'rerecycle', 'genie'"),
+        ({("pipeline",): {"parents": [0, 0]}},
+         r"independent pipeline does not read key\(s\) 'parents'"),
+        ({("pipeline", "mode"): "greedy"}, r"pipeline key 'mode' must be one of .*got 'greedy'"),
+        # codes that cannot be built
+        ({("codes", 1, "k"): 40}, r"channel 2: need 0 < k <= n"),
+        ({("codes", 0, "crc_polynomial"): "1002"}, r"channel 1: polynomial must be a bit string"),
+        ({("codes", 0): {"type": "ldpc", "n": 32, "col_weight": 3, "row_weight": 5, "seed": 1}},
+         r"channel 1: n \* col_weight must be divisible by row_weight"),
+    ])
+    def test_bad_input_fails_at_construction(self, edits, pattern, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError, match=pattern):
+            ExperimentConfig.from_dict(self._edited(self.STATIC, edits))
+
+    def test_independent_mode_accepts_unit_correlation(self):
+        raw = self._edited(self.STATIC, {("channel",): self.RHO_ONE,
+                                         ("pipeline",): {"mode": "independent"}})
+        assert run_trial(ExperimentConfig.from_dict(raw), 0, 0).lead_channel is None
+
     def test_worker_count_env(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "3")
         assert worker_count() == 3
@@ -294,10 +382,9 @@ class TestValidation:
             SweepSpec(ebn0_db=(1.0,), min_block_errors=0)
 
     def test_mixed_code_lengths_rejected(self):
-        config = tiny_config(codes=({"type": "rlc", "n": 32, "k": 26, "seed": 1},
-                                    {"type": "rlc", "n": 16, "k": 11, "seed": 2}))
-        with pytest.raises(ValueError):
-            run_trial(config, 0, 0)
+        with pytest.raises(ValueError, match="one code length"):
+            tiny_config(codes=({"type": "rlc", "n": 32, "k": 26, "seed": 1},
+                               {"type": "rlc", "n": 16, "k": 11, "seed": 2}))
 
 
 class TestWilson:
