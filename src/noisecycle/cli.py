@@ -15,7 +15,7 @@ import numpy as np
 
 from . import configio, theory
 from .channel import build_gm_model
-from .harness import ExperimentConfig, csv_text, run_bler_sweep
+from .harness import ExperimentConfig, csv_text, run_bler_sweep, worker_count
 from .ordering import build_recycle_graph, plan_for
 
 
@@ -38,9 +38,10 @@ def _cmd_bler(args: argparse.Namespace) -> int:
         raw["base_seed"] = args.seed
     try:
         config = ExperimentConfig.from_dict(raw)
+        workers = worker_count(args.workers)
     except ValueError as exc:
         raise SystemExit(f"noisecycle bler: {args.config}: {exc}") from None
-    points = run_bler_sweep(config, workers=args.workers, output_path=args.output)
+    points = run_bler_sweep(config, workers=workers, output_path=args.output)
     sys.stdout.write(csv_text(points))
     return 0
 

@@ -21,9 +21,10 @@ only the keys it reads: ``confidence_metric`` is dynamic-only,
 takes ``mode`` alone.
 
 A missing key, a key the descriptor does not know, or a value of the wrong
-type (an integer key given ``2.5`` or ``true``, a flag given ``"false"``)
-raises ``ValueError`` naming the descriptor or the key: a misspelt key never
-means its default and a value is never truncated or coerced.
+type (an integer key given ``2.5`` or ``true``, a flag given ``"false"``, a
+number given ``"4"``) raises ``ValueError`` naming the descriptor or the
+key: a misspelt key never means its default and a value is never truncated
+or coerced.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ __all__ = [
     "check_keys",
     "field_keys",
     "checked",
+    "checked_list",
     "load_channel_model",
     "load_code",
     "load_decoder",
@@ -79,14 +81,27 @@ def field_keys(cls: type) -> tuple[list[str], list[str]]:
             [f.name for f in fields if f.default is not dataclasses.MISSING])
 
 
-_KIND_NAMES = {int: "an integer", bool: "true or false", str: "a string"}
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false",
+               str: "a string", list: "a list"}
 
 
 def checked(value: Any, key: str, kind: type) -> Any:
-    """``value`` if it is a ``kind`` (int, bool or str), else ``ValueError``
-    naming ``key``; a bool is not an int here."""
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+    """``value`` if it is a ``kind`` (int, float, bool or str), else
+    ``ValueError`` naming ``key``.  A bool is not an int here, and a float
+    kind means a number: an int or a float."""
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise ValueError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def checked_list(value: Any, key: str, kind: type) -> list | tuple:
+    """``value`` if it is a list (or tuple) of ``kind`` entries, else
+    ``ValueError`` naming ``key``."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{key} must be a list, got {value!r}")
+    for entry in value:
+        checked(entry, f"{key} entry", kind)
     return value
 
 
@@ -97,7 +112,9 @@ def _one_of(value: Any, table: Mapping[str, Any], what: str) -> str:
 
 
 def _vector(value: Any, m: int, name: str) -> np.ndarray:
-    arr = np.full(m, float(value)) if np.isscalar(value) else np.asarray(value, dtype=float)
+    if not isinstance(value, (list, tuple)):
+        value = [checked(value, name, float)] * m
+    arr = np.asarray(checked_list(value, name, float), dtype=float)
     if arr.shape != (m,):
         raise ValueError(f"{name} must be a scalar or a length-{m} list")
     return arr
@@ -115,9 +132,10 @@ def load_channel_model(spec: Mapping[str, Any]) -> ChannelModel:
     sigma2 = _vector(spec.get("sigma2", 1.0), m, "sigma2")
     power = _vector(spec.get("power", 1.0), m, "power")
     if mode == "gm":
-        corr = build_gm_model(m, float(spec["rho"]), 1.0).corr
+        corr = build_gm_model(m, float(checked(spec["rho"], "rho", float)), 1.0).corr
     else:
-        corr = np.asarray(spec["corr"], dtype=float)
+        rows = checked_list(spec["corr"], "corr", list)
+        corr = np.asarray([checked_list(row, "corr", float) for row in rows], dtype=float)
     return ChannelModel(m=m, sigma2=sigma2, power=power, corr=corr)
 
 
@@ -193,10 +211,6 @@ def load_pipeline(spec: Mapping[str, Any]) -> PipelineConfig:
     for key, kind in _PIPELINE_KEY_TYPES.items():
         if key in spec:
             checked(spec[key], key, kind)
-    parents = spec.get("parents", [])
-    if not isinstance(parents, (list, tuple)):
-        raise ValueError(f"parents must be a list, got {parents!r}")
-    for parent in parents:
-        checked(parent, "parents entry", int)
+    checked_list(spec.get("parents", []), "parents", int)
     return PipelineConfig(**{key: value for key, value in spec.items()
                              if key != "parents"})

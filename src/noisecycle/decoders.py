@@ -6,11 +6,12 @@ three here are frozen dataclasses whose fields are their configuration,
 ``BpDecoder(max_iters=50)``; each rejects a limit below 1 when built.
 
 The guessing decoders invert putative noise-effect patterns on the hard
-decision, most plausible first, and query codebook membership by syndrome
-(plus CRC when the code carries one).  The first hit is returned together
-with the number of queries spent, which doubles as a decoding-confidence
-proxy.  Both share one prologue and one flip-and-accept step; their
-pattern orderings are deterministic:
+decision, most plausible first, and query codebook membership by one
+syndrome under the code's membership check, whose column masks include the
+CRC's checks when the code carries one.  The first zero syndrome is
+returned together with the number of queries spent, which doubles as a
+decoding-confidence proxy.  Both share one prologue and one flip-and-accept
+step; their pattern orderings are deterministic:
 
 * SGRANDAB enumerates flip sets in exactly nondecreasing sum of flipped
   |LLR| via a priority-queue successor expansion, so an accepted answer is
@@ -22,9 +23,9 @@ pattern orderings are deterministic:
   partitions of that weight into distinct parts <= n.
 
 All decoders are pure given their inputs.  The module keeps a per-process
-cache of ORBGRAND rank streams, and codes cache their packed column masks
-and Tanner-graph layouts on first use; none of these is guarded by a lock,
-so share work across processes rather than threads.
+cache of ORBGRAND rank streams, and codes cache their membership checks,
+packed column masks and Tanner-graph layouts on first use; none of these is
+guarded by a lock, so share work across processes rather than threads.
 """
 
 from __future__ import annotations
@@ -168,14 +169,12 @@ def _prologue(code: CodeSpec, soft: SoftBlock):
     return hard, order, reliab[order], base, [masks[int(p)] for p in order]
 
 
-def _accept(code: CodeSpec, soft: SoftBlock, hard: np.ndarray,
-            flips: np.ndarray | list[int], queries: int) -> DecodeOutcome | None:
+def _accept(soft: SoftBlock, hard: np.ndarray, flips: np.ndarray | list[int],
+            queries: int) -> DecodeOutcome:
     """``hard`` with the bits at positions ``flips`` inverted, as a decoded
-    outcome, or None if its message fails the code's CRC."""
+    outcome."""
     candidate = hard.copy()
     candidate[flips] ^= 1
-    if not code.valid_message(code.message_from_codeword(candidate)):
-        return None
     z = soft.received - (1.0 - 2.0 * candidate.astype(float))
     sigma2 = soft.noise_variance
     nll = float(np.sum(z * z) / (2.0 * sigma2)
@@ -215,9 +214,7 @@ class OrbgrandDecoder:
             for r in pat:
                 s ^= rank_masks[r - 1]
             if s == 0:
-                hit = _accept(code, soft, hard, order[[r - 1 for r in pat]], queries)
-                if hit is not None:
-                    return hit
+                return _accept(soft, hard, order[[r - 1 for r in pat]], queries)
         return DecodeOutcome(STATUS_ABANDONED, queries, None)
 
 
@@ -241,9 +238,7 @@ class SgrandabDecoder:
         hard, order, reliab, base, sorted_masks = _prologue(code, soft)
         queries = 1
         if base == 0:
-            hit = _accept(code, soft, hard, [], queries)
-            if hit is not None:
-                return hit
+            return _accept(soft, hard, [], queries)
 
         r = reliab.tolist()
         n = code.n
@@ -263,9 +258,7 @@ class SgrandabDecoder:
                                 s ^ nxt ^ sorted_masks[t]))
                 seq += 2
             if s == 0:
-                hit = _accept(code, soft, hard, order[list(pat)], queries)
-                if hit is not None:
-                    return hit
+                return _accept(soft, hard, order[list(pat)], queries)
         return DecodeOutcome(STATUS_ABANDONED, queries, None)
 
 
@@ -282,8 +275,9 @@ class BpDecoder:
 
     Check messages use the tanh rule with leave-one-out products computed
     by exclusive prefix/suffix scans (no divisions).  Exits as soon as the
-    hard decision satisfies every check; ``queries`` is the iteration count,
-    at most ``max_iters``.
+    hard decision satisfies every parity check, as ``decoded`` if it also
+    passes the membership check and ``crc_failed`` if not; ``queries`` is the
+    iteration count, at most ``max_iters``.
     """
 
     max_iters: int = 50
@@ -315,11 +309,10 @@ class BpDecoder:
             np.add.at(col_sum, lay.ecol, c2v)
             total = llr + col_sum
             hard = (total < 0).astype(np.uint8)
-            if not ((lay.h_dense @ hard) % 2).any():
-                hit = _accept(code, soft, hard, [], it)
-                if hit is not None:
-                    return hit
-                return DecodeOutcome(STATUS_CRC_FAILED, it, None)
+            if not ((code.parity_check @ hard) % 2).any():
+                member = not ((code.membership_check @ hard) % 2).any()
+                return (_accept(soft, hard, [], it) if member
+                        else DecodeOutcome(STATUS_CRC_FAILED, it, None))
             v2c = total[lay.ecol] - c2v
 
         return DecodeOutcome(STATUS_ABANDONED, self.max_iters, None)

@@ -5,12 +5,17 @@ construction, CRC attachment/validation, alist parsing for sparse
 parity-check matrices, syndrome-based membership tests, and a brute-force
 maximum-likelihood decoder used as an oracle for small codes.
 
+A CRC is a linear constraint on the message, so a CRC-aided [n, k] code is
+the linear subcode of codewords whose message passes the CRC, with
+``crc.degree`` more parity checks.  ``CodeSpec.membership_check`` holds
+those checks: a word is accepted iff its syndrome under it is zero.
+
 Packing contract: dense bit matrices are row-major ``uint8`` arrays with
 entries in {0, 1}.  For throughput-critical paths rows are packed into
 ``uint64`` words, LSB first: bit ``j`` of a row lives in word ``j // 64``
 at bit position ``j % 64``.  Column masks used by the guessing decoders
-pack column ``j`` of H into a single Python integer whose bit ``r`` is
-``H[r, j]``.
+pack column ``j`` of the membership check M into a single Python integer
+whose bit ``r`` is ``M[r, j]``.
 """
 
 from __future__ import annotations
@@ -96,16 +101,6 @@ def _nullspace_of_rref(a: np.ndarray, pivots: list[int]) -> np.ndarray:
         for row, p in enumerate(pivots):
             basis[i, p] = a[row, f]
     return basis
-
-
-def _gf2_inv(mat: np.ndarray) -> np.ndarray:
-    """Inverse of a square GF(2) matrix (raises if singular)."""
-    k = mat.shape[0]
-    aug = np.concatenate([_as_bits(mat), np.eye(k, dtype=np.uint8)], axis=1)
-    red, pivots = gf2_row_reduce(aug)
-    if pivots[:k] != list(range(k)):
-        raise ValueError("matrix is singular over GF(2)")
-    return red[:, k:]
 
 
 def pack_rows(mat: np.ndarray) -> np.ndarray:
@@ -272,7 +267,6 @@ class TannerLayout:
             self.row_slots[r, fill[r]] = e
             fill[r] += 1
         self.valid = self.row_slots >= 0
-        self.h_dense = sparse.to_dense()
 
 
 class AlistError(ValueError):
@@ -365,7 +359,8 @@ class CodeSpec:
     (n - k) x n, and G @ H.T = 0 over GF(2).  ``sparse`` optionally carries
     a redundant sparse parity-check view for message-passing decoders.
     When ``crc`` is set, the last ``crc.degree`` bits of every valid message
-    are the CRC of the leading payload bits.
+    are the CRC of the leading payload bits, and ``membership_check`` adds
+    the checks that say so.
     """
 
     n: int
@@ -377,8 +372,6 @@ class CodeSpec:
     sparse: SparseParityCheck | None = None
     # caches, derived in __post_init__
     _packed_g: np.ndarray = field(init=False, repr=False, compare=False)
-    _pivot_cols: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _unmix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         g = _as_bits(self.generator)
@@ -391,41 +384,41 @@ class CodeSpec:
             raise ValueError("parity_check must be (n - k) x n")
         if ((g @ h.T) % 2).any():
             raise ValueError("G . H^T != 0")
-        red, pivots = gf2_row_reduce(g)
-        if len(pivots) != self.k:
+        if gf2_rank(g) != self.k:
             raise ValueError("generator rows are linearly dependent")
         if self.crc is not None and self.k <= self.crc.degree:
             raise ValueError("k must exceed the CRC degree")
         object.__setattr__(self, "generator", g)
         object.__setattr__(self, "parity_check", h)
         object.__setattr__(self, "_packed_g", pack_rows(g))
-        object.__setattr__(self, "_pivot_cols", tuple(pivots))
-        # c[pivots] = u @ G[:, pivots]; invert to recover u from a codeword
-        object.__setattr__(self, "_unmix", _gf2_inv(g[:, pivots]))
 
     @property
     def rate(self) -> float:
         return self.k / self.n
 
     @cached_property
+    def membership_check(self) -> np.ndarray:
+        """Checks whose null space is the set of accepted words, built on first
+        use: H itself, or with a CRC the (n - k + crc.degree) x n checks of
+        the codewords whose message passes the CRC."""
+        if self.crc is None:
+            return self.parity_check
+        # every CRC-valid message is payload || crc(payload), i.e. a row of [I_p | R]
+        p = self.payload_bits
+        payload_gen = np.concatenate(
+            [np.eye(p, dtype=np.uint8), _remainder_matrix(self.crc, self.k)[:p]], axis=1)
+        return gf2_nullspace((payload_gen @ self.generator) % 2)
+
+    @cached_property
     def column_masks(self) -> list[int]:
-        """Columns of H packed as ints (see the module docstring), built on first use."""
-        return pack_columns(self.parity_check)
+        """Columns of ``membership_check`` packed as ints (see the module
+        docstring), built on first use."""
+        return pack_columns(self.membership_check)
 
     @property
     def payload_bits(self) -> int:
         """Message bits carried before CRC attachment (= k without CRC)."""
         return self.k - (self.crc.degree if self.crc else 0)
-
-    def message_from_codeword(self, codeword) -> np.ndarray:
-        c = _as_bits(codeword, self.n)
-        return (c[list(self._pivot_cols)] @ self._unmix) % 2
-
-    def valid_message(self, message) -> bool:
-        """CRC validation of a k-bit message (always true without CRC)."""
-        if self.crc is None:
-            return True
-        return crc_check(self.crc, message)
 
 
 def encode(code: CodeSpec, message) -> np.ndarray:
@@ -440,10 +433,7 @@ def encode(code: CodeSpec, message) -> np.ndarray:
 
 def syndrome(code: CodeSpec, word) -> np.ndarray:
     """w |-> w H^T; zero iff ``word`` is a codeword."""
-    w = _as_bits(word, code.n)
-    if code.parity_check.shape[0] == 0:
-        return np.zeros(0, dtype=np.uint8)
-    return (code.parity_check @ w) % 2
+    return (code.parity_check @ _as_bits(word, code.n)) % 2
 
 
 def sample_rlc(n: int, k: int, seed: int, crc: CrcSpec | None = None,

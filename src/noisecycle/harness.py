@@ -136,7 +136,8 @@ class ExperimentConfig:
                             optional=("pipeline", "base_seed", "output_path"))
         sweep = dict(raw["sweep"])
         configio.check_keys(sweep, "sweep", *configio.field_keys(SweepSpec))
-        ebn0_db = tuple(float(x) for x in sweep.pop("ebn0_db"))
+        ebn0_db = tuple(float(x) for x in
+                        configio.checked_list(sweep.pop("ebn0_db"), "ebn0_db", float))
         return cls(
             channel=dict(raw["channel"]),
             codes=tuple(dict(c) for c in raw["codes"]),

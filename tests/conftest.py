@@ -3,18 +3,31 @@
 The oracles here are deliberately independent of the package's fast paths:
 dense mod-2 matrix products, polynomial long division, exhaustive codebook
 scans.  Production code must agree with them, never the other way around.
+
+Property tests run under a derandomized hypothesis profile with no example
+database, so every run draws the same examples.  Hypothesis still caches
+the constants it reads from source files; that cache goes to a temporary
+directory removed at exit, not to ``.hypothesis/`` in the working directory.
 """
 
 from __future__ import annotations
 
 import math
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from noisecycle import ChannelModel, DecodeOutcome
 from noisecycle.channel import modulate_bpsk
+
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="noisecycle-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 def mod2(a: np.ndarray, b: np.ndarray) -> np.ndarray:

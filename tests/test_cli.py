@@ -133,12 +133,28 @@ class TestBlerCommand:
             "sweep": {"ebn0_db": [3.0], "min_trials": 10**6, "max_trials": 10**6},
         }
         edit(config)
+        self._exits_before_any_trial(tmp_path, config, named, {})
+
+    def test_bad_worker_env_exits_before_any_trial(self, tmp_path):
+        config = {
+            "channel": {"m": 1, "mode": "gm", "rho": 0.0},
+            "codes": [{"type": "rlc", "n": 32, "k": 26, "seed": 1}],
+            "decoders": [{"type": "orbgrand", "max_queries": 2000}],
+            "sweep": {"ebn0_db": [3.0], "min_trials": 10**6, "max_trials": 10**6},
+        }
+        self._exits_before_any_trial(tmp_path, config, ["NOISECYCLE_WORKERS", "'abc'"],
+                                     {"NOISECYCLE_WORKERS": "abc"})
+
+    @staticmethod
+    def _exits_before_any_trial(tmp_path, config, named, extra_env):
+        """``noisecycle bler`` on ``config`` exits nonzero, naming each of
+        ``named``, with no traceback and no CSV."""
         cfg_path = tmp_path / "exp.json"
         cfg_path.write_text(json.dumps(config))
         out_path = tmp_path / "out.csv"
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+            p for p in (src, os.environ.get("PYTHONPATH")) if p), **extra_env)
         proc = subprocess.run([sys.executable, "-m", "noisecycle.cli", "bler",
                                str(cfg_path), "--output", str(out_path)],
                               capture_output=True, text=True, env=env, timeout=120,

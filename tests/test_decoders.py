@@ -6,7 +6,7 @@ import pytest
 
 from noisecycle import (BpDecoder, CodeSpec, CrcSpec, OrbgrandDecoder,
                         SgrandabDecoder, SoftBlock, confidence, crc_check,
-                        encode, llrs, ml_decode_bruteforce, modulate_bpsk,
+                        crc_encode, encode, llrs, ml_decode_bruteforce, modulate_bpsk,
                         sample_regular_ldpc, sample_rlc, syndrome)
 from noisecycle.decoders import orbgrand_rank_patterns
 
@@ -29,23 +29,27 @@ class TestLlrs:
 
 class TestQueryOrder:
     """Query counts of the decoders as they run, against the pattern orders
-    they promise: on a code without a CRC the count is the 1-based position
-    of the first flip set that turns the hard decision into a codeword."""
+    they promise: the count is the 1-based position of the first flip set
+    that turns the hard decision into a codeword whose message passes the
+    code's CRC, if it has one."""
 
     N = 10
 
     def _blocks(self, rng, count):
-        code = sample_rlc(self.N, 5, seed=19)
-        for _ in range(count):
-            y = rng.normal(size=self.N)
-            yield code, y, (y < 0).astype(np.uint8)
+        for code in (sample_rlc(self.N, 5, seed=19),
+                     sample_rlc(self.N, 5, seed=19, crc=CrcSpec(2, "111"))):
+            for _ in range(count):
+                y = rng.normal(size=self.N)
+                yield code, y, (y < 0).astype(np.uint8)
 
     @staticmethod
     def _first_hit(code, hard, flip_sets):
         for pos, flips in enumerate(flip_sets, start=1):
             word = hard.copy()
             word[list(flips)] ^= 1
-            if not mod2(code.parity_check, word).any():
+            # the codes are systematic: the message is the first k bits
+            if (not mod2(code.parity_check, word).any()
+                    and (code.crc is None or crc_check(code.crc, word[:code.k]))):
                 return pos, word
         raise AssertionError("no flip set gives a codeword")
 
@@ -144,7 +148,7 @@ class TestSgrandabDecode:
             out = decoder.decode(code, SoftBlock(y, 1.0))
             assert out.status == "decoded"
             assert np.array_equal(out.codeword, ml_decode_bruteforce(code, y))
-            assert crc_check(crc, code.message_from_codeword(out.codeword))
+            assert crc_check(crc, out.codeword[:code.k])
 
     def test_abandonment_reports_budget(self, rng):
         code = sample_rlc(32, 16, seed=7)
@@ -225,6 +229,18 @@ class TestBpDecode:
         assert out.status == "decoded" and out.queries == 1
         assert np.array_equal(out.codeword, [0, 0, 0])
 
+    def test_codeword_failing_the_crc_reported_at_first_iteration(self, rng):
+        crc = CrcSpec(degree=4, polynomial="10011")
+        code = sample_regular_ldpc(24, 3, 6, seed=13, crc=crc)
+        message = crc_encode(crc, rng.integers(0, 2, size=code.payload_bits,
+                                               dtype=np.uint8))
+        message[-1] ^= 1  # a codeword of the outer code, its CRC broken
+        assert not crc_check(crc, message)
+        cw = encode(code, message)
+        out = BpDecoder(50).decode(code, SoftBlock(modulate_bpsk(cw), 0.25))
+        assert out.status == "crc_failed" and out.queries == 1
+        assert out.codeword is None
+
     def test_requires_sparse_parity_check(self):
         code = sample_rlc(8, 4, seed=14)
         with pytest.raises(ValueError):
@@ -256,6 +272,39 @@ class TestBpDecode:
             if out.status != "decoded" or not np.array_equal(out.codeword, cw):
                 errors += 1
         assert errors / trials < 1e-2
+
+
+class TestDegenerateCodes:
+    """Codes with no parity checks: n = k, or an alist whose H is all zero."""
+
+    def test_full_rate_code_accepts_hard_decision_at_first_query(self, rng):
+        code = sample_rlc(12, 12, seed=24)
+        for _ in range(20):
+            y = rng.normal(size=12)
+            hard = (y < 0).astype(np.uint8)
+            for decoder in (OrbgrandDecoder(5), SgrandabDecoder(5)):
+                out = decoder.decode(code, SoftBlock(y, 1.0))
+                assert out.status == "decoded" and out.queries == 1
+                assert np.array_equal(out.codeword, hard)
+
+    def test_full_rate_code_with_crc_decodes_to_ml(self, rng):
+        code = sample_rlc(8, 8, seed=25, crc=CrcSpec(3, "1011"))
+        for _ in range(50):
+            y = rng.normal(size=8)
+            out = SgrandabDecoder(2 ** 8).decode(code, SoftBlock(y, 1.0))
+            assert out.status == "decoded"
+            assert np.array_equal(out.codeword, ml_decode_bruteforce(code, y))
+            assert crc_check(code.crc, out.codeword)
+
+    def test_all_zero_alist_decodes_at_first_iteration(self, rng):
+        from noisecycle import code_from_parity_check, parse_alist
+        text = "6 3\n0 0\n" + " ".join(["0"] * 6) + "\n0 0 0\n" + "0\n" * 9
+        code = code_from_parity_check(parse_alist(text))
+        assert (code.n, code.k) == (6, 6) and code.parity_check.shape == (0, 6)
+        y = rng.normal(size=6)
+        out = BpDecoder(50).decode(code, SoftBlock(y, 1.0))
+        assert out.status == "decoded" and out.queries == 1
+        assert np.array_equal(out.codeword, (y < 0).astype(np.uint8))
 
 
 class TestConfidence:
@@ -308,7 +357,6 @@ class TestDecoderContracts:
                     assert not syndrome(code, out.codeword).any()
 
     def test_crc_bearing_codes_validate(self, rng):
-        from noisecycle import crc_encode
         crc = CrcSpec(degree=4, polynomial="10011")
         code = sample_rlc(24, 16, seed=18, crc=crc)
         decoders = (SgrandabDecoder(4000), OrbgrandDecoder(4000))
@@ -319,4 +367,4 @@ class TestDecoderContracts:
             for decoder in decoders:
                 out = decoder.decode(code, SoftBlock(y, 0.25))
                 if out.status == "decoded":
-                    assert crc_check(crc, code.message_from_codeword(out.codeword))
+                    assert crc_check(crc, out.codeword[:code.k])

@@ -254,8 +254,51 @@ class TestDerivedLayouts:
         lay = code.sparse.tanner
         assert lay is code.sparse.tanner
         assert lay.n_edges == 36
-        assert np.array_equal(lay.h_dense, code.sparse.to_dense())
-        assert lay.h_dense[lay.erow, lay.ecol].all()
+        assert code.sparse.to_dense()[lay.erow, lay.ecol].all()
+
+
+class TestMembershipCheck:
+    """The membership check's null space is exactly the codewords whose
+    message is payload || CRC(payload), by long division."""
+
+    @staticmethod
+    def _words(n):
+        idx = np.arange(2 ** n)
+        return ((idx[:, None] >> np.arange(n)) & 1).astype(np.uint8)
+
+    def _accepted(self, code):
+        words = self._words(code.n)
+        return {w.tobytes() for w in words if not mod2(code.membership_check, w).any()}
+
+    def _crc_codebook(self, code, crc):
+        poly = [int(b) for b in crc.polynomial]
+        msgs = [np.concatenate([u, crc_longdivision(u, poly)])
+                for u in self._words(code.payload_bits)]
+        return {mod2(m, code.generator).astype(np.uint8).tobytes() for m in msgs}
+
+    def test_without_crc_it_is_the_parity_check(self):
+        code = sample_rlc(12, 7, seed=21)
+        assert code.membership_check is code.parity_check
+
+    @pytest.mark.parametrize("build", [
+        lambda crc: sample_rlc(10, 6, seed=22, crc=crc),
+        lambda crc: sample_regular_ldpc(12, 3, 4, seed=19, crc=crc),  # non-systematic G
+    ])
+    def test_crc_adds_its_checks(self, build):
+        crc = CrcSpec(degree=2, polynomial="111")
+        code = build(crc)
+        assert code.membership_check.shape == (code.n - code.k + crc.degree, code.n)
+        assert gf2_rank(code.membership_check) == code.n - code.payload_bits
+        assert self._accepted(code) == self._crc_codebook(code, crc)
+        assert code.column_masks == pack_columns(code.membership_check)
+
+    def test_full_rate_code_checks_the_crc_alone(self):
+        crc = CrcSpec(degree=3, polynomial="1011")
+        code = sample_rlc(8, 8, seed=23, crc=crc)  # G = I, H has no rows
+        assert code.parity_check.shape == (0, 8)
+        assert code.membership_check.shape == (3, 8)
+        words = self._words(8)
+        assert self._accepted(code) == {w.tobytes() for w in words if crc_check(crc, w)}
 
 
 class TestMlBruteforce:
@@ -304,9 +347,3 @@ class TestCodeSpecValidation:
         g = np.array([[1, 0, 1, 0], [1, 0, 1, 0]], dtype=np.uint8)
         with pytest.raises(ValueError):
             CodeSpec(n=4, k=2, generator=g, parity_check=np.zeros((2, 4), dtype=np.uint8))
-
-    def test_message_recovery_round_trip(self, rng):
-        code = sample_regular_ldpc(12, 3, 4, seed=19)  # non-systematic generator
-        for _ in range(20):
-            msg = rng.integers(0, 2, size=code.k, dtype=np.uint8)
-            assert np.array_equal(code.message_from_codeword(encode(code, msg)), msg)

@@ -348,6 +348,21 @@ class TestValidation:
         ({("codes", 0, "crc_polynomial"): "1002"}, r"channel 1: polynomial must be a bit string"),
         ({("codes", 0): {"type": "ldpc", "n": 32, "col_weight": 3, "row_weight": 5, "seed": 1}},
          r"channel 1: n \* col_weight must be divisible by row_weight"),
+        # numbers
+        ({("sweep", "ebn0_db"): "35"}, r"ebn0_db must be a list, got '35'"),
+        ({("sweep", "ebn0_db"): 3.0}, r"ebn0_db must be a list, got 3.0"),
+        ({("sweep", "ebn0_db"): ["4"]}, r"ebn0_db entry must be a number, got '4'"),
+        ({("sweep", "ebn0_db"): [3.0, True]}, r"ebn0_db entry must be a number, got True"),
+        ({("channel", "rho"): True}, r"rho must be a number, got True"),
+        ({("channel", "rho"): "0.6"}, r"rho must be a number, got '0.6'"),
+        ({("channel",): {"m": 2, "mode": "explicit", "corr": [[1.0, "0.5"], [0.5, 1.0]]}},
+         r"corr entry must be a number, got '0.5'"),
+        ({("channel",): {"m": 2, "mode": "explicit", "corr": [1.0, 0.5]}},
+         r"corr entry must be a list, got 1.0"),
+        ({("channel", "sigma2"): "1.0"}, r"sigma2 must be a number, got '1.0'"),
+        ({("channel", "sigma2"): [1.0, False]}, r"sigma2 entry must be a number, got False"),
+        ({("channel", "power"): True}, r"power must be a number, got True"),
+        ({("channel", "power"): [1.0, "2"]}, r"power entry must be a number, got '2'"),
     ])
     def test_bad_input_fails_at_construction(self, edits, pattern, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
