@@ -33,13 +33,13 @@ def _emit(lines: list[str], output: str | None) -> None:
 
 
 def _cmd_bler(args: argparse.Namespace) -> int:
-    raw = configio.read_json(args.config)
-    if args.seed is not None:
-        raw["base_seed"] = args.seed
     try:
+        raw = configio.read_json(args.config)
+        if args.seed is not None:
+            raw["base_seed"] = args.seed
         config = ExperimentConfig.from_dict(raw)
         workers = worker_count(args.workers)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise SystemExit(f"noisecycle bler: {args.config}: {exc}") from None
     points = run_bler_sweep(config, workers=workers, output_path=args.output)
     sys.stdout.write(csv_text(points))
@@ -47,8 +47,11 @@ def _cmd_bler(args: argparse.Namespace) -> int:
 
 
 def _cmd_order(args: argparse.Namespace) -> int:
-    model = configio.load_channel_model(configio.read_json(args.model))
-    plan = plan_for(model, forced_lead=args.forced_lead)
+    try:
+        model = configio.load_channel_model(configio.read_json(args.model))
+        plan = plan_for(model, forced_lead=args.forced_lead)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"noisecycle order: {args.model}: {exc}") from None
     weights = build_recycle_graph(model).weights
     print("edge,source,target,weight")
     for ch in plan.order:

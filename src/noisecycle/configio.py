@@ -56,8 +56,13 @@ __all__ = [
 
 
 def read_json(path: str | Path) -> dict:
+    """The JSON object in the file at ``path``; ``OSError`` if it cannot be
+    read, ``ValueError`` if it is not JSON or not an object."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"expected a JSON object, got {type(raw).__name__}")
+    return raw
 
 
 def check_keys(raw: Mapping[str, Any], where: str,

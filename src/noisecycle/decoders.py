@@ -10,8 +10,8 @@ decision, most plausible first, and query codebook membership by one
 syndrome under the code's membership check, whose column masks include the
 CRC's checks when the code carries one.  The first zero syndrome is
 returned together with the number of queries spent, which doubles as a
-decoding-confidence proxy.  Both share one prologue and one flip-and-accept
-step; their pattern orderings are deterministic:
+decoding-confidence proxy.  Both share one flip-and-accept step; their
+pattern orderings are deterministic:
 
 * SGRANDAB enumerates flip sets in exactly nondecreasing sum of flipped
   |LLR| via a priority-queue successor expansion, so an accepted answer is
@@ -20,12 +20,20 @@ step; their pattern orderings are deterministic:
   = least reliable, ties by position) and sweeps flip sets in nondecreasing
   logistic weight, the sum of flipped ranks; equal-weight sets are ordered
   by size then lexicographically.  Rank sets of a given weight are the
-  partitions of that weight into distinct parts <= n.
+  partitions of that weight into distinct parts <= n.  The order is the
+  same for every block, so ORBGRAND checks it in chunks that double in
+  length, one array operation per chunk.
 
-All decoders are pure given their inputs.  The module keeps a per-process
-cache of ORBGRAND rank streams, and codes cache their membership checks,
-packed column masks and Tanner-graph layouts on first use; none of these is
-guarded by a lock, so share work across processes rather than threads.
+SGRANDAB walks its heap with the code's Python-int ``column_masks``.
+ORBGRAND reads the rank stream from a per-process matrix for each n: int16
+0-based ranks, one row per rank set, padded with n, which indexes the
+all-zero row of the code's ``uint64`` ``column_words``.  The matrix grows by
+doubling, but never past the largest ``max_queries`` that asked for it.
+
+All decoders are pure given their inputs.  The rank matrices, and the
+membership checks, packed columns and Tanner-graph layouts that codes build
+on first use, are not guarded by a lock, so share work across processes
+rather than threads.
 """
 
 from __future__ import annotations
@@ -137,31 +145,57 @@ def orbgrand_rank_patterns(n: int, max_weight: int | None = None
             size += 1
 
 
-# n -> (cached prefix of the rank stream, the generator that extends it)
-_RANK_CACHE: dict[int, tuple[list[tuple[int, ...]], Iterator[tuple[int, ...]]]] = {}
+# n -> [head of the rank stream as a padded matrix, the generator extending it]
+_RANK_STREAMS: dict[int, list] = {}
 
 
-def _rank_prefix(n: int, count: int) -> list[tuple[int, ...]]:
-    """The shared, only-growing cached prefix of ``orbgrand_rank_patterns(n)``,
-    extended to at least ``count`` sets unless the stream ends first."""
-    cached = _RANK_CACHE.get(n)
-    if cached is None:
-        cached = _RANK_CACHE[n] = ([], orbgrand_rank_patterns(n))
-    prefix, stream = cached
-    if len(prefix) < count:
-        prefix.extend(itertools.islice(stream, count - len(prefix)))
-    return prefix
+def _rank_rows(n: int, count: int, cap: int) -> np.ndarray:
+    """The shared head of ``orbgrand_rank_patterns(n)``, one row per rank set
+    holding its 0-based ranks padded with ``n``: at least ``count`` rows
+    unless the stream ends first.  It grows by doubling, but not past
+    ``cap``, so it is bounded by the largest query cap that asked."""
+    stream = _RANK_STREAMS.get(n)
+    if stream is None:
+        dtype = np.int16 if n < 2 ** 15 else np.int32
+        stream = _RANK_STREAMS[n] = [np.empty((0, 0), dtype), orbgrand_rank_patterns(n)]
+    rows, source = stream
+    if len(rows) < count:
+        # read the new rank sets once, straight into flat arrays: holding them
+        # as tuples, even briefly, costs more memory than the matrix
+        new = itertools.islice(source, max(count, min(cap, 2 * len(rows))) - len(rows))
+        sizes: list[int] = []
+        ranks = np.fromiter(_chained(new, sizes), rows.dtype)
+        if sizes:
+            width = max(rows.shape[1], max(sizes))
+            grown = np.full((len(rows) + len(sizes), width), n, rows.dtype)
+            grown[: len(rows), : rows.shape[1]] = rows
+            # row-major order of the mask is the order of the chained rank sets
+            tail = grown[len(rows):]
+            tail[np.arange(width) < np.array(sizes)[:, None]] = ranks - 1
+            stream[0] = rows = grown
+    return rows
+
+
+def _chained(patterns: Iterator[tuple[int, ...]], sizes: list[int]) -> Iterator[int]:
+    # the ranks of each set in turn, appending its size to ``sizes``
+    for pattern in patterns:
+        sizes.append(len(pattern))
+        yield from pattern
+
+
+def _hard_and_order(soft: SoftBlock):
+    """The hard decision, positions by ascending reliability (rank r at
+    ``order[r - 1]``, ties by position) and the reliabilities."""
+    llr = llrs(soft)
+    reliab = np.abs(llr)
+    return (llr < 0).astype(np.uint8), np.argsort(reliab, kind="stable"), reliab
 
 
 def _prologue(code: CodeSpec, soft: SoftBlock):
-    """What both guessing decoders start from: the hard decision, positions
-    by ascending reliability (rank r at ``order[r - 1]``, ties by position),
+    """What SGRANDAB starts from: the hard decision, the reliability order,
     the sorted reliabilities, the base syndrome and the column masks in
     reliability order."""
-    llr = llrs(soft)
-    hard = (llr < 0).astype(np.uint8)
-    reliab = np.abs(llr)
-    order = np.argsort(reliab, kind="stable")
+    hard, order, reliab = _hard_and_order(soft)
     masks = code.column_masks
     base = 0
     for pos in np.nonzero(hard)[0]:
@@ -198,23 +232,29 @@ class OrbgrandDecoder:
         _check_limit("max_queries", self.max_queries)
 
     def decode(self, code: CodeSpec, soft: SoftBlock) -> DecodeOutcome:
-        hard, order, _, base, rank_masks = _prologue(code, soft)
-        cap = self.max_queries
-        patterns: list[tuple[int, ...]] = []
-        queries = 0
+        hard, order, _ = _hard_and_order(soft)
+        n, cap = code.n, self.max_queries
+        words = code.column_words
+        base = np.bitwise_xor.reduce(words[np.flatnonzero(hard)], axis=0)
+        queries, size = 1, 16
+        if not base.any():
+            return _accept(soft, hard, [], queries)
+        ranked = words[np.append(order, n)]  # row r: 0-based rank r; row n: zero
+        # every block walks the same stream: check it in chunks that double,
+        # since most decodes stop within a few dozen queries, up to 8192 rows,
+        # which bounds the chunk's temporaries at about 1 MB
         while queries < cap:
-            if queries == len(patterns):
-                # grow the shared prefix geometrically instead of all at once
-                patterns = _rank_prefix(code.n, min(cap, max(1024, 2 * queries)))
-                if queries == len(patterns):
-                    break  # stream exhausted (tiny n)
-            pat = patterns[queries]
-            queries += 1
-            s = base
-            for r in pat:
-                s ^= rank_masks[r - 1]
-            if s == 0:
-                return _accept(soft, hard, order[[r - 1 for r in pat]], queries)
+            rows = _rank_rows(n, min(queries + size, cap), cap)
+            stop = min(queries + size, cap, len(rows))
+            if stop == queries:
+                break  # stream exhausted (tiny n)
+            syndromes = np.bitwise_xor.reduce(ranked[rows[queries:stop]], axis=1) ^ base
+            hits = np.flatnonzero(~syndromes.any(axis=1))
+            if hits.size:
+                flips = rows[queries + hits[0]]
+                return _accept(soft, hard, order[flips[flips < n]],
+                               queries + int(hits[0]) + 1)
+            queries, size = stop, min(2 * size, 8192)
         return DecodeOutcome(STATUS_ABANDONED, queries, None)
 
 

@@ -13,9 +13,12 @@ those checks: a word is accepted iff its syndrome under it is zero.
 Packing contract: dense bit matrices are row-major ``uint8`` arrays with
 entries in {0, 1}.  For throughput-critical paths rows are packed into
 ``uint64`` words, LSB first: bit ``j`` of a row lives in word ``j // 64``
-at bit position ``j % 64``.  Column masks used by the guessing decoders
-pack column ``j`` of the membership check M into a single Python integer
-whose bit ``r`` is ``M[r, j]``.
+at bit position ``j % 64``.  The guessing decoders read the columns of the
+membership check M in two packings: SGRANDAB's ``column_masks`` hold column
+``j`` as one Python integer whose bit ``r`` is ``M[r, j]``, and ORBGRAND's
+``column_words`` hold it as row ``j`` of a ``uint64`` array under the row
+rule above (``ceil(rows / 64)`` words, none when M has no rows), over an
+all-zero row ``n`` that pads its rank matrix.
 """
 
 from __future__ import annotations
@@ -414,6 +417,14 @@ class CodeSpec:
         """Columns of ``membership_check`` packed as ints (see the module
         docstring), built on first use."""
         return pack_columns(self.membership_check)
+
+    @cached_property
+    def column_words(self) -> np.ndarray:
+        """Columns of ``membership_check`` packed into ``uint64`` words, one
+        row per column plus the all-zero row ``n`` (see the module
+        docstring), built on first use."""
+        words = pack_rows(self.membership_check.T)
+        return np.concatenate([words, np.zeros((1, words.shape[1]), np.uint64)])
 
     @property
     def payload_bits(self) -> int:

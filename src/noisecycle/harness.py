@@ -217,13 +217,20 @@ def _mode_label(pipe: PipelineConfig) -> str:
 
 
 def worker_count(explicit: int | None = None) -> int:
+    """``explicit`` if given, else ``$NOISECYCLE_WORKERS``, else 1; a count
+    below 1 raises ``ValueError`` naming where it came from."""
     if explicit is not None:
-        return max(1, explicit)
+        if explicit < 1:
+            raise ValueError(f"workers must be >= 1, got {explicit!r}")
+        return explicit
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
-        return max(1, int(raw))
+        count = int(raw)
     except ValueError:
-        raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
+        count = 0
+    if count < 1:
+        raise ValueError(f"{WORKERS_ENV} must be an integer >= 1, got {raw!r}")
+    return count
 
 
 def _chunks(start: int, stop: int, parts: int) -> list[tuple[int, int]]:

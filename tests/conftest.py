@@ -47,6 +47,30 @@ def crc_longdivision(message_bits, poly_bits) -> np.ndarray:
     return np.array(work[-deg:], dtype=np.uint8)
 
 
+def orbgrand_first_hit(code, y) -> tuple[int, np.ndarray]:
+    """(1-based position, word) of the first rank set of
+    ``orbgrand_rank_patterns`` that turns the hard decision of ``y`` into an
+    accepted word, walked one set at a time.  Rank r is the r-th least
+    reliable position, ties by position.  A word is accepted when H w = 0
+    and, with a CRC, its message (the first k bits: the codes are
+    systematic) passes long division."""
+    from noisecycle.decoders import orbgrand_rank_patterns
+    y = np.asarray(y, dtype=float)
+    hard = (y < 0).astype(np.uint8)
+    order = np.argsort(np.abs(y), kind="stable")
+    poly = None if code.crc is None else [int(b) for b in code.crc.polynomial]
+    for pos, ranks in enumerate(orbgrand_rank_patterns(code.n), start=1):
+        word = hard.copy()
+        word[order[[r - 1 for r in ranks]]] ^= 1
+        if mod2(code.parity_check, word).any():
+            continue
+        msg = word[:code.k]
+        p = code.payload_bits
+        if poly is None or np.array_equal(crc_longdivision(msg[:p], poly), msg[p:]):
+            return pos, word
+    raise AssertionError("no rank set gives an accepted word")
+
+
 def enumerate_codebook(generator: np.ndarray) -> np.ndarray:
     """All codewords by explicit message loop (message index i -> bits LSB first)."""
     k, n = generator.shape

@@ -43,6 +43,44 @@ class TestOrderCommand:
         assert "0->2" not in out and "0->3" not in out
 
 
+class TestBadInputFiles:
+    """``bler`` and ``order`` exit nonzero on a file they cannot use, with a
+    message that names it and no traceback."""
+
+    @staticmethod
+    def _message(argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert isinstance(exc.value.code, str)  # printed to stderr, status 1
+        return exc.value.code
+
+    @pytest.mark.parametrize("command", ["bler", "order"])
+    @pytest.mark.parametrize("text, named", [
+        ('{"m": 2,', "Expecting"),                 # malformed JSON
+        ("[1, 2]", "expected a JSON object, got list"),
+        (None, "No such file"),                    # missing path
+    ])
+    def test_unusable_file(self, tmp_path, command, text, named):
+        path = tmp_path / "input.json"
+        if text is not None:
+            path.write_text(text)
+        message = self._message([command, str(path)])
+        assert message.startswith(f"noisecycle {command}: {path}: ")
+        assert named in message
+
+    @pytest.mark.parametrize("spec, argv, named", [
+        ({"m": 2, "mode": "gm"}, [], "'rho'"),
+        ({"m": 2, "mode": "gm", "rho": 0.5, "sigma2": [1.0]}, [], "sigma2"),
+        ({"m": 2, "mode": "gm", "rho": 0.5}, ["--forced-lead", "3"], "forced_lead"),
+    ])
+    def test_bad_channel_model(self, tmp_path, spec, argv, named):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(spec))
+        message = self._message(["order", str(path), *argv])
+        assert message.startswith(f"noisecycle order: {path}: ")
+        assert named in message
+
+
 class TestRatesCommand:
     def test_csv_shape_and_values(self, capsys):
         assert main(["rates", "--m", "4", "--rho-grid", "0,0.5",
@@ -144,6 +182,29 @@ class TestBlerCommand:
         }
         self._exits_before_any_trial(tmp_path, config, ["NOISECYCLE_WORKERS", "'abc'"],
                                      {"NOISECYCLE_WORKERS": "abc"})
+
+    @pytest.mark.parametrize("argv, env, named", [
+        (["--workers", "0"], {}, "workers must be >= 1, got 0"),
+        (["--workers", "-3"], {}, "workers must be >= 1, got -3"),
+        ([], {"NOISECYCLE_WORKERS": "0"}, "NOISECYCLE_WORKERS must be an integer >= 1, got '0'"),
+        ([], {"NOISECYCLE_WORKERS": "-2"}, "NOISECYCLE_WORKERS must be an integer >= 1, got '-2'"),
+    ])
+    def test_worker_count_below_one_rejected(self, tmp_path, monkeypatch, argv, env, named):
+        config = {
+            "channel": {"m": 1, "mode": "gm", "rho": 0.0},
+            "codes": [{"type": "rlc", "n": 32, "k": 26, "seed": 1}],
+            "decoders": [{"type": "orbgrand", "max_queries": 2000}],
+            "sweep": {"ebn0_db": [3.0], "min_trials": 10, "max_trials": 10},
+        }
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(config))
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        out_path = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["bler", str(cfg_path), "--output", str(out_path), *argv])
+        assert exc.value.code == f"noisecycle bler: {cfg_path}: {named}"
+        assert not out_path.exists()
 
     @staticmethod
     def _exits_before_any_trial(tmp_path, config, named, extra_env):

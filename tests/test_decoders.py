@@ -8,9 +8,10 @@ from noisecycle import (BpDecoder, CodeSpec, CrcSpec, OrbgrandDecoder,
                         SgrandabDecoder, SoftBlock, confidence, crc_check,
                         crc_encode, encode, llrs, ml_decode_bruteforce, modulate_bpsk,
                         sample_regular_ldpc, sample_rlc, syndrome)
+from noisecycle import decoders
 from noisecycle.decoders import orbgrand_rank_patterns
 
-from conftest import mod2
+from conftest import mod2, orbgrand_first_hit
 
 
 class TestLlrs:
@@ -103,6 +104,30 @@ class TestOrbgrandPatternStream:
             want = [c for _, _, c in brute]
             got = list(orbgrand_rank_patterns(n, max_weight=20))
             assert got == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rank_matrix_runs_out_at_tiny_n(self, n, monkeypatch):
+        monkeypatch.setattr(decoders, "_RANK_STREAMS", {})
+        rows = decoders._rank_rows(n, 100, 100)
+        assert rows.shape[0] == 2 ** n  # every subset of the n ranks, once
+        want = np.full((2 ** n, n), n)
+        for i, ranks in enumerate(orbgrand_rank_patterns(n)):
+            want[i, :len(ranks)] = [r - 1 for r in ranks]
+        assert np.array_equal(rows, want)
+        assert decoders._rank_rows(n, 100, 100) is rows
+
+    def test_rank_matrix_bounded_by_largest_cap(self, monkeypatch):
+        monkeypatch.setattr(decoders, "_RANK_STREAMS", {})
+        code = sample_rlc(32, 16, seed=7)
+        y = np.random.default_rng(3).normal(size=32)  # unrelated noise
+        for cap in (100, 40, 300):
+            out = OrbgrandDecoder(cap).decode(code, SoftBlock(y, 1.0))
+            assert out.status == "abandoned" and out.queries == cap
+        rows = decoders._RANK_STREAMS[32][0]
+        assert rows.shape[0] == 300 and rows.dtype == np.int16
+        head = itertools.islice(orbgrand_rank_patterns(32), 300)
+        for row, ranks in zip(rows, head):
+            assert row[row < 32].tolist() == [r - 1 for r in ranks]
 
     def test_weight_layering(self):
         # every pattern of weight <= W appears before any pattern of weight > W
@@ -198,6 +223,42 @@ class TestOrbgrandDecode:
         assert out.status == "decoded"
         assert np.array_equal(out.codeword, cw)
         assert out.queries == 2
+
+    @pytest.mark.parametrize("n, k, crc", [
+        (72, 4, None),                   # 68 checks
+        (80, 12, CrcSpec(4, "10011")),   # 68 checks plus the CRC's 4
+    ])
+    def test_long_membership_check_follows_rank_stream(self, rng, n, k, crc):
+        code = sample_rlc(n, k, seed=26, crc=crc)
+        assert code.membership_check.shape[0] > 64
+        hits = []
+        for _ in range(40):
+            message = rng.integers(0, 2, size=k, dtype=np.uint8)
+            if crc is not None:
+                message = crc_encode(crc, message[:code.payload_bits])
+            y = modulate_bpsk(encode(code, message)) + 0.5 * rng.normal(size=n)
+            pos, word = orbgrand_first_hit(code, y)
+            out = OrbgrandDecoder(pos).decode(code, SoftBlock(y, 0.25))
+            assert out.status == "decoded" and out.queries == pos
+            assert np.array_equal(out.codeword, word)
+            if pos > 1:
+                out = OrbgrandDecoder(pos - 1).decode(code, SoftBlock(y, 0.25))
+                assert out.status == "abandoned" and out.queries == pos - 1
+            hits.append(pos)
+        assert max(hits) > 16  # past the first chunk
+
+    def test_hit_past_the_largest_chunk(self):
+        # chunks stop doubling at 8192 rows, after row 16369; unrelated noise
+        # puts this block's first hit several full chunks beyond that
+        code = sample_rlc(48, 33, seed=27)
+        y = np.random.default_rng(5).normal(size=48)
+        pos, word = orbgrand_first_hit(code, y)
+        assert pos > 16369 + 4 * 8192
+        out = OrbgrandDecoder(10 ** 5).decode(code, SoftBlock(y, 1.0))
+        assert out.status == "decoded" and out.queries == pos
+        assert np.array_equal(out.codeword, word)
+        out = OrbgrandDecoder(pos - 1).decode(code, SoftBlock(y, 1.0))
+        assert out.status == "abandoned" and out.queries == pos - 1
 
     def test_determinism(self, rng):
         code = sample_rlc(24, 18, seed=12)

@@ -5,7 +5,7 @@ from noisecycle import (CodeSpec, CrcSpec, SparseParityCheck,
                         code_from_parity_check, crc_check, crc_encode, encode,
                         ml_decode_bruteforce, parse_alist, sample_regular_ldpc,
                         sample_rlc, serialize_alist, syndrome)
-from noisecycle.gf2 import AlistError, gf2_rank, pack_columns
+from noisecycle.gf2 import AlistError, gf2_rank, pack_columns, pack_rows
 
 from conftest import crc_longdivision, enumerate_codebook, mod2
 
@@ -248,6 +248,25 @@ class TestDerivedLayouts:
         assert masks is code.column_masks
         assert masks == pack_columns(code.parity_check)
         assert sample_rlc(16, 11, seed=3).column_masks is not masks
+
+    @pytest.mark.parametrize("n, k, crc, words", [
+        (16, 11, None, 1),
+        (16, 11, CrcSpec(2, "111"), 1),
+        (72, 4, None, 2),   # 68 checks: two words per column
+        (12, 12, None, 0),  # no checks at all
+    ])
+    def test_column_words_cached_per_code(self, n, k, crc, words):
+        code = sample_rlc(n, k, seed=3, crc=crc)
+        assert "column_words" not in vars(code)  # built on first use
+        packed = code.column_words
+        assert packed is code.column_words
+        assert packed.dtype == np.uint64 and packed.shape == (n + 1, words)
+        assert np.array_equal(packed[:n], pack_rows(code.membership_check.T))
+        assert not packed[n].any()
+        # bit r % 64 of word r // 64 in row j is M[r, j]
+        rows = np.arange(code.membership_check.shape[0])
+        bits = (packed[:n, rows // 64] >> (rows % 64).astype(np.uint64)) & np.uint64(1)
+        assert np.array_equal(bits.T, code.membership_check)
 
     def test_tanner_layout_cached_per_parity_check(self):
         code = sample_regular_ldpc(12, 3, 6, seed=2)

@@ -1,5 +1,6 @@
-"""Property tests: decoders against the ML oracle, recycling against
-independent decoding, and the CSV round trip, over generated inputs."""
+"""Property tests: decoders against the ML and rank-stream oracles,
+recycling against independent decoding, and the CSV round trip, over
+generated inputs."""
 
 import numpy as np
 from hypothesis import given, strategies as st
@@ -10,15 +11,16 @@ from noisecycle import (BlerPoint, CrcSpec, OrbgrandDecoder, PipelineConfig,
 from noisecycle.harness import csv_text, parse_csv
 from noisecycle.ordering import RecyclingPlan
 
+from conftest import orbgrand_first_hit
 from test_pipeline import make_outputs
 
 seeds = st.integers(0, 2 ** 32 - 1)
 
 
 @st.composite
-def crc_codes(draw):
-    """A random rlc[n, k] code, n <= 10, with a random CRC of degree < k."""
-    n = draw(st.integers(3, 10))
+def crc_codes(draw, max_n=10):
+    """A random rlc[n, k] code, n <= max_n, with a random CRC of degree < k."""
+    n = draw(st.integers(3, max_n))
     k = draw(st.integers(2, n))
     degree = draw(st.integers(1, k - 1))
     tail = draw(st.lists(st.sampled_from("01"), min_size=degree, max_size=degree))
@@ -33,6 +35,22 @@ def test_sgrandab_is_ml_with_any_crc(code, seed):
     out = SgrandabDecoder(2 ** code.n).decode(code, SoftBlock(y, 1.0))
     assert out.status == "decoded"
     assert np.array_equal(out.codeword, ml_decode_bruteforce(code, y))
+
+
+@given(code=crc_codes(max_n=12), seed=seeds, data=st.data())
+def test_orbgrand_stops_at_first_hit_of_rank_stream(code, seed, data):
+    y = np.random.default_rng(seed).normal(size=code.n)
+    pos, word = orbgrand_first_hit(code, y)
+    cap = data.draw(st.integers(1, 2 ** code.n), label="cap")
+    out = OrbgrandDecoder(cap).decode(code, SoftBlock(y, 1.0))
+    if cap >= pos:
+        assert (out.status, out.queries) == ("decoded", pos)
+        assert np.array_equal(out.codeword, word)
+    else:
+        assert (out.status, out.queries, out.codeword) == ("abandoned", cap, None)
+    if pos > 1:  # one query short of the hit: give up at the cap
+        out = OrbgrandDecoder(pos - 1).decode(code, SoftBlock(y, 1.0))
+        assert (out.status, out.queries, out.codeword) == ("abandoned", pos - 1, None)
 
 
 @given(m=st.integers(2, 3), rho=st.floats(-0.9, 0.9), sigma2=st.floats(0.2, 1.5),
