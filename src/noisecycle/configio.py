@@ -87,11 +87,11 @@ def field_keys(cls: type) -> tuple[list[str], list[str]]:
 
 
 _KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false",
-               str: "a string", list: "a list"}
+               str: "a string", list: "a list", dict: "an object"}
 
 
 def checked(value: Any, key: str, kind: type) -> Any:
-    """``value`` if it is a ``kind`` (int, float, bool or str), else
+    """``value`` if it is a ``kind`` (int, float, bool, str or dict), else
     ``ValueError`` naming ``key``.  A bool is not an int here, and a float
     kind means a number: an int or a float."""
     accepted = (int, float) if kind is float else kind

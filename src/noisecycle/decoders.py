@@ -30,6 +30,11 @@ ORBGRAND reads the rank stream from a per-process matrix for each n: int16
 all-zero row of the code's ``uint64`` ``column_words``.  The matrix grows by
 doubling, but never past the largest ``max_queries`` that asked for it.
 
+BpDecoder iterates on the code's ``TannerLayout``: one gather through its
+(d_max, m_rows) slot table, prefix and suffix ``cumprod`` down the slots,
+one scatter and ``np.bincount`` column sums.  It stops once every sparse
+row has even parity, and then accepts on the packed membership check.
+
 All decoders are pure given their inputs.  The rank matrices, and the
 membership checks, packed columns and Tanner-graph layouts that codes build
 on first use, are not guarded by a lock, so share work across processes
@@ -315,9 +320,9 @@ class BpDecoder:
 
     Check messages use the tanh rule with leave-one-out products computed
     by exclusive prefix/suffix scans (no divisions).  Exits as soon as the
-    hard decision satisfies every parity check, as ``decoded`` if it also
-    passes the membership check and ``crc_failed`` if not; ``queries`` is the
-    iteration count, at most ``max_iters``.
+    hard decision satisfies every row of ``code.sparse``, as ``decoded`` if
+    it also passes the membership check and ``crc_failed`` if not;
+    ``queries`` is the iteration count, at most ``max_iters``.
     """
 
     max_iters: int = 50
@@ -329,31 +334,28 @@ class BpDecoder:
         if code.sparse is None:
             raise ValueError("BpDecoder needs a code with a sparse parity check")
         lay = code.sparse.tanner
-        llr = llrs(soft)
-        v2c = llr[lay.ecol]
+        slots, ecol, n_edges = lay.slots, lay.ecol, lay.n_edges
+        llr = np.append(llrs(soft), 0.0)  # position n pads slot_cols; it is never < 0
+        t = np.ones(n_edges + 1)  # element n_edges pads every check with 1.0
+        c2v = np.empty(n_edges + 1)  # element n_edges takes the pads' messages
+        trow = np.ones((slots.shape[0] + 2, slots.shape[1]))  # slot j in row j + 1
+        v2c = llr[ecol]
 
         for it in range(1, self.max_iters + 1):
-            t = np.tanh(0.5 * v2c)
-            trow = np.ones_like(lay.row_slots, dtype=float)
-            trow[lay.valid] = t[lay.row_slots[lay.valid]]
-            cp = np.cumprod(trow, axis=1)
-            prefix = np.concatenate([np.ones((trow.shape[0], 1)), cp[:, :-1]], axis=1)
-            rcp = np.cumprod(trow[:, ::-1], axis=1)[:, ::-1]
-            suffix = np.concatenate([rcp[:, 1:], np.ones((trow.shape[0], 1))], axis=1)
-            loo = (prefix * suffix)[lay.valid]
-            c2v_slots = 2.0 * np.arctanh(np.clip(loo, -_ATANH_LIM, _ATANH_LIM))
-            c2v = np.empty(lay.n_edges)
-            c2v[lay.row_slots[lay.valid]] = c2v_slots
-
-            col_sum = np.zeros(code.n)
-            np.add.at(col_sum, lay.ecol, c2v)
-            total = llr + col_sum
-            hard = (total < 0).astype(np.uint8)
-            if not ((code.parity_check @ hard) % 2).any():
-                member = not ((code.membership_check @ hard) % 2).any()
-                return (_accept(soft, hard, [], it) if member
-                        else DecodeOutcome(STATUS_CRC_FAILED, it, None))
-            v2c = total[lay.ecol] - c2v
+            np.tanh(0.5 * v2c, out=t[:n_edges])
+            trow[1:-1] = t[slots]
+            # slot j: rows 0..j in order times rows d_max + 1 down to j + 2
+            prefix = np.cumprod(trow, axis=0)[:-2]
+            suffix = np.cumprod(trow[::-1], axis=0)[-3::-1]
+            c2v[slots] = 2.0 * np.arctanh(np.clip(prefix * suffix, -_ATANH_LIM, _ATANH_LIM))
+            total = llr + np.bincount(ecol, weights=c2v[:n_edges], minlength=code.n + 1)
+            hard = total < 0
+            if not np.bitwise_xor.reduce(hard[lay.slot_cols], axis=0).any():
+                hard = hard[:-1].astype(np.uint8)
+                if np.bitwise_xor.reduce(code.column_words[np.flatnonzero(hard)], axis=0).any():
+                    return DecodeOutcome(STATUS_CRC_FAILED, it, None)
+                return _accept(soft, hard, [], it)
+            v2c = total[ecol] - c2v[:n_edges]
 
         return DecodeOutcome(STATUS_ABANDONED, self.max_iters, None)
 

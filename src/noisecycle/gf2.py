@@ -251,25 +251,19 @@ class SparseParityCheck:
 
 
 class TannerLayout:
-    """Edge arrays and padded row-slot table for one sparse parity check."""
+    """Gather tables of the Tanner graph of one sparse parity check.  Edges
+    are numbered row by row, edge ``e`` in column ``ecol[e]``.  Column ``r``
+    of ``slots``, laid out (d_max, m_rows), lists row ``r``'s edges padded
+    with ``n_edges``; ``slot_cols`` holds their columns, padded with ``n``."""
 
     def __init__(self, sparse: SparseParityCheck) -> None:
-        erow, ecol = [], []
-        for r, cols in enumerate(sparse.row_cols):
-            for c in cols:
-                erow.append(r)
-                ecol.append(c)
-        self.erow = np.asarray(erow, dtype=np.int64)
-        self.ecol = np.asarray(ecol, dtype=np.int64)
-        self.n_edges = self.erow.size
-        dmax = max((len(c) for c in sparse.row_cols), default=0)
-        self.row_slots = np.full((sparse.m_rows, dmax), -1, dtype=np.int64)
-        fill = np.zeros(sparse.m_rows, dtype=np.int64)
-        for e in range(self.n_edges):
-            r = self.erow[e]
-            self.row_slots[r, fill[r]] = e
-            fill[r] += 1
-        self.valid = self.row_slots >= 0
+        degrees = np.array([len(cols) for cols in sparse.row_cols], dtype=np.int64)
+        self.ecol = np.array([c for cols in sparse.row_cols for c in cols], dtype=np.int64)
+        self.n_edges = self.ecol.size
+        depth = np.arange(degrees.max(initial=0))[:, None]
+        self.slots = np.where(depth < degrees, np.cumsum(degrees) - degrees + depth,
+                              self.n_edges)
+        self.slot_cols = np.append(self.ecol, sparse.n)[self.slots]
 
 
 class AlistError(ValueError):
@@ -360,7 +354,8 @@ class CodeSpec:
 
     ``generator`` is k x n with full row rank, ``parity_check`` is
     (n - k) x n, and G @ H.T = 0 over GF(2).  ``sparse`` optionally carries
-    a redundant sparse parity-check view for message-passing decoders.
+    a redundant sparse parity-check view for message-passing decoders; its
+    rows span the same space as H's, so its null space is the code.
     When ``crc`` is set, the last ``crc.degree`` bits of every valid message
     are the CRC of the leading payload bits, and ``membership_check`` adds
     the checks that say so.

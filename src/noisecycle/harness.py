@@ -134,19 +134,20 @@ class ExperimentConfig:
         configio.check_keys(raw, "experiment",
                             required=("channel", "codes", "decoders", "sweep"),
                             optional=("pipeline", "base_seed", "output_path"))
-        sweep = dict(raw["sweep"])
+        sweep = dict(configio.checked(raw["sweep"], "sweep", dict))
         configio.check_keys(sweep, "sweep", *configio.field_keys(SweepSpec))
         ebn0_db = tuple(float(x) for x in
                         configio.checked_list(sweep.pop("ebn0_db"), "ebn0_db", float))
         return cls(
-            channel=dict(raw["channel"]),
-            codes=tuple(dict(c) for c in raw["codes"]),
-            decoders=tuple(dict(d) for d in raw["decoders"]),
-            pipeline=dict(raw.get("pipeline", {})),
+            channel=dict(configio.checked(raw["channel"], "channel", dict)),
+            codes=tuple(map(dict, configio.checked_list(raw["codes"], "codes", dict))),
+            decoders=tuple(map(dict, configio.checked_list(raw["decoders"], "decoders", dict))),
+            pipeline=dict(configio.checked(raw.get("pipeline", {}), "pipeline", dict)),
             sweep=SweepSpec(ebn0_db, **{k: configio.checked(v, k, int)
                                         for k, v in sweep.items()}),
             base_seed=configio.checked(raw.get("base_seed", 0), "base_seed", int),
-            output_path=raw.get("output_path"),
+            output_path=(None if raw.get("output_path") is None
+                         else configio.checked(raw["output_path"], "output_path", str)),
         )
 
     def canonical_json(self) -> str:

@@ -71,6 +71,80 @@ def orbgrand_first_hit(code, y) -> tuple[int, np.ndarray]:
     raise AssertionError("no rank set gives an accepted word")
 
 
+def _reference_layout(code):
+    """Edge columns, (m_rows, d_max) row slots padded with -1, and the mask
+    of real slots, for ``code.sparse``."""
+    row_cols = code.sparse.row_cols
+    erow = np.array([r for r, cols in enumerate(row_cols) for _ in cols], dtype=np.int64)
+    ecol = np.array([c for cols in row_cols for c in cols], dtype=np.int64)
+    dmax = max((len(cols) for cols in row_cols), default=0)
+    row_slots = np.full((len(row_cols), dmax), -1, dtype=np.int64)
+    fill = np.zeros(len(row_cols), dtype=np.int64)
+    for e, r in enumerate(erow):
+        row_slots[r, fill[r]] = e
+        fill[r] += 1
+    return ecol, row_slots, row_slots >= 0
+
+
+def _reference_check_messages(n, layout, v2c):
+    """Check-to-variable messages on the edges and their per-column sums."""
+    ecol, row_slots, valid = layout
+    lim = np.nextafter(1.0, 0.0)
+    t = np.tanh(0.5 * v2c)
+    trow = np.ones_like(row_slots, dtype=float)
+    trow[valid] = t[row_slots[valid]]
+    cp = np.cumprod(trow, axis=1)
+    prefix = np.concatenate([np.ones((trow.shape[0], 1)), cp[:, :-1]], axis=1)
+    rcp = np.cumprod(trow[:, ::-1], axis=1)[:, ::-1]
+    suffix = np.concatenate([rcp[:, 1:], np.ones((trow.shape[0], 1))], axis=1)
+    c2v = np.empty(ecol.size)
+    c2v[row_slots[valid]] = 2.0 * np.arctanh(np.clip((prefix * suffix)[valid], -lim, lim))
+    col_sum = np.zeros(n)
+    np.add.at(col_sum, ecol, c2v)
+    return c2v, col_sum
+
+
+def bp_reference(code, soft, max_iters: int) -> DecodeOutcome:
+    """Sum-product decoding in its first vectorised form, the reference for
+    ``BpDecoder``: (m_rows, d_max) row slots padded with -1 and read through
+    boolean masks, exclusive prefix/suffix products by ``cumprod`` along
+    axis 1 over rows padded with ones, ``np.add.at`` column sums, and the
+    dense ``parity_check`` as stop rule.  Every float operation comes in the
+    same order as in the decoder, so outcomes must be equal, not close."""
+    layout = _reference_layout(code)
+    llr = 2.0 * soft.received / soft.noise_variance
+    v2c = llr[layout[0]]
+    for it in range(1, max_iters + 1):
+        c2v, col_sum = _reference_check_messages(code.n, layout, v2c)
+        total = llr + col_sum
+        hard = (total < 0).astype(np.uint8)
+        if not mod2(code.parity_check, hard).any():
+            if mod2(code.membership_check, hard).any():
+                return DecodeOutcome(status="crc_failed", queries=it, codeword=None)
+            return decoded_outcome(hard, soft, it)
+        v2c = total[layout[0]] - c2v
+    return DecodeOutcome(status="abandoned", queries=max_iters, codeword=None)
+
+
+def bp_knife_edge(code, y, sigma2: float, column: int) -> np.ndarray:
+    """``y`` with entry ``column`` set so that its LLR at ``sigma2``, a power
+    of two, cancels the column's first-iteration check messages exactly:
+    the reference's first total there is 0.0, so a message that differs by
+    one ulp flips that hard decision and, most often, the outcome."""
+    layout = _reference_layout(code)
+    _, col_sum = _reference_check_messages(code.n, layout, (2.0 * y / sigma2)[layout[0]])
+    y = np.array(y, dtype=float)
+    y[column] = -col_sum[column] * sigma2 / 2.0
+    return y
+
+
+def outcome_key(out: DecodeOutcome) -> tuple:
+    """Everything a decode reports, in a form compared with ``==``: status,
+    query count, noise NLL and the codeword's dtype and bytes."""
+    word = None if out.codeword is None else (out.codeword.dtype.str, out.codeword.tobytes())
+    return out.status, out.queries, out.noise_nll, word
+
+
 def enumerate_codebook(generator: np.ndarray) -> np.ndarray:
     """All codewords by explicit message loop (message index i -> bits LSB first)."""
     k, n = generator.shape

@@ -161,6 +161,9 @@ class TestBlerCommand:
         (lambda c: c["codes"].__setitem__(0, {"type": "alist", "alist_path": "missing.alist"}),
          ["channel 1", "alist_path 'missing.alist'"]),
         (lambda c: c["pipeline"].update(parents=[5]), ["parents", "[0, 1]"]),
+        (lambda c: c.update(channel=5), ["channel must be an object, got 5"]),
+        (lambda c: c.update(codes=3), ["codes must be a list, got 3"]),
+        (lambda c: c.update(sweep=[1]), ["sweep must be an object, got [1]"]),
     ])
     def test_bad_descriptor_exits_before_any_trial(self, tmp_path, edit, named):
         config = {

@@ -11,7 +11,7 @@ from noisecycle import (BpDecoder, CodeSpec, CrcSpec, OrbgrandDecoder,
 from noisecycle import decoders
 from noisecycle.decoders import orbgrand_rank_patterns
 
-from conftest import mod2, orbgrand_first_hit
+from conftest import bp_knife_edge, bp_reference, mod2, orbgrand_first_hit, outcome_key
 
 
 class TestLlrs:
@@ -302,6 +302,15 @@ class TestBpDecode:
         assert out.status == "crc_failed" and out.queries == 1
         assert out.codeword is None
 
+    def test_never_accepts_a_word_outside_the_code(self):
+        # a sparse view missing a row of H stops on a word H rejects
+        from noisecycle.gf2 import SparseParityCheck, gf2_nullspace
+        h = np.array([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]], dtype=np.uint8)
+        code = CodeSpec(n=4, k=1, generator=gf2_nullspace(h), parity_check=h,
+                        sparse=SparseParityCheck.from_dense(h[:2]))
+        out = BpDecoder(5).decode(code, SoftBlock(np.array([-1.0, -1.0, -1.0, 1.0]), 1.0))
+        assert out.status == "crc_failed" and out.queries == 1
+
     def test_requires_sparse_parity_check(self):
         code = sample_rlc(8, 4, seed=14)
         with pytest.raises(ValueError):
@@ -314,6 +323,42 @@ class TestBpDecode:
         assert out.queries <= 5
         if out.status != "decoded":
             assert out.codeword is None
+
+    # n = 10: rows of degree 5, 3, 0, 1 and 6; column 10 is in no row
+    IRREGULAR_ALIST = ("10 5\n2 6\n2 2 2 2 1 2 1 2 1 0\n5 3 0 1 6\n"
+                       "1 5\n1 2\n1 5\n2 5\n1\n2 5\n4\n1 5\n5\n0\n"
+                       "1 2 3 5 8\n2 4 6\n0\n7\n1 3 4 6 8 9\n")
+
+    def test_equals_reference_on_alist_crc_and_degenerate_codes(self, rng):
+        from noisecycle import code_from_parity_check, parse_alist
+        alist = parse_alist(self.IRREGULAR_ALIST)
+        empty = parse_alist("6 3\n0 0\n" + " ".join(["0"] * 6) + "\n0 0 0\n" + "0\n" * 9)
+        codes = [sample_regular_ldpc(96, 3, 6, seed=13),
+                 sample_regular_ldpc(96, 3, 6, seed=13, crc=CrcSpec(8, "100000111")),
+                 code_from_parity_check(alist),
+                 code_from_parity_check(alist, crc=CrcSpec(3, "1011")),
+                 code_from_parity_check(empty)]
+        statuses = set()
+        for code in codes:
+            for sigma2 in (0.3, 0.8, 2.0):
+                for _ in range(20):
+                    message = rng.integers(0, 2, size=code.payload_bits, dtype=np.uint8)
+                    if code.crc is not None:
+                        message = crc_encode(code.crc, message)
+                    y = (modulate_bpsk(encode(code, message))
+                         + math.sqrt(sigma2) * rng.normal(size=code.n))
+                    soft = SoftBlock(y, sigma2)
+                    for cap in (3, 50):
+                        out = BpDecoder(cap).decode(code, soft)
+                        assert outcome_key(out) == outcome_key(bp_reference(code, soft, cap))
+                        statuses.add(out.status)
+            # on the last word received, one ulp of message difference flips
+            # a knife-edge hard decision
+            for column in range(code.n):
+                soft = SoftBlock(bp_knife_edge(code, y, 0.5, column), 0.5)
+                out = BpDecoder(10).decode(code, soft)
+                assert outcome_key(out) == outcome_key(bp_reference(code, soft, 10))
+        assert statuses == {"decoded", "crc_failed", "abandoned"}
 
     @pytest.mark.slow
     def test_moderate_snr_regression(self, rng):

@@ -145,14 +145,21 @@ class TestSweepControl:
 
     def test_worker_count_does_not_change_results(self, tmp_path):
         # built plans and settings reach the workers by pickling the config
-        for name, pipeline in (
-                ("independent", {"mode": "independent"}),
-                ("pinned", {"mode": "static", "parents": [2, 0]}),
-                ("dynamic", {"mode": "dynamic", "confidence_metric": "noise_nll",
-                             "rerecycle": True})):
+        dynamic = {"mode": "dynamic", "confidence_metric": "noise_nll", "rerecycle": True}
+        bp_ldpc = dict(  # BP builds each code's Tanner layout in the process that decodes
+            codes=tuple({"type": "ldpc", "n": 48, "col_weight": 3, "row_weight": 6,
+                         "seed": seed, "crc_polynomial": "10011"} for seed in (1, 2)),
+            decoders=({"type": "bp", "max_iters": 20},) * 2, pipeline=dynamic,
+            sweep=SweepSpec(ebn0_db=(1.5, 2.5), min_trials=60, max_trials=240,
+                            min_block_errors=10))
+        for name, overrides in (
+                ("independent", {"pipeline": {"mode": "independent"}}),
+                ("pinned", {"pipeline": {"mode": "static", "parents": [2, 0]}}),
+                ("dynamic", {"pipeline": dynamic}),
+                ("bp", bp_ldpc)):
             out1, out2 = tmp_path / f"{name}1.csv", tmp_path / f"{name}3.csv"
-            run_bler_sweep(tiny_config(pipeline=pipeline), workers=1, output_path=out1)
-            run_bler_sweep(tiny_config(pipeline=pipeline), workers=3, output_path=out2)
+            run_bler_sweep(tiny_config(**overrides), workers=1, output_path=out1)
+            run_bler_sweep(tiny_config(**overrides), workers=3, output_path=out2)
             assert out1.read_bytes() == out2.read_bytes()
             assert (tmp_path / f"{name}1.csv.meta.json").read_bytes() == \
                 (tmp_path / f"{name}3.csv.meta.json").read_bytes()
@@ -363,6 +370,15 @@ class TestValidation:
         ({("channel", "sigma2"): [1.0, False]}, r"sigma2 entry must be a number, got False"),
         ({("channel", "power"): True}, r"power must be a number, got True"),
         ({("channel", "power"): [1.0, "2"]}, r"power entry must be a number, got '2'"),
+        # sections of the wrong shape
+        ({("channel",): 5}, r"channel must be an object, got 5"),
+        ({("sweep",): [1]}, r"sweep must be an object, got \[1\]"),
+        ({("pipeline",): "static"}, r"pipeline must be an object, got 'static'"),
+        ({("codes",): 3}, r"codes must be a list, got 3"),
+        ({("codes", 1): [32, 26]}, r"codes entry must be an object, got \[32, 26\]"),
+        ({("decoders",): {"type": "orbgrand"}}, r"decoders must be a list, got \{'type'"),
+        ({("decoders", 0): "orbgrand"}, r"decoders entry must be an object, got 'orbgrand'"),
+        ({("output_path",): 5}, r"output_path must be a string, got 5"),
     ])
     def test_bad_input_fails_at_construction(self, edits, pattern, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

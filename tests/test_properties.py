@@ -1,17 +1,22 @@
-"""Property tests: decoders against the ML and rank-stream oracles,
-recycling against independent decoding, and the CSV round trip, over
-generated inputs."""
+"""Property tests: decoders against the ML, rank-stream and BP reference
+oracles, recycling against independent decoding and the LLSE residual,
+the plan solver against brute force under ties, and the CSV round trip,
+over generated inputs."""
 
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from noisecycle import (BlerPoint, CrcSpec, OrbgrandDecoder, PipelineConfig,
-                        SgrandabDecoder, SoftBlock, build_gm_model,
-                        ml_decode_bruteforce, run_block, sample_rlc)
+from noisecycle import (BlerPoint, BpDecoder, ChannelModel, CrcSpec, NoiseEstimate,
+                        OrbgrandDecoder, PipelineConfig, RecycleGraph, SgrandabDecoder,
+                        SoftBlock, brute_force_plan, build_gm_model, code_from_parity_check,
+                        crc_encode, encode, llse_update, max_arborescence,
+                        ml_decode_bruteforce, modulate_bpsk, run_block, sample_noise,
+                        sample_rlc)
+from noisecycle.gf2 import gf2_rank
 from noisecycle.harness import csv_text, parse_csv
 from noisecycle.ordering import RecyclingPlan
 
-from conftest import orbgrand_first_hit
+from conftest import bp_knife_edge, bp_reference, orbgrand_first_hit, outcome_key
 from test_pipeline import make_outputs
 
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -53,6 +58,57 @@ def test_orbgrand_stops_at_first_hit_of_rank_stream(code, seed, data):
         assert (out.status, out.queries, out.codeword) == ("abandoned", pos - 1, None)
 
 
+@st.composite
+def sparse_codes(draw, max_n=24):
+    """A code on a random sparse H with n <= max_n columns: irregular rows,
+    some of degree 0 or 1, and columns that may be in no row, with or
+    without a random CRC of degree < k."""
+    n = draw(st.integers(2, max_n))
+    rng = np.random.default_rng(draw(seeds))
+    h = (rng.random((draw(st.integers(1, n - 1)), n))
+         < draw(st.floats(0.1, 0.5))).astype(np.uint8)
+    rows = draw(st.lists(st.integers(0, len(h) - 1), max_size=3))
+    for r, degree in zip(rows, draw(st.lists(st.integers(0, 1), min_size=len(rows),
+                                             max_size=len(rows)))):
+        h[r] = 0
+        h[r, rng.integers(n, size=degree)] = 1
+    k = n - gf2_rank(h)
+    crc = None
+    if k > 1 and draw(st.booleans()):
+        degree = draw(st.integers(1, k - 1))
+        crc = CrcSpec(degree, "1" + "".join(map(str, rng.integers(0, 2, degree))))
+    return code_from_parity_check(h, crc=crc)
+
+
+@settings(max_examples=300)
+@given(code=sparse_codes(), seed=seeds, sigma2=st.floats(0.05, 4.0),
+       max_iters=st.integers(1, 40))
+def test_bp_equals_reference_exactly(code, seed, sigma2, max_iters):
+    rng = np.random.default_rng(seed)
+    message = rng.integers(0, 2, size=code.payload_bits, dtype=np.uint8)
+    if code.crc is not None:
+        message = crc_encode(code.crc, message)
+    y = modulate_bpsk(encode(code, message)) + np.sqrt(sigma2) * rng.normal(size=code.n)
+    soft = SoftBlock(y, sigma2)
+    out = BpDecoder(max_iters).decode(code, soft)
+    assert outcome_key(out) == outcome_key(bp_reference(code, soft, max_iters))
+
+
+@given(code=sparse_codes(), seed=seeds, sigma2=st.sampled_from([0.5, 1.0, 2.0]))
+def test_bp_equals_reference_on_knife_edges(code, seed, sigma2):
+    # at each column in turn, one ulp of difference in the first iteration's
+    # messages decides the hard decision
+    rng = np.random.default_rng(seed)
+    message = rng.integers(0, 2, size=code.payload_bits, dtype=np.uint8)
+    if code.crc is not None:
+        message = crc_encode(code.crc, message)
+    y = modulate_bpsk(encode(code, message)) + 0.5 * rng.normal(size=code.n)
+    for column in range(code.n):
+        soft = SoftBlock(bp_knife_edge(code, y, sigma2, column), sigma2)
+        out = BpDecoder(20).decode(code, soft)
+        assert outcome_key(out) == outcome_key(bp_reference(code, soft, 20))
+
+
 @given(m=st.integers(2, 3), rho=st.floats(-0.9, 0.9), sigma2=st.floats(0.2, 1.5),
        code_seed=st.integers(0, 1000), seed=seeds)
 def test_all_zero_node_plan_decodes_independently(m, rho, sigma2, code_seed, seed):
@@ -72,6 +128,47 @@ def test_all_zero_node_plan_decodes_independently(m, rho, sigma2, code_seed, see
         assert (a.codeword is None) == (b.codeword is None)
         if a.codeword is not None:
             assert np.array_equal(a.codeword, b.codeword)
+
+
+@given(m=st.integers(2, 4), rho=st.floats(-0.95, 0.95),
+       sigma2=st.lists(st.floats(0.1, 4.0), min_size=4, max_size=4), seed=seeds,
+       data=st.data())
+def test_llse_with_perfect_estimate_leaves_residual_noise(m, rho, sigma2, seed, data):
+    model = ChannelModel(m=m, sigma2=np.array(sigma2[:m]), power=np.ones(m),
+                         corr=build_gm_model(m, rho, 1.0).corr)
+    i, j = data.draw(st.permutations(range(m)), label="source, target")[:2]
+    rng = np.random.default_rng(seed)
+    z = sample_noise(model, 32, rng).samples
+    x = modulate_bpsk(rng.integers(0, 2, size=(m, 32)))
+    rho_ij = model.corr[i, j] * np.sqrt(model.sigma2[j] / model.sigma2[i])
+    residual = z[j] - rho_ij * z[i]
+    perfect = NoiseEstimate(z[i], source_channel=i)
+    assert np.array_equal(llse_update(z[j], perfect, model, j), residual)
+    # on a received word the only extra error is rounding the symbol in and out
+    recycled = llse_update(x[j] + z[j], perfect, model, j)
+    assert np.allclose(recycled - x[j], residual, rtol=0.0, atol=1e-12)
+
+
+@st.composite
+def tied_graphs(draw):
+    """A recycle graph on 2..5 channels whose weights come from four dyadic
+    values, so many plans tie and every total is an exact sum; a cross
+    edge may be absent."""
+    m = draw(st.integers(2, 5))
+    w = np.full((m + 1, m + 1), np.nan)
+    for i in range(m + 1):
+        for j in range(1, m + 1):
+            if i != j:
+                w[i, j] = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0] + [np.nan] * (i > 0)))
+    return RecycleGraph(node_count=m + 1, weights=w)
+
+
+@given(tied_graphs())
+def test_max_arborescence_total_equals_brute_force_under_ties(graph):
+    plan, best = max_arborescence(graph), brute_force_plan(graph)
+    edges = [graph.weights[p, ch] for ch, p in enumerate(plan.parent, start=1)]
+    assert not np.isnan(edges).any()  # RecyclingPlan itself rejects cycles
+    assert plan.total_snr == sum(edges) == best.total_snr
 
 
 def six_digits(x: float) -> float:
