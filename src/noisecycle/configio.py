@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -93,10 +94,13 @@ _KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false",
 def checked(value: Any, key: str, kind: type) -> Any:
     """``value`` if it is a ``kind`` (int, float, bool, str or dict), else
     ``ValueError`` naming ``key``.  A bool is not an int here, and a float
-    kind means a number: an int or a float."""
+    kind means a finite number: an int or a float, but not the ``NaN`` or
+    ``Infinity`` that JSON readers accept."""
     accepted = (int, float) if kind is float else kind
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise ValueError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value!r}")
     return value
 
 

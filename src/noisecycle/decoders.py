@@ -1,6 +1,8 @@
 """Soft-decision decoders: ORBGRAND, SGRANDAB, and belief propagation.
 
-A decoder is any object with ``decode(code, soft) -> DecodeOutcome``.  The
+A decoder is any object with ``decode(code, soft) -> DecodeOutcome``; it
+may add ``decode_batch(code, received, variances)``, which decodes the rows
+of a (B, n) array exactly as ``decode`` would, one outcome per row.  The
 three here are frozen dataclasses whose fields are their configuration,
 ``OrbgrandDecoder(max_queries)``, ``SgrandabDecoder(max_queries)`` and
 ``BpDecoder(max_iters=50)``; each rejects a limit below 1 when built.
@@ -22,7 +24,10 @@ pattern orderings are deterministic:
   by size then lexicographically.  Rank sets of a given weight are the
   partitions of that weight into distinct parts <= n.  The order is the
   same for every block, so ORBGRAND checks it in chunks that double in
-  length, one array operation per chunk.
+  length, one array operation per chunk.  Its ``decode_batch`` takes the
+  LLRs, orders and base syndromes of all rows at once and accepts every
+  row whose hard decision is a codeword at query 1 in one step; ``decode``
+  is a batch of one.
 
 SGRANDAB walks its heap with the code's Python-int ``column_masks``.
 ORBGRAND reads the rank stream from a per-process matrix for each n: int16
@@ -188,24 +193,32 @@ def _chained(patterns: Iterator[tuple[int, ...]], sizes: list[int]) -> Iterator[
         yield from pattern
 
 
-def _hard_and_order(soft: SoftBlock):
-    """The hard decision, positions by ascending reliability (rank r at
-    ``order[r - 1]``, ties by position) and the reliabilities."""
-    llr = llrs(soft)
-    reliab = np.abs(llr)
-    return (llr < 0).astype(np.uint8), np.argsort(reliab, kind="stable"), reliab
-
-
 def _prologue(code: CodeSpec, soft: SoftBlock):
-    """What SGRANDAB starts from: the hard decision, the reliability order,
+    """What SGRANDAB starts from: the hard decision, the positions by
+    ascending reliability (rank r at ``order[r - 1]``, ties by position),
     the sorted reliabilities, the base syndrome and the column masks in
     reliability order."""
-    hard, order, reliab = _hard_and_order(soft)
+    llr = llrs(soft)
+    reliab = np.abs(llr)
+    hard, order = (llr < 0).astype(np.uint8), np.argsort(reliab, kind="stable")
     masks = code.column_masks
     base = 0
     for pos in np.nonzero(hard)[0]:
         base ^= masks[int(pos)]
     return hard, order, reliab[order], base, [masks[int(p)] for p in order]
+
+
+def _decoded(received: np.ndarray, variances: np.ndarray, words: np.ndarray,
+             queries) -> list[DecodeOutcome]:
+    """Row i of ``words`` as a decoded outcome of ``queries[i]`` queries, with
+    the noise NLL of ``received[i]`` at ``variances[i]``.  The logarithm is
+    ``math.log``, whose last bit can differ from ``np.log``'s."""
+    z = received - (1.0 - 2.0 * words.astype(float))
+    scaled = np.sum(z * z, axis=1) / (2.0 * variances)
+    half_n = received.shape[1] * 0.5
+    return [DecodeOutcome(status=STATUS_DECODED, queries=int(q), codeword=w,
+                          noise_nll=float(s + half_n * math.log(2.0 * math.pi * v)))
+            for w, q, s, v in zip(words, queries, scaled, variances.tolist())]
 
 
 def _accept(soft: SoftBlock, hard: np.ndarray, flips: np.ndarray | list[int],
@@ -214,12 +227,8 @@ def _accept(soft: SoftBlock, hard: np.ndarray, flips: np.ndarray | list[int],
     outcome."""
     candidate = hard.copy()
     candidate[flips] ^= 1
-    z = soft.received - (1.0 - 2.0 * candidate.astype(float))
-    sigma2 = soft.noise_variance
-    nll = float(np.sum(z * z) / (2.0 * sigma2)
-                + z.size * 0.5 * math.log(2.0 * math.pi * sigma2))
-    return DecodeOutcome(status=STATUS_DECODED, queries=queries,
-                         codeword=candidate, noise_nll=nll)
+    return _decoded(soft.received[None], np.array([soft.noise_variance]),
+                    candidate[None], [queries])[0]
 
 
 def _check_limit(name: str, value: int) -> None:
@@ -237,13 +246,41 @@ class OrbgrandDecoder:
         _check_limit("max_queries", self.max_queries)
 
     def decode(self, code: CodeSpec, soft: SoftBlock) -> DecodeOutcome:
-        hard, order, _ = _hard_and_order(soft)
-        n, cap = code.n, self.max_queries
-        words = code.column_words
-        base = np.bitwise_xor.reduce(words[np.flatnonzero(hard)], axis=0)
+        return self.decode_batch(code, soft.received[None],
+                                 np.array([soft.noise_variance]))[0]
+
+    def decode_batch(self, code: CodeSpec, received: np.ndarray,
+                     variances: np.ndarray) -> list[DecodeOutcome]:
+        """Decode row i of ``received`` (B, n) at noise variance
+        ``variances[i]``, exactly as ``decode`` would, one outcome per row.
+
+        LLRs, reliability orders and base syndromes are computed for all
+        rows at once, and every row whose hard decision is accepted decodes
+        at query 1 together; only the others walk the rank stream, one row
+        at a time."""
+        n, words = code.n, code.column_words
+        llr = 2.0 * received / variances[:, None]
+        hard = (llr < 0).astype(np.uint8)
+        order = np.argsort(np.abs(llr), axis=1, kind="stable")
+        base = np.bitwise_xor.reduce(words[np.where(hard, np.arange(n), n)], axis=1)
+        queries = np.ones(len(hard), dtype=np.int64)
+        found = ~base.any(axis=1)
+        for i in np.flatnonzero(~found):
+            queries[i], flips = self._search(words, order[i], base[i])
+            if flips is not None:
+                hard[i, flips] ^= 1
+                found[i] = True
+        decoded = iter(_decoded(received[found], variances[found], hard[found],
+                                queries[found]))
+        return [next(decoded) if ok else DecodeOutcome(STATUS_ABANDONED, int(q), None)
+                for ok, q in zip(found.tolist(), queries)]
+
+    def _search(self, words: np.ndarray, order: np.ndarray, base: np.ndarray):
+        """(queries spent, positions to flip) of the first rank set after the
+        empty one whose flips zero the syndrome ``base``; (queries, None)
+        when the cap or the stream runs out first."""
+        n, cap = len(order), self.max_queries
         queries, size = 1, 16
-        if not base.any():
-            return _accept(soft, hard, [], queries)
         ranked = words[np.append(order, n)]  # row r: 0-based rank r; row n: zero
         # every block walks the same stream: check it in chunks that double,
         # since most decodes stop within a few dozen queries, up to 8192 rows,
@@ -257,10 +294,9 @@ class OrbgrandDecoder:
             hits = np.flatnonzero(~syndromes.any(axis=1))
             if hits.size:
                 flips = rows[queries + hits[0]]
-                return _accept(soft, hard, order[flips[flips < n]],
-                               queries + int(hits[0]) + 1)
+                return queries + int(hits[0]) + 1, order[flips[flips < n]]
             queries, size = stop, min(2 * size, 8192)
-        return DecodeOutcome(STATUS_ABANDONED, queries, None)
+        return queries, None
 
 
 @dataclass(frozen=True)

@@ -118,8 +118,11 @@ def pack_rows(mat: np.ndarray) -> np.ndarray:
 
 
 def unpack_words(words: np.ndarray, n: int) -> np.ndarray:
-    flat = np.unpackbits(words.view(np.uint8), bitorder="little")
-    return flat[:n].astype(np.uint8)
+    """The first ``n`` bits of packed rows (``pack_rows``'s layout), as bit
+    vectors stacked like the rows."""
+    bits = np.unpackbits(np.ascontiguousarray(words).view(np.uint8), axis=-1,
+                         bitorder="little")
+    return bits[..., :n]
 
 
 def pack_columns(mat: np.ndarray) -> list[int]:
@@ -193,12 +196,15 @@ def _remainder_matrix(crc: CrcSpec, length: int) -> np.ndarray:
 
 
 def crc_encode(crc: CrcSpec, message) -> np.ndarray:
-    """Append the CRC remainder: returns ``message || remainder``."""
+    """Append the CRC remainder: returns ``message || remainder``, for one
+    message or for messages stacked along leading axes."""
     msg = _as_bits(message)
-    if msg.size == 0:
+    size = msg.shape[-1] if msg.ndim else 0
+    if size == 0:
         raise ValueError("empty message")
-    rem = (msg @ _remainder_matrix(crc, msg.size + crc.degree)[: msg.size]) % 2
-    return np.concatenate([msg, rem.astype(np.uint8)])
+    # uint8 products wrap modulo 256, which keeps their parity
+    rem = (msg @ _remainder_matrix(crc, size + crc.degree)[:size]) % 2
+    return np.concatenate([msg, rem.astype(np.uint8)], axis=-1)
 
 
 def crc_check(crc: CrcSpec, word) -> bool:
@@ -428,12 +434,10 @@ class CodeSpec:
 
 
 def encode(code: CodeSpec, message) -> np.ndarray:
-    """u |-> u G over GF(2)."""
+    """u |-> u G over GF(2), for one message or for messages stacked along
+    leading axes."""
     msg = _as_bits(message, code.k)
-    sel = np.nonzero(msg)[0]
-    if sel.size == 0:
-        return np.zeros(code.n, dtype=np.uint8)
-    words = np.bitwise_xor.reduce(code._packed_g[sel], axis=0)
+    words = np.bitwise_xor.reduce(np.where(msg[..., None], code._packed_g, 0), axis=-2)
     return unpack_words(words, code.n)
 
 

@@ -176,6 +176,12 @@ def max_arborescence(graph: RecycleGraph) -> RecyclingPlan:
     Runs the classic minimum-arborescence contraction algorithm on negated
     weights.  Cycle contraction is iterative with an explicit expansion
     stack, so deep chains cannot hit recursion limits.
+
+    Ties are not broken as :func:`brute_force_plan` breaks them.  Among
+    plans whose totals are equal in exact arithmetic, as on symmetric
+    Gauss-Markov models, it may return one whose floating-point total is
+    1-2 ulps below brute force's: the totals agree to a relative 1e-12, but
+    which of the tied plans runs depends on summation order.
     """
     m = graph.m
     if m == 0:

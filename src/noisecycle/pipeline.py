@@ -3,8 +3,9 @@
 Channels help each other in one way only.  Once channel i is decoded, its
 noise estimate ``z_hat_i = y_i - x_hat_i`` is scaled by ``rho'_{i,j}`` and
 subtracted from channel j's output, and j is decoded from the result at the
-reduced variance ``sigma_j^2 (1 - rho_ij^2)``.  :func:`run_block` schedules
-that step:
+reduced variance ``sigma_j^2 (1 - rho_ij^2)``.  :func:`run_batch` schedules
+that step for a batch of blocks, one row each, and :func:`run_block` is its
+batch of one:
 
 * independent: every channel once, from its raw output;
 * static: in the plan's order, each channel recycling its plan parent;
@@ -22,6 +23,13 @@ that would recycle it decodes its raw output at its raw noise variance.
 The genie switch drops estimates from decodes that disagree with the true
 transmission; it exists for validation experiments that need error-free
 recycling detection and is off everywhere else.
+
+Each step decodes one channel for a set of rows with one call, the
+decoder's ``decode_batch(code, received, variances)`` when it has one and
+``decode`` row by row when it does not.  The recycling arithmetic is the
+elementwise arithmetic of :func:`~noisecycle.recycling.llse_update` and
+:func:`~noisecycle.recycling.estimate_noise`, applied to every row at once,
+so a row decodes exactly as the same block would alone.
 """
 
 from __future__ import annotations
@@ -37,10 +45,9 @@ from .decoders import (METRIC_NOISE_NLL, METRIC_QUERY_COUNT, STATUS_DECODED,
                        DecodeOutcome, SoftBlock, confidence)
 from .gf2 import CodeSpec
 from .ordering import RecyclingPlan
-from .recycling import (NoiseEstimate, effective_variance, estimate_noise,
-                        llse_update)
+from .recycling import effective_variance, normalized_corr
 
-__all__ = ["PipelineConfig", "BlockResult", "run_block"]
+__all__ = ["PipelineConfig", "BlockResult", "run_block", "run_batch"]
 
 MODE_INDEPENDENT = "independent"
 MODE_STATIC = "static"
@@ -81,70 +88,117 @@ class BlockResult:
     queries_spent: tuple[int, ...]  # total queries across all decode attempts
 
 
-class _Block:
-    """One block's decode state: latest outcome, queries spent and usable
-    noise estimate of every channel."""
+def _decode_rows(decoder, code: CodeSpec, received: np.ndarray,
+                 variances: np.ndarray) -> list[DecodeOutcome]:
+    """``decoder.decode_batch`` if it has one, else ``decode`` row by row."""
+    batch = getattr(decoder, "decode_batch", None)
+    if batch is not None:
+        return batch(code, received, variances)
+    return [decoder.decode(code, SoftBlock(received=y, noise_variance=float(v)))
+            for y, v in zip(received, variances)]
 
-    def __init__(self, outputs: ChannelOutput, codes: Sequence[CodeSpec],
-                 decoders: Sequence, model: ChannelModel, genie: bool) -> None:
-        self.outputs, self.codes, self.decoders = outputs, codes, decoders
-        self.model, self.genie = model, genie
-        self.outcomes: list[DecodeOutcome | None] = [None] * model.m
-        self.queries = [0] * model.m
-        self.estimates: list[NoiseEstimate | None] = [None] * model.m
 
-    def correct(self, j: int) -> bool:
-        outcome = self.outcomes[j]
-        truth = (self.outputs.transmitted[j] < 0).astype(np.uint8)
-        return (outcome.status == STATUS_DECODED
-                and bool(np.array_equal(outcome.codeword, truth)))
+class _Batch:
+    """The decode state of B blocks, one row each: every channel's latest
+    outcome and whether it is correct, the queries spent, which channels
+    have a usable noise estimate and the decision it is taken against, and
+    the lead (-1 where there is none)."""
 
-    def decode(self, j: int, source: int | None = None) -> None:
-        """Decode channel ``j``, recycling ``source``'s estimate if it has one.
+    def __init__(self, received: np.ndarray, sent: np.ndarray,
+                 codes: Sequence[CodeSpec], decoders: Sequence, model: ChannelModel,
+                 genie: bool) -> None:
+        rows, m, n = received.shape
+        self.received, self.sent = received, sent
+        self.codes, self.decoders, self.model, self.genie = codes, decoders, model, genie
+        self.outcomes: list[list[DecodeOutcome | None]] = [[None] * rows for _ in range(m)]
+        self.correct = np.zeros((rows, m), dtype=bool)
+        self.queries = np.zeros((rows, m), dtype=np.int64)
+        self.decisions = np.zeros((rows, m, n), dtype=np.uint8)
+        self.usable = np.zeros((rows, m), dtype=bool)
+        self.lead = np.full(rows, -1, dtype=np.int64)
 
-        Records the outcome, adds its queries, and replaces j's estimate
-        with one taken against j's original output, or with None when the
-        decode failed or the genie rejected it.
+    def decode(self, j: int, rows: np.ndarray, source: int | None = None) -> None:
+        """Decode channel ``j`` of ``rows``, recycling ``source``'s estimate
+        in the rows that have one.
+
+        Those rows decode ``y_j - rho'_{source,j} z_hat_source`` at the
+        reduced variance, where ``z_hat_source`` is the source's original
+        output minus its decision; the others decode ``y_j`` at the raw
+        variance.  Each row's outcome, correctness and queries are recorded,
+        and its decision becomes j's estimate, or j has none when the decode
+        failed or the genie rejected it.
         """
-        y = self.outputs.received[j]
+        if not rows.size:
+            return
+        y = self.received[rows, j]
         sigma2 = float(self.model.sigma2[j])
-        est = None if source is None else self.estimates[source]
-        if est is None:
-            soft = SoftBlock(received=y, noise_variance=sigma2)
-        else:
-            var = effective_variance(sigma2, float(self.model.corr[source, j]))
-            soft = SoftBlock(received=llse_update(y, est, self.model, j),
-                             noise_variance=var)
-        outcome = self.decoders[j].decode(self.codes[j], soft)
-        self.outcomes[j] = outcome
-        self.queries[j] += outcome.queries
-        usable = (outcome.status == STATUS_DECODED
-                  and not (self.genie and not self.correct(j)))
-        self.estimates[j] = (estimate_noise(y, modulate_bpsk(outcome.codeword), source=j)
-                             if usable else None)
+        variances = np.full(rows.size, sigma2)
+        if source is not None:
+            hit = self.usable[rows, source]
+            if hit.any():
+                src = rows[hit]
+                z_hat = self.received[src, source] - modulate_bpsk(self.decisions[src, source])
+                y[hit] -= normalized_corr(self.model, source, j) * z_hat
+                variances[hit] = effective_variance(sigma2, float(self.model.corr[source, j]))
+        outcomes = _decode_rows(self.decoders[j], self.codes[j], y, variances)
+        decoded = np.zeros(rows.size, dtype=bool)
+        for i, (row, outcome) in enumerate(zip(rows.tolist(), outcomes)):
+            self.outcomes[j][row] = outcome
+            self.queries[row, j] += outcome.queries
+            decoded[i] = outcome.status == STATUS_DECODED
+        words = np.array([o.codeword for o, ok in zip(outcomes, decoded) if ok])
+        correct = np.zeros(rows.size, dtype=bool)
+        if words.size:
+            correct[decoded] = (words == self.sent[rows[decoded], j]).all(axis=1)
+        self.correct[rows, j] = correct
+        usable = correct if self.genie else decoded
+        self.usable[rows, j] = usable
+        if usable.any():
+            self.decisions[rows[usable], j] = words[usable[decoded]]
 
-    def result(self, lead: int | None) -> BlockResult:
-        return BlockResult(outcomes=tuple(self.outcomes),
-                           correct=tuple(self.correct(j) for j in range(self.model.m)),
-                           lead_channel=lead, queries_spent=tuple(self.queries))
+    def confidence(self, metric: str) -> np.ndarray:
+        """(B, m) confidence of every channel's latest outcome."""
+        return np.array([[confidence(self.outcomes[j][row], metric)
+                          for j in range(self.model.m)] for row in range(len(self.lead))])
+
+    def result(self, row: int) -> BlockResult:
+        lead = int(self.lead[row])
+        return BlockResult(outcomes=tuple(outs[row] for outs in self.outcomes),
+                           correct=tuple(self.correct[row].tolist()),
+                           lead_channel=None if lead < 0 else lead,
+                           queries_spent=tuple(self.queries[row].tolist()))
 
 
 def run_block(config: PipelineConfig, outputs: ChannelOutput,
               codes: Sequence[CodeSpec], decoders: Sequence,
               model: ChannelModel) -> BlockResult:
-    """Decode one block under the configured schedule.
+    """Decode one block under the configured schedule: a batch of one."""
+    sent = (outputs.transmitted < 0).astype(np.uint8)
+    return run_batch(config, outputs.received[None], sent[None], codes, decoders,
+                     model).result(0)
 
-    Dynamic mode leads with the most confident decoding (lowest metric
-    value, ties to the lowest channel index) and re-decodes the others
-    outward from it in index distance (lead+1, lead-1, lead+2, ...).  With
-    every channel undecoded there is no lead and nothing is re-decoded.
+
+def run_batch(config: PipelineConfig, received: np.ndarray, sent: np.ndarray,
+              codes: Sequence[CodeSpec], decoders: Sequence, model: ChannelModel) -> _Batch:
+    """Decode B blocks under the configured schedule, one channel of many
+    rows per decoder call.  ``received`` holds the (B, m, n) channel outputs
+    and ``sent`` the codewords behind them, which only the correctness
+    flags and the genie read.
+
+    Dynamic mode leads each block with its most confident decoding (lowest
+    metric value, ties to the lowest channel index) and re-decodes the
+    others outward from it in index distance (lead+1, lead-1, lead+2, ...).
+    A block with every channel undecoded has no lead and nothing is
+    re-decoded.  Rows are grouped by lead for the re-decodes, and by lead
+    and feedback channel for re-recycling.
     """
     m = model.m
-    block = _Block(outputs, codes, decoders, model, config.genie)
+    batch = _Batch(received, sent, codes, decoders, model, config.genie)
+    every = np.arange(len(received))
     if config.mode == MODE_INDEPENDENT:
         for j in range(m):
-            block.decode(j)
-        return block.result(None)
+            batch.decode(j, every)
+        return batch
 
     if config.mode == MODE_STATIC:
         plan = config.plan
@@ -154,42 +208,45 @@ def run_block(config: PipelineConfig, outputs: ChannelOutput,
             raise ValueError("plan size disagrees with channel model")
         for ch in plan.order:
             parent = plan.parent_of(ch)
-            block.decode(ch - 1, parent - 1 if parent else None)
-        lead = plan.order[0] - 1
-    else:
-        if m < 2:
-            raise ValueError("dynamic recycling needs at least two channels")
-        for j in range(m):
-            block.decode(j)
-        conf = [confidence(o, config.confidence_metric) for o in block.outcomes]
-        if all(c == math.inf for c in conf):
-            return block.result(None)
-        lead = min(range(m), key=lambda i: (conf[i], i))
+            batch.decode(ch - 1, every, parent - 1 if parent else None)
+        batch.lead[:] = lead = plan.order[0] - 1
+        if config.rerecycle:
+            feedback = _plan_feedback(plan, model, lead)
+            if feedback is not None:
+                batch.decode(lead, every[batch.usable[:, feedback]], feedback)
+        return batch
+
+    if m < 2:
+        raise ValueError("dynamic recycling needs at least two channels")
+    for j in range(m):
+        batch.decode(j, every)
+    conf = batch.confidence(config.confidence_metric)
+    led = (conf < math.inf).any(axis=1)
+    batch.lead[led] = conf[led].argmin(axis=1)
+    for lead in sorted(set(batch.lead[led].tolist())):
+        rows = every[batch.lead == lead]
         for step in range(1, max(m - 1 - lead, lead) + 1):
             for target, source in ((lead + step, lead + step - 1),
                                    (lead - step, lead - step + 1)):
                 if 0 <= target < m:
-                    block.decode(target, source)
-
+                    batch.decode(target, rows, source)
     if config.rerecycle:
-        feedback = _feedback_channel(config, block, lead)
-        if feedback is not None and block.estimates[feedback] is not None:
-            block.decode(lead, feedback)
-    return block.result(lead)
+        # feedback: the most confident non-lead, ties to the lowest channel
+        conf = batch.confidence(config.confidence_metric)
+        conf[every[led], batch.lead[led]] = math.inf
+        feedback = conf.argmin(axis=1)
+        go = led & (feedback != batch.lead) & batch.usable[every, feedback]
+        for lead, source in sorted(set(zip(batch.lead[go].tolist(), feedback[go].tolist()))):
+            batch.decode(lead, every[go & (batch.lead == lead) & (feedback == source)],
+                         source)
+    return batch
 
 
-def _feedback_channel(config: PipelineConfig, block: _Block, lead: int) -> int | None:
-    """The channel whose estimate re-recycling feeds back to the lead.
-
-    Static: the lead's plan child with the largest squared correlation to
-    it.  Dynamic: the most confident non-lead.  Ties go to the lowest
-    channel.
-    """
-    if config.mode == MODE_STATIC:
-        children = config.plan.children_of(lead + 1)
-        if not children:
-            return None
-        corr = block.model.corr
-        return min(children, key=lambda ch: (-corr[ch - 1, lead] ** 2, ch)) - 1
-    return min((i for i in range(block.model.m) if i != lead),
-               key=lambda i: (confidence(block.outcomes[i], config.confidence_metric), i))
+def _plan_feedback(plan: RecyclingPlan, model: ChannelModel, lead: int) -> int | None:
+    """The channel whose estimate static re-recycling feeds back to the
+    lead: its plan child with the largest squared correlation to it, ties
+    to the lowest channel."""
+    children = plan.children_of(lead + 1)
+    if not children:
+        return None
+    return min(children, key=lambda ch: (-model.corr[ch - 1, lead] ** 2, ch)) - 1

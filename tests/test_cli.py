@@ -164,6 +164,8 @@ class TestBlerCommand:
         (lambda c: c.update(channel=5), ["channel must be an object, got 5"]),
         (lambda c: c.update(codes=3), ["codes must be a list, got 3"]),
         (lambda c: c.update(sweep=[1]), ["sweep must be an object, got [1]"]),
+        (lambda c: c["sweep"].update(ebn0_db=[float("nan")]),
+         ["ebn0_db entry must be finite, got nan"]),
     ])
     def test_bad_descriptor_exits_before_any_trial(self, tmp_path, edit, named):
         config = {

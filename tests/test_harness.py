@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -152,11 +153,21 @@ class TestSweepControl:
             decoders=({"type": "bp", "max_iters": 20},) * 2, pipeline=dynamic,
             sweep=SweepSpec(ebn0_db=(1.5, 2.5), min_trials=60, max_trials=240,
                             min_block_errors=10))
+        # 250 and 500 trials over 3 workers: chunks of 83 to 167 trials cut
+        # through the harness's batches
+        static_m4 = dict(
+            channel={"m": 4, "mode": "gm", "rho": 0.6},
+            codes=tuple({"type": "rlc", "n": 32, "k": 26, "seed": seed} for seed in range(1, 5)),
+            decoders=({"type": "orbgrand", "max_queries": 2000},) * 4,
+            pipeline={"mode": "static"},
+            sweep=SweepSpec(ebn0_db=(3.0, 4.0), min_trials=250, max_trials=500,
+                            min_block_errors=10))
         for name, overrides in (
                 ("independent", {"pipeline": {"mode": "independent"}}),
                 ("pinned", {"pipeline": {"mode": "static", "parents": [2, 0]}}),
                 ("dynamic", {"pipeline": dynamic}),
-                ("bp", bp_ldpc)):
+                ("bp", bp_ldpc),
+                ("static-m4", static_m4)):
             out1, out2 = tmp_path / f"{name}1.csv", tmp_path / f"{name}3.csv"
             run_bler_sweep(tiny_config(**overrides), workers=1, output_path=out1)
             run_bler_sweep(tiny_config(**overrides), workers=3, output_path=out2)
@@ -379,6 +390,15 @@ class TestValidation:
         ({("decoders",): {"type": "orbgrand"}}, r"decoders must be a list, got \{'type'"),
         ({("decoders", 0): "orbgrand"}, r"decoders entry must be an object, got 'orbgrand'"),
         ({("output_path",): 5}, r"output_path must be a string, got 5"),
+        # JSON's NaN and Infinity are numbers to Python, but not usable ones
+        ({("sweep", "ebn0_db"): [math.nan]}, r"ebn0_db entry must be finite, got nan"),
+        ({("sweep", "ebn0_db"): [3.0, -math.inf]}, r"ebn0_db entry must be finite, got -inf"),
+        ({("channel", "rho"): math.nan}, r"rho must be finite, got nan"),
+        ({("channel",): {"m": 2, "mode": "explicit", "corr": [[1.0, math.nan], [0.5, 1.0]]}},
+         r"corr entry must be finite, got nan"),
+        ({("channel", "sigma2"): [math.nan, 1.0]}, r"sigma2 entry must be finite, got nan"),
+        ({("channel", "sigma2"): math.inf}, r"sigma2 must be finite, got inf"),
+        ({("channel", "power"): [math.inf, 1.0]}, r"power entry must be finite, got inf"),
     ])
     def test_bad_input_fails_at_construction(self, edits, pattern, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

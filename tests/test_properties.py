@@ -4,19 +4,21 @@ the plan solver against brute force under ties, and the CSV round trip,
 over generated inputs."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from noisecycle import (BlerPoint, BpDecoder, ChannelModel, CrcSpec, NoiseEstimate,
-                        OrbgrandDecoder, PipelineConfig, RecycleGraph, SgrandabDecoder,
-                        SoftBlock, brute_force_plan, build_gm_model, code_from_parity_check,
-                        crc_encode, encode, llse_update, max_arborescence,
-                        ml_decode_bruteforce, modulate_bpsk, run_block, sample_noise,
-                        sample_rlc)
+from noisecycle import (BlerPoint, BpDecoder, ChannelModel, CrcSpec, DecodeOutcome,
+                        NoiseEstimate, OrbgrandDecoder, PipelineConfig, RecycleGraph,
+                        SgrandabDecoder, SoftBlock, brute_force_plan, build_gm_model,
+                        build_recycle_graph, code_from_parity_check, crc_encode, encode,
+                        llse_update, max_arborescence, ml_decode_bruteforce, modulate_bpsk,
+                        run_block, sample_noise, sample_rlc)
 from noisecycle.gf2 import gf2_rank
 from noisecycle.harness import csv_text, parse_csv
 from noisecycle.ordering import RecyclingPlan
 
-from conftest import bp_knife_edge, bp_reference, orbgrand_first_hit, outcome_key
+from conftest import (bp_knife_edge, bp_reference, decoded_outcome, orbgrand_first_hit,
+                      outcome_key)
 from test_pipeline import make_outputs
 
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -56,6 +58,57 @@ def test_orbgrand_stops_at_first_hit_of_rank_stream(code, seed, data):
     if pos > 1:  # one query short of the hit: give up at the cap
         out = OrbgrandDecoder(pos - 1).decode(code, SoftBlock(y, 1.0))
         assert (out.status, out.queries, out.codeword) == ("abandoned", pos - 1, None)
+
+
+# variances v at which np.log(2 pi v) and math.log(2 pi v) differ in the
+# last bit with numpy 2.4 on x86-64: a noise NLL that took the other
+# logarithm would show there
+LOG_EDGE_VARIANCES = [0.390347384060337, 6.636084669578364, 8.276825895059087]
+
+
+@st.composite
+def orbgrand_batches(draw):
+    """(code, received rows, per-row variances, cap) for a batch decode: a
+    random rlc code, an n = k code, a tiny code whose rank stream is shorter
+    than the cap, a CRC code, or an rlc[80, 10] whose membership check has
+    70 rows.  Received values are coarse, so reliabilities often tie."""
+    kind = draw(st.sampled_from(["rlc", "full", "tiny", "crc", "wide"]), label="kind")
+    seed = draw(seeds)
+    if kind == "crc":
+        code = draw(crc_codes())
+    elif kind == "wide":
+        code = sample_rlc(80, 10, seed=seed)
+    else:
+        n = draw(st.integers(*{"rlc": (4, 10), "full": (1, 8), "tiny": (1, 3)}[kind]))
+        code = sample_rlc(n, n if kind == "full" else draw(st.integers(1, n)), seed=seed)
+    rng = np.random.default_rng(seed)
+    rows = draw(st.integers(1, 8), label="rows")
+    sent = modulate_bpsk(encode(code, rng.integers(0, 2, size=(rows, code.k))))
+    spread = 0.3 if kind == "wide" else draw(st.sampled_from([0.5, 1.0, 2.0]))
+    received = np.round((sent + spread * rng.normal(size=sent.shape)) * 4) / 4
+    variances = np.array(draw(st.lists(
+        st.sampled_from(LOG_EDGE_VARIANCES) | st.floats(0.05, 10.0),
+        min_size=rows, max_size=rows), label="variances"))
+    top = 2000 if kind == "wide" else 2 ** code.n + 4
+    cap = draw(st.sampled_from([1, top]) | st.integers(1, top), label="cap")
+    return code, received, variances, cap
+
+
+@given(orbgrand_batches())
+def test_orbgrand_batch_rows_decode_like_the_oracle(batch):
+    # every row: the first hit of the rank stream within the cap, scored by
+    # math.log, exactly what decode returns for that row alone
+    code, received, variances, cap = batch
+    decoder = OrbgrandDecoder(cap)
+    outs = decoder.decode_batch(code, received, variances)
+    assert len(outs) == len(received)
+    for out, y, v in zip(outs, received, variances.tolist()):
+        soft = SoftBlock(y, v)
+        pos, word = orbgrand_first_hit(code, y)
+        want = (decoded_outcome(word, soft, pos) if pos <= cap
+                else DecodeOutcome(status="abandoned", queries=cap, codeword=None))
+        assert outcome_key(out) == outcome_key(want)
+        assert outcome_key(decoder.decode(code, soft)) == outcome_key(want)
 
 
 @st.composite
@@ -169,6 +222,16 @@ def test_max_arborescence_total_equals_brute_force_under_ties(graph):
     edges = [graph.weights[p, ch] for ch, p in enumerate(plan.parent, start=1)]
     assert not np.isnan(edges).any()  # RecyclingPlan itself rejects cycles
     assert plan.total_snr == sum(edges) == best.total_snr
+
+
+@given(st.integers(2, 5), st.floats(-0.95, 0.95), st.floats(0.05, 20.0))
+def test_max_arborescence_total_near_brute_force_on_gauss_markov(m, rho, sigma2):
+    # Gauss-Markov weights tie only up to rounding, so the solver may pick
+    # another of the tied plans, but never one that is worse by more than
+    # rounding
+    graph = build_recycle_graph(build_gm_model(m, rho, sigma2))
+    plan, best = max_arborescence(graph), brute_force_plan(graph)
+    assert plan.total_snr == pytest.approx(best.total_snr, rel=1e-12, abs=0)
 
 
 def six_digits(x: float) -> float:
