@@ -3,42 +3,45 @@
 A decoder is any object with ``decode(code, soft) -> DecodeOutcome``; it
 may add ``decode_batch(code, received, variances)``, which decodes the rows
 of a (B, n) array exactly as ``decode`` would, one outcome per row.  The
-three here are frozen dataclasses whose fields are their configuration,
+pipeline calls ``decode`` row by row only for outside decoders without it.
+The three here are frozen dataclasses whose fields are their configuration,
 ``OrbgrandDecoder(max_queries)``, ``SgrandabDecoder(max_queries)`` and
-``BpDecoder(max_iters=50)``; each rejects a limit below 1 when built.
+``BpDecoder(max_iters=50)``; each rejects a limit below 1 when built.  They
+share one frame: ``decode_batch`` takes the LLRs of all rows at once (the
+definition of :func:`llrs`), the decoder turns them into a status, a query
+count and a word per row, and one helper builds the outcomes; ``decode``
+is a batch of one.
 
 The guessing decoders invert putative noise-effect patterns on the hard
 decision, most plausible first, and query codebook membership by one
-syndrome under the code's membership check, whose column masks include the
-CRC's checks when the code carries one.  The first zero syndrome is
-returned together with the number of queries spent, which doubles as a
-decoding-confidence proxy.  Both share one flip-and-accept step; their
-pattern orderings are deterministic:
+syndrome under the code's membership check, which includes the CRC's
+checks when the code carries one.  The first zero syndrome is returned
+together with the number of queries spent, which doubles as a
+decoding-confidence proxy.  Their prologue covers all rows at once: the
+hard decision, a stable ``argsort`` by reliability and the base syndrome
+from ``column_words``.  Rows whose hard decision is accepted decode at
+query 1 together; only the others search, one at a time:
 
 * SGRANDAB enumerates flip sets in exactly nondecreasing sum of flipped
   |LLR| via a priority-queue successor expansion, so an accepted answer is
-  a maximum-likelihood decoding and memory stays O(queries).
+  a maximum-likelihood decoding and memory stays O(queries).  The heap
+  XORs the Python-int ``column_masks``.
 * ORBGRAND (Duffy, ICASSP 2021) ranks positions by ascending |LLR| (rank 1
   = least reliable, ties by position) and sweeps flip sets in nondecreasing
   logistic weight, the sum of flipped ranks; equal-weight sets are ordered
   by size then lexicographically.  Rank sets of a given weight are the
   partitions of that weight into distinct parts <= n.  The order is the
   same for every block, so ORBGRAND checks it in chunks that double in
-  length, one array operation per chunk.  Its ``decode_batch`` takes the
-  LLRs, orders and base syndromes of all rows at once and accepts every
-  row whose hard decision is a codeword at query 1 in one step; ``decode``
-  is a batch of one.
+  length, one array operation per chunk, from a per-process matrix for
+  each n: int16 0-based ranks, one row per rank set, padded with n, which
+  indexes the all-zero row of ``column_words``.  The matrix grows by
+  doubling, but never past the largest ``max_queries`` that asked for it.
 
-SGRANDAB walks its heap with the code's Python-int ``column_masks``.
-ORBGRAND reads the rank stream from a per-process matrix for each n: int16
-0-based ranks, one row per rank set, padded with n, which indexes the
-all-zero row of the code's ``uint64`` ``column_words``.  The matrix grows by
-doubling, but never past the largest ``max_queries`` that asked for it.
-
-BpDecoder iterates on the code's ``TannerLayout``: one gather through its
-(d_max, m_rows) slot table, prefix and suffix ``cumprod`` down the slots,
-one scatter and ``np.bincount`` column sums.  It stops once every sparse
-row has even parity, and then accepts on the packed membership check.
+BpDecoder iterates on the code's ``TannerLayout``, row by row: one gather
+through its (d_max, m_rows) slot table, prefix and suffix ``cumprod`` down
+the slots, one scatter and ``np.bincount`` column sums.  It stops once
+every sparse row has even parity, and then accepts on the packed
+membership check.
 
 All decoders are pure given their inputs.  The rank matrices, and the
 membership checks, packed columns and Tanner-graph layouts that codes build
@@ -51,7 +54,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator
 
 import numpy as np
@@ -115,7 +118,54 @@ class DecodeOutcome:
 
 def llrs(soft: SoftBlock) -> np.ndarray:
     """Bit LLRs 2 y / sigma^2 under the 0 -> +1 map (positive favors 0)."""
-    return 2.0 * soft.received / soft.noise_variance
+    return _llrs(soft.received, np.array(soft.noise_variance))
+
+
+def _llrs(received: np.ndarray, variances: np.ndarray) -> np.ndarray:
+    # rows (..., n) of received values, each at its variance in (...)
+    return 2.0 * received / variances[..., None]
+
+
+class _Decoder:
+    """The frame of a dataclass whose fields are limits of at least 1:
+    ``_decode_llrs(code, llr)`` returns each row's status and query count,
+    and (B, n) words read only in the rows that decoded."""
+
+    def __post_init__(self) -> None:
+        for limit in fields(self):
+            value = getattr(self, limit.name)
+            if value < 1:
+                raise ValueError(f"{limit.name} must be >= 1, got {value!r}")
+
+    def decode(self, code: CodeSpec, soft: SoftBlock) -> DecodeOutcome:
+        return self.decode_batch(code, soft.received[None],
+                                 np.array([soft.noise_variance]))[0]
+
+    def decode_batch(self, code: CodeSpec, received: np.ndarray,
+                     variances: np.ndarray) -> list[DecodeOutcome]:
+        """Decode row i of ``received`` (B, n) at noise variance
+        ``variances[i]``, exactly as ``decode`` would, one outcome per row."""
+        status, queries, words = self._decode_llrs(code, _llrs(received, variances))
+        return _outcomes(received, variances, status, queries, words)
+
+
+def _outcomes(received: np.ndarray, variances: np.ndarray, status: list[str],
+              queries, words: np.ndarray) -> list[DecodeOutcome]:
+    """Row i's outcome: ``status[i]`` after ``queries[i]`` queries, carrying
+    row i of ``words`` and the noise NLL of ``received[i]`` at
+    ``variances[i]`` when decoded.  The logarithm is ``math.log``, whose
+    last bit can differ from ``np.log``'s."""
+    decoded = np.array([s == STATUS_DECODED for s in status], dtype=bool)
+    words, variances = words[decoded], variances[decoded]
+    z = received[decoded] - (1.0 - 2.0 * words.astype(float))
+    scaled = np.sum(z * z, axis=1) / (2.0 * variances)
+    half_n = received.shape[1] * 0.5
+    nll = iter([float(s + half_n * math.log(2.0 * math.pi * v))
+                for s, v in zip(scaled, variances.tolist())])
+    word = iter(words)
+    return [DecodeOutcome(s, int(q), next(word), next(nll)) if ok
+            else DecodeOutcome(s, int(q), None)
+            for s, q, ok in zip(status, queries, decoded.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -193,95 +243,45 @@ def _chained(patterns: Iterator[tuple[int, ...]], sizes: list[int]) -> Iterator[
         yield from pattern
 
 
-def _prologue(code: CodeSpec, soft: SoftBlock):
-    """What SGRANDAB starts from: the hard decision, the positions by
-    ascending reliability (rank r at ``order[r - 1]``, ties by position),
-    the sorted reliabilities, the base syndrome and the column masks in
-    reliability order."""
-    llr = llrs(soft)
-    reliab = np.abs(llr)
-    hard, order = (llr < 0).astype(np.uint8), np.argsort(reliab, kind="stable")
-    masks = code.column_masks
-    base = 0
-    for pos in np.nonzero(hard)[0]:
-        base ^= masks[int(pos)]
-    return hard, order, reliab[order], base, [masks[int(p)] for p in order]
-
-
-def _decoded(received: np.ndarray, variances: np.ndarray, words: np.ndarray,
-             queries) -> list[DecodeOutcome]:
-    """Row i of ``words`` as a decoded outcome of ``queries[i]`` queries, with
-    the noise NLL of ``received[i]`` at ``variances[i]``.  The logarithm is
-    ``math.log``, whose last bit can differ from ``np.log``'s."""
-    z = received - (1.0 - 2.0 * words.astype(float))
-    scaled = np.sum(z * z, axis=1) / (2.0 * variances)
-    half_n = received.shape[1] * 0.5
-    return [DecodeOutcome(status=STATUS_DECODED, queries=int(q), codeword=w,
-                          noise_nll=float(s + half_n * math.log(2.0 * math.pi * v)))
-            for w, q, s, v in zip(words, queries, scaled, variances.tolist())]
-
-
-def _accept(soft: SoftBlock, hard: np.ndarray, flips: np.ndarray | list[int],
-            queries: int) -> DecodeOutcome:
-    """``hard`` with the bits at positions ``flips`` inverted, as a decoded
-    outcome."""
-    candidate = hard.copy()
-    candidate[flips] ^= 1
-    return _decoded(soft.received[None], np.array([soft.noise_variance]),
-                    candidate[None], [queries])[0]
-
-
-def _check_limit(name: str, value: int) -> None:
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value!r}")
-
-
 @dataclass(frozen=True)
-class OrbgrandDecoder:
-    """Logistic-weight-ordered guessing, abandoned after ``max_queries``."""
+class _GuessingDecoder(_Decoder):
+    """The guessing prologue; rows not accepted at query 1 call ``_search``
+    with their positions by ascending reliability (rank r at
+    ``order[r - 1]``), the reliabilities in that order and the packed base
+    syndrome."""
 
     max_queries: int
 
-    def __post_init__(self) -> None:
-        _check_limit("max_queries", self.max_queries)
-
-    def decode(self, code: CodeSpec, soft: SoftBlock) -> DecodeOutcome:
-        return self.decode_batch(code, soft.received[None],
-                                 np.array([soft.noise_variance]))[0]
-
-    def decode_batch(self, code: CodeSpec, received: np.ndarray,
-                     variances: np.ndarray) -> list[DecodeOutcome]:
-        """Decode row i of ``received`` (B, n) at noise variance
-        ``variances[i]``, exactly as ``decode`` would, one outcome per row.
-
-        LLRs, reliability orders and base syndromes are computed for all
-        rows at once, and every row whose hard decision is accepted decodes
-        at query 1 together; only the others walk the rank stream, one row
-        at a time."""
-        n, words = code.n, code.column_words
-        llr = 2.0 * received / variances[:, None]
+    def _decode_llrs(self, code: CodeSpec, llr: np.ndarray):
+        n = code.n
+        reliab = np.abs(llr)
         hard = (llr < 0).astype(np.uint8)
-        order = np.argsort(np.abs(llr), axis=1, kind="stable")
-        base = np.bitwise_xor.reduce(words[np.where(hard, np.arange(n), n)], axis=1)
+        order = np.argsort(reliab, axis=1, kind="stable")
+        base = np.bitwise_xor.reduce(code.column_words[np.where(hard, np.arange(n), n)],
+                                     axis=1)
         queries = np.ones(len(hard), dtype=np.int64)
         found = ~base.any(axis=1)
         for i in np.flatnonzero(~found):
-            queries[i], flips = self._search(words, order[i], base[i])
+            queries[i], flips = self._search(code, order[i], reliab[i, order[i]], base[i])
             if flips is not None:
                 hard[i, flips] ^= 1
                 found[i] = True
-        decoded = iter(_decoded(received[found], variances[found], hard[found],
-                                queries[found]))
-        return [next(decoded) if ok else DecodeOutcome(STATUS_ABANDONED, int(q), None)
-                for ok, q in zip(found.tolist(), queries)]
+        status = [STATUS_DECODED if ok else STATUS_ABANDONED for ok in found.tolist()]
+        return status, queries.tolist(), hard
 
-    def _search(self, words: np.ndarray, order: np.ndarray, base: np.ndarray):
+
+@dataclass(frozen=True)
+class OrbgrandDecoder(_GuessingDecoder):
+    """Logistic-weight-ordered guessing, abandoned after ``max_queries``."""
+
+    def _search(self, code: CodeSpec, order: np.ndarray, reliab: np.ndarray,
+                base: np.ndarray):
         """(queries spent, positions to flip) of the first rank set after the
         empty one whose flips zero the syndrome ``base``; (queries, None)
         when the cap or the stream runs out first."""
         n, cap = len(order), self.max_queries
         queries, size = 1, 16
-        ranked = words[np.append(order, n)]  # row r: 0-based rank r; row n: zero
+        ranked = code.column_words[np.append(order, n)]  # row r: 0-based rank r; row n: zero
         # every block walks the same stream: check it in chunks that double,
         # since most decodes stop within a few dozen queries, up to 8192 rows,
         # which bounds the chunk's temporaries at about 1 MB
@@ -300,7 +300,7 @@ class OrbgrandDecoder:
 
 
 @dataclass(frozen=True)
-class SgrandabDecoder:
+class SgrandabDecoder(_GuessingDecoder):
     """Maximum-likelihood-ordered guessing, abandoned after ``max_queries``.
 
     Flip sets are index sets into the reliability order.  Successor
@@ -310,23 +310,17 @@ class SgrandabDecoder:
     carries its set's syndrome, one or two XORs from its parent's.
     """
 
-    max_queries: int
-
-    def __post_init__(self) -> None:
-        _check_limit("max_queries", self.max_queries)
-
-    def decode(self, code: CodeSpec, soft: SoftBlock) -> DecodeOutcome:
-        hard, order, reliab, base, sorted_masks = _prologue(code, soft)
-        queries = 1
-        if base == 0:
-            return _accept(soft, hard, [], queries)
-
+    def _search(self, code: CodeSpec, order: np.ndarray, reliab: np.ndarray,
+                base: np.ndarray):
         r = reliab.tolist()
-        n = code.n
-        cap = self.max_queries
+        n, cap = len(r), self.max_queries
+        masks = code.column_masks
+        sorted_masks = [masks[p] for p in order.tolist()]
+        # base read as column_masks reads each column's words
+        start = int.from_bytes(base.astype("<u8").tobytes(), "little")
         heappush, heappop = heapq.heappush, heapq.heappop
-        heap = [(r[0], 0, (0,), base ^ sorted_masks[0])] if n else []
-        seq = 1
+        heap = [(r[0], 0, (0,), start ^ sorted_masks[0])]
+        queries, seq = 1, 1
         while heap and queries < cap:
             score, _, pat, s = heappop(heap)
             queries += 1
@@ -339,8 +333,8 @@ class SgrandabDecoder:
                                 s ^ nxt ^ sorted_masks[t]))
                 seq += 2
             if s == 0:
-                return _accept(soft, hard, order[list(pat)], queries)
-        return DecodeOutcome(STATUS_ABANDONED, queries, None)
+                return queries, order[list(pat)]
+        return queries, None
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +345,7 @@ _ATANH_LIM = np.nextafter(1.0, 0.0)
 
 
 @dataclass(frozen=True)
-class BpDecoder:
+class BpDecoder(_Decoder):
     """Sum-product decoding on the Tanner graph of ``code.sparse``.
 
     Check messages use the tanh rule with leave-one-out products computed
@@ -363,15 +357,18 @@ class BpDecoder:
 
     max_iters: int = 50
 
-    def __post_init__(self) -> None:
-        _check_limit("max_iters", self.max_iters)
-
-    def decode(self, code: CodeSpec, soft: SoftBlock) -> DecodeOutcome:
+    def _decode_llrs(self, code: CodeSpec, llr: np.ndarray):
         if code.sparse is None:
             raise ValueError("BpDecoder needs a code with a sparse parity check")
+        runs = [self._iterate(code, row) for row in llr]
+        words = np.array([word for _, _, word in runs], dtype=np.uint8).reshape(llr.shape)
+        return [s for s, _, _ in runs], [it for _, it, _ in runs], words
+
+    def _iterate(self, code: CodeSpec, llr: np.ndarray):
+        """(status, iterations, last hard decision) of one row of LLRs."""
         lay = code.sparse.tanner
         slots, ecol, n_edges = lay.slots, lay.ecol, lay.n_edges
-        llr = np.append(llrs(soft), 0.0)  # position n pads slot_cols; it is never < 0
+        llr = np.append(llr, 0.0)  # position n pads slot_cols; it is never < 0
         t = np.ones(n_edges + 1)  # element n_edges pads every check with 1.0
         c2v = np.empty(n_edges + 1)  # element n_edges takes the pads' messages
         trow = np.ones((slots.shape[0] + 2, slots.shape[1]))  # slot j in row j + 1
@@ -387,13 +384,12 @@ class BpDecoder:
             total = llr + np.bincount(ecol, weights=c2v[:n_edges], minlength=code.n + 1)
             hard = total < 0
             if not np.bitwise_xor.reduce(hard[lay.slot_cols], axis=0).any():
-                hard = hard[:-1].astype(np.uint8)
-                if np.bitwise_xor.reduce(code.column_words[np.flatnonzero(hard)], axis=0).any():
-                    return DecodeOutcome(STATUS_CRC_FAILED, it, None)
-                return _accept(soft, hard, [], it)
+                word = hard[:-1].astype(np.uint8)
+                rejected = np.bitwise_xor.reduce(code.column_words[np.flatnonzero(word)],
+                                                 axis=0).any()
+                return STATUS_CRC_FAILED if rejected else STATUS_DECODED, it, word
             v2c = total[ecol] - c2v[:n_edges]
-
-        return DecodeOutcome(STATUS_ABANDONED, self.max_iters, None)
+        return STATUS_ABANDONED, self.max_iters, hard[:-1].astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------

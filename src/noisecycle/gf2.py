@@ -13,12 +13,12 @@ those checks: a word is accepted iff its syndrome under it is zero.
 Packing contract: dense bit matrices are row-major ``uint8`` arrays with
 entries in {0, 1}.  For throughput-critical paths rows are packed into
 ``uint64`` words, LSB first: bit ``j`` of a row lives in word ``j // 64``
-at bit position ``j % 64``.  The guessing decoders read the columns of the
-membership check M in two packings: SGRANDAB's ``column_masks`` hold column
-``j`` as one Python integer whose bit ``r`` is ``M[r, j]``, and ORBGRAND's
-``column_words`` hold it as row ``j`` of a ``uint64`` array under the row
-rule above (``ceil(rows / 64)`` words, none when M has no rows), over an
-all-zero row ``n`` that pads its rank matrix.
+at bit position ``j % 64``.  The decoders read the columns of the
+membership check M in two packings: ``column_words`` hold column ``j`` as
+row ``j`` of a ``uint64`` array under the row rule above (``ceil(rows /
+64)`` words, none when M has no rows), over an all-zero row ``n`` that pads
+ORBGRAND's rank matrix, and SGRANDAB's ``column_masks`` hold it as one
+Python integer whose bit ``r`` is ``M[r, j]``.
 """
 
 from __future__ import annotations
@@ -123,18 +123,6 @@ def unpack_words(words: np.ndarray, n: int) -> np.ndarray:
     bits = np.unpackbits(np.ascontiguousarray(words).view(np.uint8), axis=-1,
                          bitorder="little")
     return bits[..., :n]
-
-
-def pack_columns(mat: np.ndarray) -> list[int]:
-    """Each column of a bit matrix as one Python int (bit r = row r)."""
-    bits = _as_bits(np.atleast_2d(mat))
-    masks = []
-    for col in bits.T:
-        m = 0
-        for r in np.nonzero(col)[0]:
-            m |= 1 << int(r)
-        masks.append(m)
-    return masks
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +349,7 @@ class CodeSpec:
     ``generator`` is k x n with full row rank, ``parity_check`` is
     (n - k) x n, and G @ H.T = 0 over GF(2).  ``sparse`` optionally carries
     a redundant sparse parity-check view for message-passing decoders; its
-    rows span the same space as H's, so its null space is the code.
+    rows must span the same space as H's, so its null space is the code.
     When ``crc`` is set, the last ``crc.degree`` bits of every valid message
     are the CRC of the leading payload bits, and ``membership_check`` adds
     the checks that say so.
@@ -392,6 +380,12 @@ class CodeSpec:
             raise ValueError("generator rows are linearly dependent")
         if self.crc is not None and self.k <= self.crc.degree:
             raise ValueError("k must exceed the CRC degree")
+        if self.sparse is not None:
+            # the view spans H's rows: rank(Hs) = rank([H; Hs]) = n - k
+            hs = self.sparse.to_dense()
+            if (self.sparse.n != self.n or gf2_rank(hs) != self.n - self.k
+                    or gf2_rank(np.concatenate([h, hs])) != self.n - self.k):
+                raise ValueError("sparse must span the rows of parity_check")
         object.__setattr__(self, "generator", g)
         object.__setattr__(self, "parity_check", h)
         object.__setattr__(self, "_packed_g", pack_rows(g))
@@ -415,9 +409,11 @@ class CodeSpec:
 
     @cached_property
     def column_masks(self) -> list[int]:
-        """Columns of ``membership_check`` packed as ints (see the module
+        """Columns of ``membership_check`` as ints, each column's
+        ``column_words`` read as one little-endian integer (see the module
         docstring), built on first use."""
-        return pack_columns(self.membership_check)
+        return [int.from_bytes(w.astype("<u8").tobytes(), "little")
+                for w in self.column_words[: self.n]]
 
     @cached_property
     def column_words(self) -> np.ndarray:

@@ -24,12 +24,13 @@ The genie switch drops estimates from decodes that disagree with the true
 transmission; it exists for validation experiments that need error-free
 recycling detection and is off everywhere else.
 
-Each step decodes one channel for a set of rows with one call, the
-decoder's ``decode_batch(code, received, variances)`` when it has one and
-``decode`` row by row when it does not.  The recycling arithmetic is the
-elementwise arithmetic of :func:`~noisecycle.recycling.llse_update` and
-:func:`~noisecycle.recycling.estimate_noise`, applied to every row at once,
-so a row decodes exactly as the same block would alone.
+Each step decodes one channel for a set of rows with one call to the
+decoder's ``decode_batch(code, received, variances)``; a decoder from
+outside the package that has only ``decode`` is called row by row.  The
+step's estimates and LLSE inputs come from
+:func:`~noisecycle.recycling.estimate_noise` and
+:func:`~noisecycle.recycling.llse_update` on the stacked rows, which are
+elementwise, so a row decodes exactly as the same block would alone.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .decoders import (METRIC_NOISE_NLL, METRIC_QUERY_COUNT, STATUS_DECODED,
                        DecodeOutcome, SoftBlock, confidence)
 from .gf2 import CodeSpec
 from .ordering import RecyclingPlan
-from .recycling import effective_variance, normalized_corr
+from .recycling import effective_variance, estimate_noise, llse_update
 
 __all__ = ["PipelineConfig", "BlockResult", "run_block", "run_batch"]
 
@@ -90,7 +91,8 @@ class BlockResult:
 
 def _decode_rows(decoder, code: CodeSpec, received: np.ndarray,
                  variances: np.ndarray) -> list[DecodeOutcome]:
-    """``decoder.decode_batch`` if it has one, else ``decode`` row by row."""
+    """``decoder.decode_batch`` if it has one, else ``decode`` row by row,
+    which only decoders from outside the package need."""
     batch = getattr(decoder, "decode_batch", None)
     if batch is not None:
         return batch(code, received, variances)
@@ -137,8 +139,9 @@ class _Batch:
             hit = self.usable[rows, source]
             if hit.any():
                 src = rows[hit]
-                z_hat = self.received[src, source] - modulate_bpsk(self.decisions[src, source])
-                y[hit] -= normalized_corr(self.model, source, j) * z_hat
+                estimate = estimate_noise(self.received[src, source],
+                                          modulate_bpsk(self.decisions[src, source]), source)
+                y[hit] = llse_update(y[hit], estimate, self.model, j)
                 variances[hit] = effective_variance(sigma2, float(self.model.corr[source, j]))
         outcomes = _decode_rows(self.decoders[j], self.codes[j], y, variances)
         decoded = np.zeros(rows.size, dtype=bool)

@@ -29,15 +29,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NoiseEstimate:
-    """Estimated noise of one channel (0-based ``source_channel``)."""
+    """Estimated noise of one channel (0-based ``source_channel``): one
+    block's vector, or the rows (..., n) of many blocks."""
 
     values: np.ndarray
     source_channel: int
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1:
-            raise ValueError("estimate must be a vector")
+        if v.ndim < 1:
+            raise ValueError("estimate must be a vector or stacked vectors")
         object.__setattr__(self, "values", v)
 
 
@@ -51,7 +52,7 @@ def normalized_corr(model: ChannelModel, i: int, j: int) -> float:
 
 
 def estimate_noise(received, decoded_modulated, source: int) -> NoiseEstimate:
-    """z_hat = y - x_hat."""
+    """z_hat = y - x_hat, elementwise."""
     y = np.asarray(received, dtype=float)
     x = np.asarray(decoded_modulated, dtype=float)
     if y.shape != x.shape:

@@ -35,6 +35,11 @@ def mod2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)) % 2
 
 
+def column_ints(mat) -> list[int]:
+    """Each column of a bit matrix as one Python int whose bit r is row r."""
+    return [sum(int(b) << r for r, b in enumerate(col)) for col in np.asarray(mat).T]
+
+
 def crc_longdivision(message_bits, poly_bits) -> np.ndarray:
     """Schoolbook polynomial remainder of message * x^deg, as a bit vector."""
     poly = list(poly_bits)

@@ -20,9 +20,10 @@ from noisecycle import (ChannelModel, ExperimentConfig, RecycleGraph,
                         brute_force_plan, build_gm_model, build_recycle_graph,
                         capacity, composite_bler, joint_capacity,
                         max_arborescence, ml_decode_bruteforce,
-                        pair_upper_bound, run_bler_sweep, run_trial,
+                        pair_upper_bound, run_bler_sweep,
                         sample_noise, sample_rlc, wilson_interval)
 from noisecycle.decoders import orbgrand_rank_patterns
+from noisecycle.harness import BATCH_TRIALS, _run_batch
 from noisecycle.recycling import normalized_corr
 
 from conftest import fig2_model
@@ -177,11 +178,12 @@ def _closure_config(pipeline, ebn0, sweep, seed):
 
 
 def _joint_failures(config, start, stop):
-    """Channel-1 errors, channel-2 errors and both-wrong trials in [start, stop)."""
+    """Channel-1 errors, channel-2 errors and both-wrong trials in [start, stop),
+    read from the sweep's own batches, whose rows are those trials."""
     counts = np.zeros(3, dtype=np.int64)
-    for t in range(start, stop):
-        ok1, ok2 = run_trial(config, 0, t).correct
-        counts += (not ok1, not ok2, not (ok1 or ok2))
+    for lo in range(start, stop, BATCH_TRIALS):
+        wrong = ~_run_batch(config, 0, lo, min(lo + BATCH_TRIALS, stop)).correct
+        counts += (wrong[:, 0].sum(), wrong[:, 1].sum(), (wrong[:, 0] & wrong[:, 1]).sum())
     return counts
 
 

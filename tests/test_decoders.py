@@ -303,13 +303,19 @@ class TestBpDecode:
         assert out.codeword is None
 
     def test_never_accepts_a_word_outside_the_code(self):
-        # a sparse view missing a row of H stops on a word H rejects
+        # BP stops on the sparse view's checks, so a view missing a row of H
+        # would stop on words H rejects: such a code cannot be built
         from noisecycle.gf2 import SparseParityCheck, gf2_nullspace
         h = np.array([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]], dtype=np.uint8)
+        for view in (h[:2], np.concatenate([h[:2], h[:2]]), h[:, :3]):
+            with pytest.raises(ValueError, match="sparse"):
+                CodeSpec(n=4, k=1, generator=gf2_nullspace(h), parity_check=h,
+                         sparse=SparseParityCheck.from_dense(view))
+        redundant = np.concatenate([h, h[:1] ^ h[1:2]])  # one more row in H's span
         code = CodeSpec(n=4, k=1, generator=gf2_nullspace(h), parity_check=h,
-                        sparse=SparseParityCheck.from_dense(h[:2]))
+                        sparse=SparseParityCheck.from_dense(redundant))
         out = BpDecoder(5).decode(code, SoftBlock(np.array([-1.0, -1.0, -1.0, 1.0]), 1.0))
-        assert out.status == "crc_failed" and out.queries == 1
+        assert out.status != "crc_failed"
 
     def test_requires_sparse_parity_check(self):
         code = sample_rlc(8, 4, seed=14)

@@ -5,9 +5,9 @@ from noisecycle import (CodeSpec, CrcSpec, SparseParityCheck,
                         code_from_parity_check, crc_check, crc_encode, encode,
                         ml_decode_bruteforce, parse_alist, sample_regular_ldpc,
                         sample_rlc, serialize_alist, syndrome)
-from noisecycle.gf2 import AlistError, gf2_rank, pack_columns, pack_rows
+from noisecycle.gf2 import AlistError, gf2_rank, pack_rows
 
-from conftest import crc_longdivision, enumerate_codebook, mod2
+from conftest import column_ints, crc_longdivision, enumerate_codebook, mod2
 
 
 class TestEncode:
@@ -246,7 +246,7 @@ class TestDerivedLayouts:
         assert "column_masks" not in vars(code)  # built on first use
         masks = code.column_masks
         assert masks is code.column_masks
-        assert masks == pack_columns(code.parity_check)
+        assert masks == column_ints(code.parity_check)
         assert sample_rlc(16, 11, seed=3).column_masks is not masks
 
     @pytest.mark.parametrize("n, k, crc, words", [
@@ -267,6 +267,7 @@ class TestDerivedLayouts:
         rows = np.arange(code.membership_check.shape[0])
         bits = (packed[:n, rows // 64] >> (rows % 64).astype(np.uint64)) & np.uint64(1)
         assert np.array_equal(bits.T, code.membership_check)
+        assert code.column_masks == column_ints(code.membership_check)
 
     def test_tanner_layout_cached_per_parity_check(self):
         code = sample_regular_ldpc(12, 3, 6, seed=2)
@@ -329,7 +330,7 @@ class TestMembershipCheck:
         assert code.membership_check.shape == (code.n - code.k + crc.degree, code.n)
         assert gf2_rank(code.membership_check) == code.n - code.payload_bits
         assert self._accepted(code) == self._crc_codebook(code, crc)
-        assert code.column_masks == pack_columns(code.membership_check)
+        assert code.column_masks == column_ints(code.membership_check)
 
     def test_full_rate_code_checks_the_crc_alone(self):
         crc = CrcSpec(degree=3, polynomial="1011")

@@ -401,6 +401,7 @@ class TestGenieDecomposition:
         # outcome bit for bit; on lead-success trials the reduced-variance
         # decode rarely fails.
         from noisecycle import ExperimentConfig, SweepSpec, run_trial
+        from noisecycle.harness import BATCH_TRIALS, _run_batch
         CRC8 = "100000111"
         base = dict(
             channel={"m": 2, "mode": "gm", "rho": 0.6},
@@ -418,15 +419,14 @@ class TestGenieDecomposition:
         branch_mismatch = 0
         success_branch_errors = 0
         trials = 20_000
-        for t in range(trials):
-            g = run_trial(genie_cfg, 0, t)
-            if not g.correct[0]:
+        for lo in range(0, trials, BATCH_TRIALS):  # rows of a batch are its trials
+            g = _run_batch(genie_cfg, 0, lo, min(lo + BATCH_TRIALS, trials)).correct
+            for row in np.flatnonzero(~g[:, 0]):
                 lead_fail += 1
-                i = run_trial(indep_cfg, 0, t)
-                if g.correct[1] != i.correct[1]:
+                i = run_trial(indep_cfg, 0, lo + int(row))
+                if g[row, 1] != i.correct[1]:
                     branch_mismatch += 1
-            elif not g.correct[1]:
-                success_branch_errors += 1
+            success_branch_errors += int((g[:, 0] & ~g[:, 1]).sum())
         assert lead_fail > 100  # the operating point has a ~1.5e-2 lead BLER
         assert branch_mismatch == 0
         assert success_branch_errors / trials < 5e-4

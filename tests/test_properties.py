@@ -67,51 +67,6 @@ LOG_EDGE_VARIANCES = [0.390347384060337, 6.636084669578364, 8.276825895059087]
 
 
 @st.composite
-def orbgrand_batches(draw):
-    """(code, received rows, per-row variances, cap) for a batch decode: a
-    random rlc code, an n = k code, a tiny code whose rank stream is shorter
-    than the cap, a CRC code, or an rlc[80, 10] whose membership check has
-    70 rows.  Received values are coarse, so reliabilities often tie."""
-    kind = draw(st.sampled_from(["rlc", "full", "tiny", "crc", "wide"]), label="kind")
-    seed = draw(seeds)
-    if kind == "crc":
-        code = draw(crc_codes())
-    elif kind == "wide":
-        code = sample_rlc(80, 10, seed=seed)
-    else:
-        n = draw(st.integers(*{"rlc": (4, 10), "full": (1, 8), "tiny": (1, 3)}[kind]))
-        code = sample_rlc(n, n if kind == "full" else draw(st.integers(1, n)), seed=seed)
-    rng = np.random.default_rng(seed)
-    rows = draw(st.integers(1, 8), label="rows")
-    sent = modulate_bpsk(encode(code, rng.integers(0, 2, size=(rows, code.k))))
-    spread = 0.3 if kind == "wide" else draw(st.sampled_from([0.5, 1.0, 2.0]))
-    received = np.round((sent + spread * rng.normal(size=sent.shape)) * 4) / 4
-    variances = np.array(draw(st.lists(
-        st.sampled_from(LOG_EDGE_VARIANCES) | st.floats(0.05, 10.0),
-        min_size=rows, max_size=rows), label="variances"))
-    top = 2000 if kind == "wide" else 2 ** code.n + 4
-    cap = draw(st.sampled_from([1, top]) | st.integers(1, top), label="cap")
-    return code, received, variances, cap
-
-
-@given(orbgrand_batches())
-def test_orbgrand_batch_rows_decode_like_the_oracle(batch):
-    # every row: the first hit of the rank stream within the cap, scored by
-    # math.log, exactly what decode returns for that row alone
-    code, received, variances, cap = batch
-    decoder = OrbgrandDecoder(cap)
-    outs = decoder.decode_batch(code, received, variances)
-    assert len(outs) == len(received)
-    for out, y, v in zip(outs, received, variances.tolist()):
-        soft = SoftBlock(y, v)
-        pos, word = orbgrand_first_hit(code, y)
-        want = (decoded_outcome(word, soft, pos) if pos <= cap
-                else DecodeOutcome(status="abandoned", queries=cap, codeword=None))
-        assert outcome_key(out) == outcome_key(want)
-        assert outcome_key(decoder.decode(code, soft)) == outcome_key(want)
-
-
-@st.composite
 def sparse_codes(draw, max_n=24):
     """A code on a random sparse H with n <= max_n columns: irregular rows,
     some of degree 0 or 1, and columns that may be in no row, with or
@@ -145,6 +100,80 @@ def test_bp_equals_reference_exactly(code, seed, sigma2, max_iters):
     soft = SoftBlock(y, sigma2)
     out = BpDecoder(max_iters).decode(code, soft)
     assert outcome_key(out) == outcome_key(bp_reference(code, soft, max_iters))
+
+
+@st.composite
+def decoder_batches(draw):
+    """(decoder, code, received rows, per-row variances, noise spread) for a
+    batch decode.  ORBGRAND and SGRANDAB draw a random rlc code, an n = k
+    code, a tiny code whose rank stream is shorter than ORBGRAND's cap, or a
+    CRC code; ORBGRAND also an rlc[80, 10] whose membership check has 70
+    rows.  ORBGRAND's cap may stop short of the first hit, SGRANDAB's
+    covers every flip set, and BP decodes a random sparse code.  Rows are
+    accepted codewords plus noise; at spread 0 every row hits at query 1.
+    ORBGRAND's received values are coarse, so reliabilities often tie."""
+    name = draw(st.sampled_from(["orbgrand", "sgrandab", "bp"]), label="decoder")
+    seed = draw(seeds)
+    kind = "sparse" if name == "bp" else draw(st.sampled_from(
+        ["rlc", "full", "tiny", "crc"] + ["wide"] * (name == "orbgrand")), label="kind")
+    if kind == "sparse":
+        code = draw(sparse_codes())
+    elif kind == "crc":
+        code = draw(crc_codes())
+    elif kind == "wide":
+        code = sample_rlc(80, 10, seed=seed)
+    else:
+        n = draw(st.integers(*{"rlc": (4, 10), "full": (1, 8), "tiny": (1, 3)}[kind]))
+        code = sample_rlc(n, n if kind == "full" else draw(st.integers(1, n)), seed=seed)
+    rng = np.random.default_rng(seed)
+    rows = draw(st.integers(1, 8), label="rows")
+    messages = rng.integers(0, 2, size=(rows, code.payload_bits), dtype=np.uint8)
+    if code.crc is not None:
+        messages = crc_encode(code.crc, messages)
+    sent = modulate_bpsk(encode(code, messages))
+    spread = 0.3 if kind == "wide" else draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+    received = sent + spread * rng.normal(size=sent.shape)
+    if name == "orbgrand":
+        received = np.round(received * 4) / 4
+    variances = np.array(draw(st.lists(
+        st.sampled_from(LOG_EDGE_VARIANCES) | st.floats(0.05, 10.0),
+        min_size=rows, max_size=rows), label="variances"))
+    if name == "orbgrand":
+        top = 2000 if kind == "wide" else 2 ** code.n + 4
+        decoder = OrbgrandDecoder(draw(st.sampled_from([1, top]) | st.integers(1, top),
+                                       label="cap"))
+    elif name == "sgrandab":
+        decoder = SgrandabDecoder(2 ** code.n)
+    else:
+        decoder = BpDecoder(draw(st.integers(1, 40), label="max_iters"))
+    return decoder, code, received, variances, spread
+
+
+@settings(max_examples=400)
+@given(decoder_batches())
+def test_batch_rows_decode_like_the_oracle(batch):
+    # every row: its decoder's oracle, scored by math.log, and exactly what
+    # decode returns for that row alone.  ORBGRAND stops at the first hit of
+    # the rank stream within the cap, SGRANDAB returns the ML codeword and
+    # BP equals the reference
+    decoder, code, received, variances, spread = batch
+    outs = decoder.decode_batch(code, received, variances)
+    assert len(outs) == len(received)
+    for out, y, v in zip(outs, received, variances.tolist()):
+        soft = SoftBlock(y, v)
+        if isinstance(decoder, OrbgrandDecoder):
+            cap = decoder.max_queries
+            pos, word = orbgrand_first_hit(code, y)
+            want = (decoded_outcome(word, soft, pos) if pos <= cap
+                    else DecodeOutcome(status="abandoned", queries=cap, codeword=None))
+        elif isinstance(decoder, SgrandabDecoder):
+            want = decoded_outcome(ml_decode_bruteforce(code, y), soft, out.queries)
+        else:
+            want = bp_reference(code, soft, decoder.max_iters)
+        assert outcome_key(out) == outcome_key(want)
+        assert outcome_key(decoder.decode(code, soft)) == outcome_key(want)
+    if spread == 0:
+        assert all(out.queries == 1 for out in outs)
 
 
 @given(code=sparse_codes(), seed=seeds, sigma2=st.sampled_from([0.5, 1.0, 2.0]))

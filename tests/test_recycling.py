@@ -87,6 +87,18 @@ class TestLlseUpdate:
         est = NoiseEstimate(values=np.array([0.2]), source_channel=0)
         assert llse_update(np.array([0.3]), est, model, 1) == pytest.approx([0.2])
 
+    def test_stacked_rows_update_like_each_row_alone(self, rng):
+        # the pipeline recycles many blocks in one call: each row must come
+        # out bit for bit as that block alone
+        model = two_channel(0.7)
+        y, x_hat, target = rng.normal(size=(3, 5, 12))
+        stacked = llse_update(target, estimate_noise(y, x_hat, source=0), model, 1)
+        for row in range(5):
+            alone = estimate_noise(y[row], x_hat[row], source=0)
+            assert np.array_equal(stacked[row], llse_update(target[row], alone, model, 1))
+        with pytest.raises(ValueError):
+            NoiseEstimate(values=0.5, source_channel=0)
+
     def test_self_recycling_rejected(self):
         model = two_channel(0.5)
         est = NoiseEstimate(values=np.zeros(4), source_channel=1)
