@@ -209,7 +209,8 @@ _PIPELINE_KEY_TYPES = {"confidence_metric": str, "rerecycle": bool, "genie": boo
 
 
 def load_pipeline(spec: Mapping[str, Any]) -> PipelineConfig:
-    """The pipeline's settings; ``parents`` is read where the plan is built."""
+    """The pipeline's settings; ``forced_lead`` and ``parents`` are checked
+    here and read where the plan is built."""
     check_keys(spec, "pipeline", optional=("mode", *_PIPELINE_KEY_TYPES, "parents"))
     mode = _one_of(spec.get("mode", MODE_INDEPENDENT), _PIPELINE_MODE_KEYS,
                    "pipeline key 'mode'")
@@ -222,4 +223,4 @@ def load_pipeline(spec: Mapping[str, Any]) -> PipelineConfig:
             checked(spec[key], key, kind)
     checked_list(spec.get("parents", []), "parents", int)
     return PipelineConfig(**{key: value for key, value in spec.items()
-                             if key != "parents"})
+                             if key not in ("forced_lead", "parents")})

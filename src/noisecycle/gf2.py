@@ -346,8 +346,8 @@ def serialize_alist(h: SparseParityCheck) -> str:
 class CodeSpec:
     """A binary [n, k] linear block code.
 
-    ``generator`` is k x n with full row rank, ``parity_check`` is
-    (n - k) x n, and G @ H.T = 0 over GF(2).  ``sparse`` optionally carries
+    ``generator`` is k x n and ``parity_check`` (n - k) x n, both with full
+    row rank, and G @ H.T = 0 over GF(2).  ``sparse`` optionally carries
     a redundant sparse parity-check view for message-passing decoders; its
     rows must span the same space as H's, so its null space is the code.
     When ``crc`` is set, the last ``crc.degree`` bits of every valid message
@@ -378,6 +378,8 @@ class CodeSpec:
             raise ValueError("G . H^T != 0")
         if gf2_rank(g) != self.k:
             raise ValueError("generator rows are linearly dependent")
+        if gf2_rank(h) != self.n - self.k:
+            raise ValueError("parity_check rows are linearly dependent")
         if self.crc is not None and self.k <= self.crc.degree:
             raise ValueError("k must exceed the CRC degree")
         if self.sparse is not None:

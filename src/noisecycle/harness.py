@@ -122,7 +122,8 @@ class ExperimentConfig:
                        for rates in per_rate)
         pipelines = (pipe,) * len(models)
         if pipe.mode == MODE_STATIC:
-            plans = (plan_for(model, pipe.forced_lead, self.pipeline.get("parents"))
+            plans = (plan_for(model, self.pipeline.get("forced_lead"),
+                              self.pipeline.get("parents"))
                      for model in models)
             pipelines = tuple(dataclasses.replace(pipe, plan=plan) for plan in plans)
         built = {"_codes": tuple(codes), "_decoders": tuple(decoders),

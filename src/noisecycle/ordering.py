@@ -11,11 +11,15 @@ is the one place a pipeline's static plan is built.
 Node ids follow the graph convention: node 0 is the zero node and node j
 (1-based) is channel j, i.e. channel index j - 1 elsewhere in the package.
 
-Ties are broken deterministically.  The solver prefers, per node, the
-incoming edge with the smallest (source, target) pair among weight ties;
-the brute-force oracle prefers the lexicographically smallest parent
-vector among equal-total plans.  Both agree on the supported structured
-instances and always agree on the optimal total.
+Ties are broken deterministically, but not alike.  At every contraction
+level the solver takes, for each node, the heaviest incoming edge and among
+equal weights the one with the smallest original (source, target) pair; the
+brute-force oracle takes the lexicographically smallest parent vector among
+plans with the largest floating-point total.  So where every sum is exact
+(small integer or dyadic weights) the two totals are equal but the plans
+may differ, and where weights tie only up to rounding, as on symmetric
+Gauss-Markov models, the solver's total may be 1-2 ulps below the
+oracle's (a relative 1e-12).
 """
 
 from __future__ import annotations
@@ -44,7 +48,8 @@ class RecycleGraph:
     """(m+1) x (m+1) weight matrix; NaN marks absent edges.
 
     Row i, column j holds the weight of edge i -> j.  The zero node (0) has
-    no incoming edges and there are no self-loops.
+    no incoming edges, there are no self-loops, and every channel can be
+    reached from the zero node, so every solver below has a plan to return.
     """
 
     node_count: int
@@ -58,6 +63,13 @@ class RecycleGraph:
             raise ValueError("the zero node cannot have incoming edges")
         if not np.isnan(np.diag(w)).all():
             raise ValueError("self-loops are not allowed")
+        adjacent = (~np.isnan(w)).tolist()
+        reached = [0]
+        for i in reached:  # breadth-first: the list grows while it is walked
+            reached += [j for j, edge in enumerate(adjacent[i]) if edge and j not in reached]
+        unreached = sorted(set(range(self.node_count)) - set(reached))
+        if unreached:
+            raise ValueError(f"channels {unreached} cannot be reached from the zero node")
         object.__setattr__(self, "weights", w)
 
     @property
@@ -173,89 +185,52 @@ def plan_for(model: ChannelModel, forced_lead: int | None = None,
 def max_arborescence(graph: RecycleGraph) -> RecyclingPlan:
     """Maximum-weight arborescence rooted at the zero node.
 
-    Runs the classic minimum-arborescence contraction algorithm on negated
-    weights.  Cycle contraction is iterative with an explicit expansion
-    stack, so deep chains cannot hit recursion limits.
-
-    Ties are not broken as :func:`brute_force_plan` breaks them.  Among
-    plans whose totals are equal in exact arithmetic, as on symmetric
-    Gauss-Markov models, it may return one whose floating-point total is
-    1-2 ulps below brute force's: the totals agree to a relative 1e-12, but
-    which of the tied plans runs depends on summation order.
+    Runs the Chu-Liu/Edmonds contraction (J. Edmonds, "Optimum branchings",
+    J. Res. NBS 71B, 1967) on negated weights; see :func:`_contract`.  Its
+    recursion depth is the number of cycles contracted, which is below m.
     """
     m = graph.m
     if m == 0:
         raise ValueError("graph has no channels")
-    orig_edges = [(u, v, -w) for (u, v, w) in graph.edges()]
-    for j in range(1, m + 1):
-        if not any(v == j for (_, v, _) in orig_edges):
-            raise ValueError(f"channel {j} has no incoming edge")
+    # (negated weight, original tail, original head, tail, head): plain tuple
+    # order is the tie rule, heaviest first, then smallest original (source, target)
+    chosen = _contract([(-w, u, v, u, v) for u, v, w in graph.edges()], m + 1)
+    return _plan_from_parent(graph, tuple(chosen[j][1] for j in range(1, m + 1)))
 
-    # Edge records: [tail, head, modified_weight, orig_id]; tie keys use the
-    # original endpoints so contraction cannot perturb the documented order.
-    records = [[u, v, w, eid] for eid, (u, v, w) in enumerate(orig_edges)]
-    next_node = m + 1
-    levels: list[tuple[int, list[int], dict[int, list], dict[int, int]]] = []
 
-    while True:
-        best_in: dict[int, list] = {}
-        for rec in records:
-            u, v, w, eid = rec
-            key = (w, orig_edges[eid][0], orig_edges[eid][1])
-            cur = best_in.get(v)
-            if cur is None or key < (cur[2], orig_edges[cur[3]][0], orig_edges[cur[3]][1]):
-                best_in[v] = rec
+def _contract(edges: list[tuple], node: int) -> dict[int, tuple]:
+    """Each node's incoming edge in a minimum arborescence over ``edges``.
 
-        cycle = _find_cycle({v: rec[0] for v, rec in best_in.items()})
-        if cycle is None:
-            break
-
-        c_id = next_node
-        next_node += 1
-        cyc_set = set(cycle)
-        cycle_edge = {v: best_in[v] for v in cycle}
-        entry_of: dict[int, int] = {}
-
-        merged: dict[tuple[int, int], list] = {}
-        for rec in records:
-            u, v, w, eid = rec
-            in_u, in_v = u in cyc_set, v in cyc_set
-            if in_u and in_v:
-                continue
-            if in_v:
-                new = [u, c_id, w - cycle_edge[v][2], eid]
-                entry = v
-            elif in_u:
-                new = [c_id, v, w, eid]
-                entry = None
-            else:
-                new = rec
-                entry = None
-            pair = (new[0], new[1])
-            kept = merged.get(pair)
-            new_key = (new[2], orig_edges[new[3]][0], orig_edges[new[3]][1])
-            if kept is None or new_key < (kept[2], orig_edges[kept[3]][0], orig_edges[kept[3]][1]):
-                merged[pair] = new
-                if entry is not None:
-                    entry_of[eid] = entry
-            elif entry is not None and eid not in entry_of:
-                entry_of[eid] = entry
-        records = list(merged.values())
-        levels.append((c_id, cycle, cycle_edge, entry_of))
-
-    chosen: dict[int, list] = dict(best_in)
-    for c_id, cycle, cycle_edge, entry_of in reversed(levels):
-        rec = chosen.pop(c_id)
-        member = entry_of[rec[3]]
-        chosen[member] = rec
-        for v in cycle:
-            if v != member:
-                chosen[v] = cycle_edge[v]
-
-    parent = [0] * m
-    for j in range(1, m + 1):
-        parent[j - 1] = orig_edges[chosen[j][3]][0]
-    return _plan_from_parent(graph, tuple(parent))
+    The smallest incoming edge of every node is taken; a cycle among them is
+    contracted into the new node ``node`` and solved recursively, then
+    reopened where the chosen edge enters it.  Only a returned edge's
+    original endpoints are meaningful.
+    """
+    best: dict[int, tuple] = {}
+    for edge in edges:
+        if edge[4] not in best or edge < best[edge[4]]:
+            best[edge[4]] = edge
+    cycle = _find_cycle({head: edge[3] for head, edge in best.items()})
+    if cycle is None:
+        return best
+    inside = set(cycle)
+    merged: dict[tuple[int, int], tuple] = {}  # one edge per (tail, head)
+    for w, orig_u, orig_v, u, v in edges:
+        if u in inside and v in inside:
+            continue
+        if v in inside:  # entering v replaces v's cycle edge
+            w, v = w - best[v][0], node
+        elif u in inside:
+            u = node
+        edge = (w, orig_u, orig_v, u, v)
+        if (u, v) not in merged or edge < merged[u, v]:
+            merged[u, v] = edge
+    chosen = _contract(list(merged.values()), node + 1)
+    entering = chosen.pop(node)
+    entered = next(edge[4] for edge in edges if edge[1:3] == entering[1:3])
+    chosen.update((v, best[v]) for v in cycle if v != entered)
+    chosen[entered] = entering
+    return chosen
 
 
 def _find_cycle(successor: dict[int, int]) -> list[int] | None:
@@ -283,13 +258,9 @@ def brute_force_plan(graph: RecycleGraph) -> RecyclingPlan:
     m = graph.m
     if m > 6:
         raise ValueError("brute force enumeration limited to m <= 6")
-    candidates_per_channel = []
-    for j in range(1, m + 1):
-        sources = [i for i in range(m + 1)
-                   if i != j and not np.isnan(graph.weights[i, j])]
-        if not sources:
-            raise ValueError(f"channel {j} has no incoming edge")
-        candidates_per_channel.append(sorted(sources))
+    candidates_per_channel = [[i for i in range(m + 1)
+                               if i != j and not np.isnan(graph.weights[i, j])]
+                              for j in range(1, m + 1)]
 
     best: tuple[float, tuple[int, ...]] | None = None
     for parent in itertools.product(*candidates_per_channel):
@@ -298,7 +269,6 @@ def brute_force_plan(graph: RecycleGraph) -> RecyclingPlan:
         total = _order_total(graph, parent)
         if best is None or total > best[0] or (total == best[0] and parent < best[1]):
             best = (total, parent)
-    assert best is not None  # the zero-node star is always feasible
     return _plan_from_parent(graph, best[1])
 
 

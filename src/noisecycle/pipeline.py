@@ -59,8 +59,6 @@ MODE_DYNAMIC = "dynamic"
 class PipelineConfig:
     """Which decode orchestration to run for each block.
 
-    ``forced_lead`` (a 1-based channel number) constrains the static plan's
-    zero node to a single child; it is resolved when the plan is built.
     ``genie`` enables truth-checked estimate dropping (validation only).
     """
 
@@ -68,7 +66,6 @@ class PipelineConfig:
     plan: RecyclingPlan | None = None
     confidence_metric: str | None = None
     rerecycle: bool = False
-    forced_lead: int | None = None
     genie: bool = False
 
     def __post_init__(self) -> None:

@@ -240,6 +240,24 @@ class TestCodeFromParityCheck:
         assert np.array_equal(code.parity_check, dense.parity_check)
 
 
+class TestCodeSpecRank:
+    G = np.array([[1, 1, 1, 1]], dtype=np.uint8)
+
+    def test_rank_deficient_parity_check_rejected(self):
+        # G H^T = 0, but the repeated row leaves rank 2 < n - k, so [1 1 0 0]
+        # would pass H although the code is {0000, 1111}
+        h = np.array([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1]], dtype=np.uint8)
+        assert not mod2(self.G, h.T).any()
+        assert not mod2(h, np.array([1, 1, 0, 0])).any()
+        with pytest.raises(ValueError, match="parity_check"):
+            CodeSpec(n=4, k=1, generator=self.G, parity_check=h)
+
+    def test_full_rank_parity_check_accepted(self):
+        h = np.array([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]], dtype=np.uint8)
+        code = CodeSpec(n=4, k=1, generator=self.G, parity_check=h)
+        assert syndrome(code, [1, 1, 0, 0]).any()
+
+
 class TestDerivedLayouts:
     def test_column_masks_cached_per_code(self):
         code = sample_rlc(16, 11, seed=3)

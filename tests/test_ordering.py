@@ -120,6 +120,43 @@ class TestMaxArborescence:
         assert max_arborescence(graph).parent == max_arborescence(scaled).parent
 
 
+class TestStaticPlanPin:
+    """The solver's tie rule fixes the plan of every static workload, and
+    through it their CSV bytes.  On symmetric Gauss-Markov models every
+    chain-shaped plan ties in exact arithmetic; the rule picks the chain
+    from channel 1, whose total is s (1 + (m - 1) / (1 - rho^2))."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8, 16, 40])
+    @pytest.mark.parametrize("rho", [0.3, -0.3, 0.6, -0.8, 0.9])
+    def test_symmetric_gauss_markov_takes_the_chain(self, m, rho):
+        for sigma2 in (1.0, 10 ** -0.5, 0.2, 3.0):
+            plan = max_arborescence(build_recycle_graph(build_gm_model(m, rho, sigma2)))
+            assert plan.parent == tuple(range(m))
+            assert plan.order == tuple(range(1, m + 1))
+            want = (1 / sigma2) * (1 + (m - 1) / (1 - rho ** 2))
+            assert plan.total_snr == pytest.approx(want, rel=1e-12, abs=0)
+
+
+class TestUnreachableChannels:
+    def test_rejected_when_the_graph_is_built(self):
+        w = np.full((4, 4), np.nan)
+        w[0, 1] = 1.0
+        w[2, 3] = w[3, 2] = 2.0
+        with pytest.raises(ValueError,
+                           match=r"channels \[2, 3\] cannot be reached from the zero node"):
+            RecycleGraph(node_count=4, weights=w)
+
+    def test_forced_lead_that_cannot_reach_every_channel(self):
+        w = np.full((4, 4), np.nan)
+        w[0, 1:] = 1.0
+        w[1, 2] = w[2, 1] = 2.0  # channel 3 hangs off the zero node alone
+        graph = RecycleGraph(node_count=4, weights=w)
+        assert max_arborescence(graph).parent == (0, 1, 0)
+        with pytest.raises(ValueError,
+                           match=r"channels \[3\] cannot be reached from the zero node"):
+            constrain_root_child(graph, 1)
+
+
 class TestBruteForce:
     def test_m2_has_exactly_three_arborescences(self):
         assert sorted(all_arborescences(2)) == [(0, 0), (0, 1), (2, 0)]
