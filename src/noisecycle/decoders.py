@@ -37,11 +37,14 @@ query 1 together; only the others search, one at a time:
   indexes the all-zero row of ``column_words``.  The matrix grows by
   doubling, but never past the largest ``max_queries`` that asked for it.
 
-BpDecoder iterates on the code's ``TannerLayout``, row by row: one gather
-through its (d_max, m_rows) slot table, prefix and suffix ``cumprod`` down
-the slots, one scatter and ``np.bincount`` column sums.  It stops once
-every sparse row has even parity, and then accepts on the packed
-membership check.
+BpDecoder runs each sum-product iteration on every still-active row of a
+call at once, the batch axis last, through the code's ``TannerLayout``:
+messages sit in its (d_max, m_rows) slot table with pads at +inf, the
+exclusive prefix and suffix products are d_max - 1 multiplies each, and
+column sums gather through its (dv_max, n) column table, adding from 0.0
+in ascending row order as ``np.bincount`` does.  A row leaves at its first
+iteration in which every sparse row has even parity, accepted or not on the
+packed membership check, so each row decodes as it would alone.
 
 All decoders are pure given their inputs.  The rank matrices, and the
 membership checks, packed columns and Tanner-graph layouts that codes build
@@ -349,10 +352,12 @@ class BpDecoder(_Decoder):
     """Sum-product decoding on the Tanner graph of ``code.sparse``.
 
     Check messages use the tanh rule with leave-one-out products computed
-    by exclusive prefix/suffix scans (no divisions).  Exits as soon as the
-    hard decision satisfies every row of ``code.sparse``, as ``decoded`` if
-    it also passes the membership check and ``crc_failed`` if not;
-    ``queries`` is the iteration count, at most ``max_iters``.
+    by exclusive prefix/suffix products (no divisions).  Each iteration
+    covers every row of a ``decode_batch`` call that has not stopped.  A row
+    stops as soon as its hard decision satisfies every row of
+    ``code.sparse``, as ``decoded`` if it also passes the membership check
+    and ``crc_failed`` if not; ``queries`` is its iteration count, at most
+    ``max_iters``.
     """
 
     max_iters: int = 50
@@ -360,36 +365,64 @@ class BpDecoder(_Decoder):
     def _decode_llrs(self, code: CodeSpec, llr: np.ndarray):
         if code.sparse is None:
             raise ValueError("BpDecoder needs a code with a sparse parity check")
-        runs = [self._iterate(code, row) for row in llr]
-        words = np.array([word for _, _, word in runs], dtype=np.uint8).reshape(llr.shape)
-        return [s for s, _, _ in runs], [it for _, it, _ in runs], words
+        cols, col_slots = code.sparse.tanner.slot_cols, code.sparse.tanner.col_slots
+        n, rows = code.n, len(llr)
+        status, iters = [STATUS_ABANDONED] * rows, [self.max_iters] * rows
+        words = np.zeros(llr.shape, dtype=np.uint8)
+        active = np.arange(rows)
+        # the batch axis is last; variable n, which pads the checks, is +inf,
+        # whose tanh is exactly 1.0, and no column sum reads it
+        prior = np.concatenate([llr.T, np.full((1, rows), np.inf)])
+        # flat buffers viewed contiguously at the active row count: v2c (in place
+        # its tanh, then the totals at each slot), prefix and suffix products,
+        # c2v and after it the zero message that pads col_slots, and the totals
+        shapes = [cols.shape, cols.shape, cols.shape, (cols.size + 1,), (n + 1,)]
+        bufs = [np.empty(math.prod(shape) * rows) for shape in shapes]
 
-    def _iterate(self, code: CodeSpec, llr: np.ndarray):
-        """(status, iterations, last hard decision) of one row of LLRs."""
-        lay = code.sparse.tanner
-        slots, ecol, n_edges = lay.slots, lay.ecol, lay.n_edges
-        llr = np.append(llr, 0.0)  # position n pads slot_cols; it is never < 0
-        t = np.ones(n_edges + 1)  # element n_edges pads every check with 1.0
-        c2v = np.empty(n_edges + 1)  # element n_edges takes the pads' messages
-        trow = np.ones((slots.shape[0] + 2, slots.shape[1]))  # slot j in row j + 1
-        v2c = llr[ecol]
+        def views(width):
+            t, pre, suf, c2v, total = (buf[:math.prod(shape) * width].reshape(shape + (width,))
+                                       for buf, shape in zip(bufs, shapes))
+            pre[:1], suf[-1:], c2v[-1] = 1.0, 1.0, 0.0
+            # slot j: slots 0..j - 1 in order times slots d_max - 1 down to j + 1
+            chain = [*zip(pre[:-1], t[:-1], pre[1:]), *zip(suf[:0:-1], t[:0:-1], suf[-2::-1])]
+            return t, pre, suf, c2v, c2v[:-1].reshape(t.shape), total, total[:n], chain
 
+        t, pre, suf, c2v, edges, total, col_sum, chain = views(rows)
+        np.take(prior, cols, axis=0, out=t, mode="clip")
         for it in range(1, self.max_iters + 1):
-            np.tanh(0.5 * v2c, out=t[:n_edges])
-            trow[1:-1] = t[slots]
-            # slot j: rows 0..j in order times rows d_max + 1 down to j + 2
-            prefix = np.cumprod(trow, axis=0)[:-2]
-            suffix = np.cumprod(trow[::-1], axis=0)[-3::-1]
-            c2v[slots] = 2.0 * np.arctanh(np.clip(prefix * suffix, -_ATANH_LIM, _ATANH_LIM))
-            total = llr + np.bincount(ecol, weights=c2v[:n_edges], minlength=code.n + 1)
-            hard = total < 0
-            if not np.bitwise_xor.reduce(hard[lay.slot_cols], axis=0).any():
-                word = hard[:-1].astype(np.uint8)
-                rejected = np.bitwise_xor.reduce(code.column_words[np.flatnonzero(word)],
-                                                 axis=0).any()
-                return STATUS_CRC_FAILED if rejected else STATUS_DECODED, it, word
-            v2c = total[ecol] - c2v[:n_edges]
-        return STATUS_ABANDONED, self.max_iters, hard[:-1].astype(np.uint8)
+            np.multiply(t, 0.5, out=t)
+            np.tanh(t, out=t)
+            for a, b, out in chain:
+                np.multiply(a, b, out=out)
+            np.multiply(pre, suf, out=edges)
+            np.maximum(edges, -_ATANH_LIM, out=edges)  # np.clip, without its wrapper
+            np.minimum(edges, _ATANH_LIM, out=edges)
+            np.arctanh(edges, out=edges)
+            np.multiply(edges, 2.0, out=edges)
+            # each column's messages from 0.0 in ascending row order, as np.bincount adds
+            total.fill(0.0)
+            for slots in col_slots:
+                col_sum += c2v[slots]
+            np.add(total, prior, out=total)
+            np.take(total, cols, axis=0, out=t, mode="clip")
+            odd = np.logical_or.reduce(np.bitwise_xor.reduce(t < 0, axis=0), axis=0)
+            np.subtract(t, edges, out=t)  # the next v2c
+            if np.count_nonzero(odd) == len(active):
+                continue
+            done = np.flatnonzero(~odd)
+            word, finished = total[:n, done].T < 0, active[done]
+            words[finished] = word
+            rejected = np.bitwise_xor.reduce(
+                code.column_words[np.where(word, np.arange(n), n)], axis=1).any(axis=1)
+            for row, bad in zip(finished.tolist(), rejected.tolist()):
+                status[row], iters[row] = STATUS_CRC_FAILED if bad else STATUS_DECODED, it
+            active = active[odd]
+            if not active.size:
+                break
+            prior, v2c = prior[:, odd], t[..., odd]
+            t, pre, suf, c2v, edges, total, col_sum, chain = views(len(active))
+            t[...] = v2c
+        return status, iters, words
 
 
 # ---------------------------------------------------------------------------

@@ -245,19 +245,24 @@ class SparseParityCheck:
 
 
 class TannerLayout:
-    """Gather tables of the Tanner graph of one sparse parity check.  Edges
-    are numbered row by row, edge ``e`` in column ``ecol[e]``.  Column ``r``
-    of ``slots``, laid out (d_max, m_rows), lists row ``r``'s edges padded
-    with ``n_edges``; ``slot_cols`` holds their columns, padded with ``n``."""
+    """Gather tables of the Tanner graph of one sparse parity check, whose
+    edge messages sit in a (d_max, m_rows) slot table: slot ``(j, r)`` is
+    row ``r``'s j-th edge, at flat position ``j * m_rows + r``.
+    ``slot_cols`` holds each slot's column, padded with ``n``.  Column ``c``
+    of ``col_slots``, laid out (dv_max, n), lists the flat positions of
+    column ``c``'s edges in ascending row order, padded with
+    ``d_max * m_rows``."""
 
     def __init__(self, sparse: SparseParityCheck) -> None:
-        degrees = np.array([len(cols) for cols in sparse.row_cols], dtype=np.int64)
-        self.ecol = np.array([c for cols in sparse.row_cols for c in cols], dtype=np.int64)
-        self.n_edges = self.ecol.size
-        depth = np.arange(degrees.max(initial=0))[:, None]
-        self.slots = np.where(depth < degrees, np.cumsum(degrees) - degrees + depth,
-                              self.n_edges)
-        self.slot_cols = np.append(self.ecol, sparse.n)[self.slots]
+        n, m_rows, row_cols, col_rows = sparse.n, sparse.m_rows, sparse.row_cols, sparse.col_rows
+        d_max, dv_max = (max(map(len, lists), default=0) for lists in (row_cols, col_rows))
+        self.slot_cols = np.array([cols + (n,) * (d_max - len(cols)) for cols in row_cols],
+                                  dtype=np.int64).reshape(m_rows, d_max).T.copy()
+        slot = {(r, c): j * m_rows + r for r, cols in enumerate(row_cols)
+                for j, c in enumerate(cols)}
+        self.col_slots = np.full((dv_max, n), d_max * m_rows, dtype=np.int64)
+        for c, rows in enumerate(col_rows):
+            self.col_slots[:len(rows), c] = [slot[r, c] for r in rows]
 
 
 class AlistError(ValueError):

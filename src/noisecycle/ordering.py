@@ -56,6 +56,9 @@ class RecycleGraph:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
+        if self.node_count < 2:
+            raise ValueError(f"node_count must be >= 2, the zero node and a channel, "
+                             f"got {self.node_count}")
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (self.node_count, self.node_count):
             raise ValueError("weights must be (m+1) x (m+1)")
@@ -190,8 +193,6 @@ def max_arborescence(graph: RecycleGraph) -> RecyclingPlan:
     recursion depth is the number of cycles contracted, which is below m.
     """
     m = graph.m
-    if m == 0:
-        raise ValueError("graph has no channels")
     # (negated weight, original tail, original head, tail, head): plain tuple
     # order is the tie rule, heaviest first, then smallest original (source, target)
     chosen = _contract([(-w, u, v, u, v) for u, v, w in graph.edges()], m + 1)

@@ -366,6 +366,41 @@ class TestBpDecode:
                 assert outcome_key(out) == outcome_key(bp_reference(code, soft, 10))
         assert statuses == {"decoded", "crc_failed", "abandoned"}
 
+    def test_mixed_stops_in_one_workload_scale_batch(self):
+        # the benchmark's LDPC code: in one call some rows stop at iteration
+        # 1, some mid-way and some never (abandoned at the cap), and 16 rows
+        # are knife edges of the first; on its CRC'd twin the last row, a
+        # codeword whose message fails the CRC, ends crc_failed.  Every row
+        # is what the reference and a decode of that row alone give, and a
+        # permuted batch gives permuted outcomes
+        crc = CrcSpec(8, "100000111")
+        codes = [sample_regular_ldpc(256, 3, 6, seed=51),
+                 sample_regular_ldpc(256, 3, 6, seed=51, crc=crc)]
+        rng = np.random.default_rng(52)
+        messages = crc_encode(crc, rng.integers(0, 2, size=(33, 120), dtype=np.uint8))
+        messages[-1, -1] ^= 1
+        sigma = np.append(np.geomspace(0.35, 1.1, 32), 0.35)
+        received = (modulate_bpsk(encode(codes[0], messages))
+                    + sigma[:, None] * rng.normal(size=(33, 256)))
+        knives = [bp_knife_edge(codes[0], received[0], 0.125, column)
+                  for column in range(0, 256, 16)]
+        received = np.concatenate([received[:32], knives, received[32:]])
+        variances = np.concatenate([sigma[:32] ** 2, np.full(16, 0.125), sigma[32:] ** 2])
+        order = rng.permutation(len(received))
+        decoder = BpDecoder(20)
+        for code in codes:
+            keys = [outcome_key(out) for out in decoder.decode_batch(code, received, variances)]
+            for key, y, v in zip(keys, received, variances.tolist()):
+                soft = SoftBlock(y, v)
+                assert key == outcome_key(bp_reference(code, soft, 20))
+                assert key == outcome_key(decoder.decode(code, soft))
+            permuted = decoder.decode_batch(code, received[order], variances[order])
+            assert [outcome_key(out) for out in permuted] == [keys[i] for i in order]
+            stops = {(status, 1 if it == 1 else 20 if it == 20 else "mid")
+                     for status, it, _, _ in keys[:32]}
+            assert stops == {("decoded", 1), ("decoded", "mid"), ("abandoned", 20)}
+            assert keys[-1][:2] == ("decoded" if code.crc is None else "crc_failed", 1)
+
     @pytest.mark.slow
     def test_moderate_snr_regression(self, rng):
         # frozen baseline: (3,6)-regular n=1024 at 3 dB decodes almost always
@@ -378,11 +413,13 @@ class TestBpDecode:
         x = modulate_bpsk(cw)
         sig = math.sqrt(sigma2)
         decoder = BpDecoder(50)
-        for _ in range(trials):
-            y = x + sig * rng.standard_normal(1024)
-            out = decoder.decode(code, SoftBlock(y, sigma2))
-            if out.status != "decoded" or not np.array_equal(out.codeword, cw):
-                errors += 1
+        # batches of 32 rows draw the same noise as 32 draws of one row
+        for start in range(0, trials, 32):
+            rows = min(32, trials - start)
+            y = x + sig * rng.standard_normal((rows, 1024))
+            for out in decoder.decode_batch(code, y, np.full(rows, sigma2)):
+                if out.status != "decoded" or not np.array_equal(out.codeword, cw):
+                    errors += 1
         assert errors / trials < 1e-2
 
 

@@ -291,28 +291,28 @@ class TestDerivedLayouts:
         code = sample_regular_ldpc(12, 3, 6, seed=2)
         lay = code.sparse.tanner
         assert lay is code.sparse.tanner
-        assert lay.n_edges == 36
-        assert lay.slots.shape == lay.slot_cols.shape == (6, 6)
+        assert lay.slot_cols.shape == (6, 6)
+        assert lay.col_slots.shape == (3, 12)
         irregular = np.array([[0, 0, 0, 0, 0], [0, 0, 1, 0, 0], [1, 1, 0, 1, 0],
                               [1, 0, 1, 1, 1]], dtype=np.uint8)
         for h in (code.sparse.to_dense(), irregular, np.zeros((3, 4), np.uint8)):
             sparse = SparseParityCheck.from_dense(h)
             lay, (m_rows, n) = sparse.tanner, h.shape
-            d_max = h.sum(axis=1).max()
-            assert lay.slots.shape == lay.slot_cols.shape == (d_max, m_rows)
-            assert lay.n_edges == lay.ecol.size == h.sum()
-            # every edge once in the slot table; the rest is padding
-            real = lay.slots < lay.n_edges
-            assert np.array_equal(np.sort(lay.slots[real]), np.arange(lay.n_edges))
-            assert (lay.slots[~real] == lay.n_edges).all()
-            assert np.array_equal(lay.slot_cols[real], lay.ecol[lay.slots[real]])
+            assert lay.slot_cols.shape == (h.sum(axis=1).max(), m_rows)
+            assert lay.col_slots.shape == (h.sum(axis=0).max(), n)
             for r in range(m_rows):
                 # each row's padded column list is exactly that row's ones
                 ones = np.flatnonzero(h[r])
                 assert np.array_equal(lay.slot_cols[:ones.size, r], ones)
                 assert (lay.slot_cols[ones.size:, r] == n).all()
-                # every edge lies on a one of H
-                assert h[r, lay.ecol[lay.slots[:ones.size, r]]].all()
+            flat = lay.slot_cols.ravel()
+            for c in range(n):
+                # each column's slots in ascending row order, then the pad
+                rows = np.flatnonzero(h[:, c])
+                slots = lay.col_slots[:rows.size, c]
+                assert (flat[slots] == c).all()
+                assert np.array_equal(slots % m_rows, rows)
+                assert (lay.col_slots[rows.size:, c] == flat.size).all()
 
 
 class TestMembershipCheck:

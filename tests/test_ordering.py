@@ -157,6 +157,13 @@ class TestUnreachableChannels:
             constrain_root_child(graph, 1)
 
 
+class TestNoChannels:
+    @pytest.mark.parametrize("node_count", [0, 1])
+    def test_rejected_when_the_graph_is_built(self, node_count):
+        with pytest.raises(ValueError, match=rf"node_count must be >= 2.*got {node_count}"):
+            RecycleGraph(node_count=node_count, weights=np.full((node_count,) * 2, np.nan))
+
+
 class TestBruteForce:
     def test_m2_has_exactly_three_arborescences(self):
         assert sorted(all_arborescences(2)) == [(0, 0), (0, 1), (2, 0)]

@@ -176,19 +176,27 @@ def test_batch_rows_decode_like_the_oracle(batch):
         assert all(out.queries == 1 for out in outs)
 
 
-@given(code=sparse_codes(), seed=seeds, sigma2=st.sampled_from([0.5, 1.0, 2.0]))
-def test_bp_equals_reference_on_knife_edges(code, seed, sigma2):
+@given(code=sparse_codes(), seed=seeds, data=st.data())
+def test_bp_equals_reference_on_knife_edges(code, seed, data):
     # at each column in turn, one ulp of difference in the first iteration's
-    # messages decides the hard decision
+    # messages decides the hard decision.  Every knife edge of the code and
+    # the untouched row go through one batch, each at its own variance
     rng = np.random.default_rng(seed)
     message = rng.integers(0, 2, size=code.payload_bits, dtype=np.uint8)
     if code.crc is not None:
         message = crc_encode(code.crc, message)
     y = modulate_bpsk(encode(code, message)) + 0.5 * rng.normal(size=code.n)
-    for column in range(code.n):
-        soft = SoftBlock(bp_knife_edge(code, y, sigma2, column), sigma2)
-        out = BpDecoder(20).decode(code, soft)
-        assert outcome_key(out) == outcome_key(bp_reference(code, soft, 20))
+    variances = np.array(data.draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=code.n + 1,
+                                            max_size=code.n + 1), label="variances"))
+    received = np.array([bp_knife_edge(code, y, v, column)
+                         for column, v in enumerate(variances[:-1].tolist())] + [y])
+    decoder = BpDecoder(20)
+    for out, row, v in zip(decoder.decode_batch(code, received, variances), received,
+                           variances.tolist()):
+        soft = SoftBlock(row, v)
+        want = outcome_key(bp_reference(code, soft, 20))
+        assert outcome_key(out) == want
+        assert outcome_key(decoder.decode(code, soft)) == want
 
 
 @given(m=st.integers(2, 3), rho=st.floats(-0.9, 0.9), sigma2=st.floats(0.2, 1.5),
