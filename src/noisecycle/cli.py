@@ -9,6 +9,7 @@ rate quantities over parameter grids.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -19,8 +20,30 @@ from .harness import ExperimentConfig, csv_text, run_bler_sweep, worker_count
 from .ordering import build_recycle_graph, plan_for
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok]
+def _number(kind: type, need: str, ok):
+    """An argparse type: a ``kind`` value that passes ``ok``, else an error,
+    which argparse prefixes with the option's name, saying ``need``."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"need {need}, got {text}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
+def _grid(item):
+    """An argparse type: a comma-separated list of ``item`` values."""
+    def parse(text: str) -> list:
+        return [item(tok) for tok in text.split(",") if tok]
+    parse.__name__ = "grid"
+    return parse
+
+
+_CHANNELS = _number(int, "m >= 1", lambda v: v >= 1)
+_RHO = _number(float, "|rho| < 1", lambda v: abs(v) < 1)
+_POSITIVE = _number(float, "a finite value > 0", lambda v: 0 < v < math.inf)
+_NONNEGATIVE = _number(float, "a finite value >= 0", lambda v: 0 <= v < math.inf)
 
 
 def _emit(lines: list[str], output: str | None) -> None:
@@ -123,23 +146,26 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=_cmd_order)
 
     p = sub.add_parser("rates", help="chain rate table over (rho, snr)")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--rho-grid", type=_float_list, required=True)
-    p.add_argument("--snr-grid", type=_float_list, required=True)
+    p.add_argument("--m", type=_CHANNELS, required=True)
+    p.add_argument("--rho-grid", type=_grid(_RHO), required=True)
+    p.add_argument("--snr-grid", type=_grid(_NONNEGATIVE), required=True)
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_rates)
 
     p = sub.add_parser("bounds", help="pair bound vs achievable vs joint capacity")
-    p.add_argument("--rho-grid", type=_float_list, required=True)
-    p.add_argument("--snr-grid", type=_float_list, required=True)
+    p.add_argument("--rho-grid", type=_grid(_RHO), required=True)
+    p.add_argument("--snr-grid", type=_grid(_POSITIVE), required=True)
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("capacity", help="water-filling capacity of a GM model")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--power", type=float, default=1.0)
-    p.add_argument("--sigma2", type=float, default=1.0)
+    text = ("water-filling capacity of a GM model under the sum power m * P: an upper "
+            "relaxation of the capacity under per-channel power P, equal to it at m = 2 "
+            "and whenever every eigenmode gets power")
+    p = sub.add_parser("capacity", help=text, description=text)
+    p.add_argument("--m", type=_CHANNELS, required=True)
+    p.add_argument("--rho", type=_RHO, required=True)
+    p.add_argument("--power", type=_POSITIVE, default=1.0)
+    p.add_argument("--sigma2", type=_POSITIVE, default=1.0)
     p.set_defaults(func=_cmd_capacity)
 
     args = parser.parse_args(argv)

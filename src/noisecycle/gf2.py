@@ -491,14 +491,17 @@ def _reduce_four_cycles(col_rows: list[set[int]], rng: np.random.Generator,
             return
 
 
+LDPC_EDGE_REPAIR_PASSES = 200  # sample_regular_ldpc's bound on repeated-edge repairs
+
+
 def sample_regular_ldpc(n: int, col_weight: int, row_weight: int, seed: int,
-                        crc: CrcSpec | None = None, label: str = "",
-                        max_attempts: int = 200) -> CodeSpec:
+                        crc: CrcSpec | None = None, label: str = "") -> CodeSpec:
     """(col_weight, row_weight)-regular LDPC code via random edge permutation.
 
-    Repeated edges are resolved by retrying the permutation (bounded), then a
-    few passes of 4-cycle reduction are attempted.  The generator is the
-    GF(2) nullspace of H, so k = n - rank(H) (H may carry redundant rows).
+    Repeated edges are resolved by retrying the permutation (at most
+    ``LDPC_EDGE_REPAIR_PASSES`` times), then a few passes of 4-cycle
+    reduction are attempted.  The generator is the GF(2) nullspace of H, so
+    k = n - rank(H) (H may carry redundant rows).
     """
     if (n * col_weight) % row_weight != 0:
         raise ValueError("n * col_weight must be divisible by row_weight")
@@ -510,7 +513,7 @@ def sample_regular_ldpc(n: int, col_weight: int, row_weight: int, seed: int,
     rng.shuffle(row_sockets)
     row_sockets = row_sockets.tolist()
     # repair repeated edges by swapping row sockets (degrees are preserved)
-    for _ in range(max_attempts):
+    for _ in range(LDPC_EDGE_REPAIR_PASSES):
         seen: set[tuple[int, int]] = set()
         dups = []
         for idx, pair in enumerate(zip(col_sockets, row_sockets)):

@@ -384,8 +384,12 @@ def parse_csv(text: str) -> list[BlerPoint]:
     return points
 
 
-def wilson_interval(errors: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """95% (by default) Wilson score interval for a binomial proportion."""
+WILSON_Z = 1.96  # the standard normal quantile of a two-sided 95% interval
+
+
+def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
+    z = WILSON_Z
     if trials <= 0:
         raise ValueError("need at least one trial")
     phat = errors / trials

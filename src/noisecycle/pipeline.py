@@ -26,11 +26,13 @@ recycling detection and is off everywhere else.
 
 Each step decodes one channel for a set of rows with one call to the
 decoder's ``decode_batch(code, received, variances)``; a decoder from
-outside the package that has only ``decode`` is called row by row.  The
-step's estimates and LLSE inputs come from
+outside the package that has only ``decode`` is called row by row.  Every
+row names its own source channel, so blocks with different leads share a
+call.  The step's estimates and LLSE inputs come from
 :func:`~noisecycle.recycling.estimate_noise` and
-:func:`~noisecycle.recycling.llse_update` on the stacked rows, which are
-elementwise, so a row decodes exactly as the same block would alone.
+:func:`~noisecycle.recycling.llse_update` on the stacked rows of each
+source, which are elementwise, so a row decodes exactly as the same block
+would alone.
 """
 
 from __future__ import annotations
@@ -116,9 +118,10 @@ class _Batch:
         self.usable = np.zeros((rows, m), dtype=bool)
         self.lead = np.full(rows, -1, dtype=np.int64)
 
-    def decode(self, j: int, rows: np.ndarray, source: int | None = None) -> None:
-        """Decode channel ``j`` of ``rows``, recycling ``source``'s estimate
-        in the rows that have one.
+    def decode(self, j: int, rows: np.ndarray, sources: int | np.ndarray = -1) -> None:
+        """Decode channel ``j`` of ``rows``, each row recycling the estimate of
+        its own source channel (an int for all rows, or one per row; -1 for
+        none) where that source has one.
 
         Those rows decode ``y_j - rho'_{source,j} z_hat_source`` at the
         reduced variance, where ``z_hat_source`` is the source's original
@@ -132,14 +135,15 @@ class _Batch:
         y = self.received[rows, j]
         sigma2 = float(self.model.sigma2[j])
         variances = np.full(rows.size, sigma2)
-        if source is not None:
-            hit = self.usable[rows, source]
-            if hit.any():
-                src = rows[hit]
-                estimate = estimate_noise(self.received[src, source],
-                                          modulate_bpsk(self.decisions[src, source]), source)
-                y[hit] = llse_update(y[hit], estimate, self.model, j)
-                variances[hit] = effective_variance(sigma2, float(self.model.corr[source, j]))
+        sources = np.broadcast_to(sources, rows.shape)
+        hit = (sources >= 0) & self.usable[rows, sources]
+        for source in sorted(set(sources[hit].tolist())):
+            sel = hit & (sources == source)
+            src = rows[sel]
+            estimate = estimate_noise(self.received[src, source],
+                                      modulate_bpsk(self.decisions[src, source]), source)
+            y[sel] = llse_update(y[sel], estimate, self.model, j)
+            variances[sel] = effective_variance(sigma2, float(self.model.corr[source, j]))
         outcomes = _decode_rows(self.decoders[j], self.codes[j], y, variances)
         decoded = np.zeros(rows.size, dtype=bool)
         for i, (row, outcome) in enumerate(zip(rows.tolist(), outcomes)):
@@ -189,17 +193,15 @@ def run_batch(config: PipelineConfig, received: np.ndarray, sent: np.ndarray,
     metric value, ties to the lowest channel index) and re-decodes the
     others outward from it in index distance (lead+1, lead-1, lead+2, ...).
     A block with every channel undecoded has no lead and nothing is
-    re-decoded.  Rows are grouped by lead for the re-decodes, and by lead
-    and feedback channel for re-recycling.
+    re-decoded.  Each distance is one call per target channel, in
+    descending index order, over the blocks that reach it at that distance;
+    re-recycling is one call per lead channel.
     """
     m = model.m
+    if config.mode == MODE_DYNAMIC and m < 2:
+        raise ValueError("dynamic recycling needs at least two channels")
     batch = _Batch(received, sent, codes, decoders, model, config.genie)
     every = np.arange(len(received))
-    if config.mode == MODE_INDEPENDENT:
-        for j in range(m):
-            batch.decode(j, every)
-        return batch
-
     if config.mode == MODE_STATIC:
         plan = config.plan
         if plan is None:
@@ -207,46 +209,40 @@ def run_batch(config: PipelineConfig, received: np.ndarray, sent: np.ndarray,
         if plan.m != m:
             raise ValueError("plan size disagrees with channel model")
         for ch in plan.order:
-            parent = plan.parent_of(ch)
-            batch.decode(ch - 1, every, parent - 1 if parent else None)
-        batch.lead[:] = lead = plan.order[0] - 1
-        if config.rerecycle:
-            feedback = _plan_feedback(plan, model, lead)
-            if feedback is not None:
-                batch.decode(lead, every[batch.usable[:, feedback]], feedback)
-        return batch
-
-    if m < 2:
-        raise ValueError("dynamic recycling needs at least two channels")
-    for j in range(m):
-        batch.decode(j, every)
-    conf = batch.confidence(config.confidence_metric)
-    led = (conf < math.inf).any(axis=1)
-    batch.lead[led] = conf[led].argmin(axis=1)
-    for lead in sorted(set(batch.lead[led].tolist())):
-        rows = every[batch.lead == lead]
-        for step in range(1, max(m - 1 - lead, lead) + 1):
-            for target, source in ((lead + step, lead + step - 1),
-                                   (lead - step, lead - step + 1)):
-                if 0 <= target < m:
-                    batch.decode(target, rows, source)
-    if config.rerecycle:
-        # feedback: the most confident non-lead, ties to the lowest channel
+            batch.decode(ch - 1, every, plan.parent_of(ch) - 1)
+        batch.lead[:] = plan.order[0] - 1
+    else:
+        for j in range(m):
+            batch.decode(j, every)
+        if config.mode == MODE_INDEPENDENT:
+            return batch
         conf = batch.confidence(config.confidence_metric)
-        conf[every[led], batch.lead[led]] = math.inf
-        feedback = conf.argmin(axis=1)
-        go = led & (feedback != batch.lead) & batch.usable[every, feedback]
-        for lead, source in sorted(set(zip(batch.lead[go].tolist(), feedback[go].tolist()))):
-            batch.decode(lead, every[go & (batch.lead == lead) & (feedback == source)],
-                         source)
+        led = (conf < math.inf).any(axis=1)
+        batch.lead[led] = conf[led].argmin(axis=1)
+        for step in range(1, m):
+            for j in range(m - 1, -1, -1):
+                rows = every[led & (np.abs(j - batch.lead) == step)]
+                batch.decode(j, rows, np.where(batch.lead[rows] < j, j - 1, j + 1))
+    if config.rerecycle:
+        feedback = _feedback(config, batch)
+        go = (feedback >= 0) & batch.usable[every, feedback]
+        for j in range(m):
+            rows = every[go & (batch.lead == j)]
+            batch.decode(j, rows, feedback[rows])
     return batch
 
 
-def _plan_feedback(plan: RecyclingPlan, model: ChannelModel, lead: int) -> int | None:
-    """The channel whose estimate static re-recycling feeds back to the
-    lead: its plan child with the largest squared correlation to it, ties
-    to the lowest channel."""
-    children = plan.children_of(lead + 1)
-    if not children:
-        return None
-    return min(children, key=lambda ch: (-model.corr[ch - 1, lead] ** 2, ch)) - 1
+def _feedback(config: PipelineConfig, batch: _Batch) -> np.ndarray:
+    """Each row's re-recycling source, -1 for none: the lead's plan child
+    most correlated with it (static), or the most confident non-lead
+    (dynamic), ties to the lowest channel."""
+    if config.mode == MODE_STATIC:
+        root = config.plan.order[0]
+        corr = batch.model.corr[:, root - 1]
+        best = min(config.plan.children_of(root), key=lambda ch: (-corr[ch - 1] ** 2, ch),
+                   default=0)
+        return np.full(len(batch.lead), best - 1)
+    conf = batch.confidence(config.confidence_metric)
+    led = batch.lead >= 0
+    conf[led, batch.lead[led]] = math.inf
+    return np.where(conf.min(axis=1) < math.inf, conf.argmin(axis=1), -1)

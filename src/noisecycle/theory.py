@@ -30,6 +30,8 @@ __all__ = [
     "water_fill",
 ]
 
+WATER_FILL_REL_TOL = 1e-12  # relative width at which water_fill's bisection stops
+
 
 @dataclass(frozen=True)
 class RateReport:
@@ -148,12 +150,12 @@ def pair_upper_bound(p_i: float, p_j: float, sigma2_i: float, sigma2_j: float,
     return breakdown.total, breakdown
 
 
-def water_fill(noise_eigenvalues: np.ndarray, total_power: float,
-               rel_tol: float = 1e-12) -> tuple[np.ndarray, float]:
+def water_fill(noise_eigenvalues: np.ndarray,
+               total_power: float) -> tuple[np.ndarray, float]:
     """Allocate ``total_power`` over noise eigenmodes: p_k = max(0, nu - l_k).
 
-    The water level nu is found by bisection to the requested relative
-    tolerance.  Returns (allocations, nu).
+    The water level nu is found by bisection to the relative tolerance
+    ``WATER_FILL_REL_TOL``.  Returns (allocations, nu).
     """
     lam = np.asarray(noise_eigenvalues, dtype=float)
     if (lam <= 0).any():
@@ -162,7 +164,7 @@ def water_fill(noise_eigenvalues: np.ndarray, total_power: float,
         raise ValueError("total power must be positive")
     lo = float(lam.min())
     hi = float(lam.max() + total_power)
-    while hi - lo > rel_tol * max(1.0, abs(hi)):
+    while hi - lo > WATER_FILL_REL_TOL * max(1.0, abs(hi)):
         nu = 0.5 * (lo + hi)
         if np.clip(nu - lam, 0.0, None).sum() > total_power:
             hi = nu
@@ -173,10 +175,19 @@ def water_fill(noise_eigenvalues: np.ndarray, total_power: float,
 
 
 def joint_capacity(model: ChannelModel) -> float:
-    """Joint encoder-decoder capacity with a common per-channel power P.
+    """Joint encoder-decoder capacity under the sum power m * P, for a common
+    per-channel power P.
 
     Water-fills m * P over the eigenvalues of the noise covariance and sums
-    0.5 * log2((l_k + p_k) / l_k).
+    0.5 * log2((l_k + p_k) / l_k).  That is an upper relaxation of the
+    capacity under a per-channel power P.  The two agree when the
+    water-filled input covariance gives every channel power P: with equal
+    noise variances, always at m = 2 and at any m when no eigenmode is left
+    dry.  Elsewhere this is strictly larger.  With sigma^2 = (1, 4),
+    rho = 0 and P = 1 it returns 0.792 bits, where independent decoding,
+    optimal without correlation, gives 0.661; the Gauss-Markov model with
+    m = 3, rho = 0.9 and P = 0.1 gives its channels powers (0.082, 0.137,
+    0.082).
     """
     power = np.asarray(model.power, dtype=float)
     if not np.allclose(power, power[0]):

@@ -81,6 +81,32 @@ class TestBadInputFiles:
         assert named in message
 
 
+class TestBadTableOptions:
+    """``rates``, ``bounds`` and ``capacity`` exit nonzero on an out-of-range
+    option, with a message that names it and no traceback."""
+
+    @pytest.mark.parametrize("argv, named", [
+        (["rates", "--m", "2", "--rho-grid", "1", "--snr-grid", "1"], "--rho-grid"),
+        (["bounds", "--rho-grid", "1", "--snr-grid", "1"], "--rho-grid"),
+        (["rates", "--m", "0", "--rho-grid", "0.5", "--snr-grid", "1"], "--m"),
+        (["rates", "--m", "2", "--rho-grid", "0.5", "--snr-grid", "-1"], "--snr-grid"),
+        (["bounds", "--rho-grid", "0.5", "--snr-grid", "0"], "--snr-grid"),
+        (["capacity", "--m", "2", "--rho", "1"], "--rho"),
+        (["capacity", "--m", "0", "--rho", "0.5"], "--m"),
+        (["capacity", "--m", "2", "--rho", "0.5", "--power", "0"], "--power"),
+    ])
+    def test_out_of_range_option(self, argv, named):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-m", "noisecycle.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode != 0
+        assert f"argument {named}: " in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+
 class TestRatesCommand:
     def test_csv_shape_and_values(self, capsys):
         assert main(["rates", "--m", "4", "--rho-grid", "0,0.5",

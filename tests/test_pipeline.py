@@ -7,6 +7,7 @@ from noisecycle import (NoiseEstimate, OrbgrandDecoder,
                         max_arborescence, modulate_bpsk, run_block,
                         sample_noise, sample_rlc, transmit)
 from noisecycle.ordering import RecyclingPlan
+from noisecycle.pipeline import run_batch
 from conftest import FailingDecoder, PerfectDecoder, RecordingDecoder, fig2_model
 
 INDEPENDENT = PipelineConfig(mode="independent")
@@ -182,6 +183,40 @@ class TestDynamicRecycling:
         result = run_block(DYNAMIC_Q, outputs, codes, decoders, model)
         assert result.lead_channel is None
         assert all(o.status == "abandoned" for o in result.outcomes)
+
+    def test_one_call_per_target_and_distance_across_leads(self, rng):
+        # blocks led from either side of the middle channel re-decode it in
+        # one call, each recycling its own lead at its own reduced variance
+        model = fig2_model()  # corr(0, 1)^2 = 0.725, corr(1, 2)^2 = 0.79
+        m, n, rows = model.m, 16, 32
+        codes = [sample_rlc(n, 11, seed=s) for s in (50, 51, 52)]
+        sent = np.zeros((rows, m, n), dtype=np.uint8)
+        for j, code in enumerate(codes):
+            sent[:, j] = encode(code, rng.integers(0, 2, size=(rows, code.k), dtype=np.uint8))
+        received = modulate_bpsk(sent) + np.stack(
+            [sample_noise(model, n, rng).samples for _ in range(rows)])
+        log: list = []
+
+        class Logged:
+            def __init__(self, idx):
+                self.idx, self.inner = idx, OrbgrandDecoder(max_queries=4000)
+
+            def decode_batch(self, code, received, variances):
+                log.append((self.idx, len(received), set(variances.tolist())))
+                return self.inner.decode_batch(code, received, variances)
+
+        config = PipelineConfig(mode="dynamic", confidence_metric="noise_nll",
+                                rerecycle=True)
+        batch = run_batch(config, received, sent, codes, [Logged(j) for j in range(m)],
+                          model)
+        leads = batch.lead.tolist()
+        assert {0, 2} <= set(leads)
+        assert [(j, size) for j, size, _ in log[:m]] == [(j, rows) for j in range(m)]
+        middle = [(size, variances) for j, size, variances in log[m:] if j == 1]
+        assert middle[0] == (leads.count(0) + leads.count(2),
+                             {effective_variance(1.0, model.corr[s, 1]) for s in (0, 2)})
+        targets = sum(sum(0 <= j - s or j + s < m for j in range(m)) for s in range(1, m))
+        assert len(log) <= m + targets + m
 
     def test_abandoned_never_leads_while_decoded_exists(self, rng):
         model = build_gm_model(2, 0.5, 1.0)

@@ -195,6 +195,29 @@ class TestJointCapacity:
             bound, _ = pair_upper_bound(snr, snr, 1.0, 1.0, rho)
             assert joint_capacity(model) == pytest.approx(bound, abs=0.05)
 
+    def test_bound_gap_over_bounds_grid(self):
+        # the `noisecycle bounds` grid: achievable <= pair bound <= joint
+        # capacity, and the bound-to-capacity gap, zero without correlation,
+        # closes as snr grows at every rho; no claim about the paper's plots
+        snrs = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
+        print("\nrho,snr,achievable,pair_bound,joint_capacity,gap")
+        for rho in (0.0, 0.3, 0.6, 0.9):
+            gaps = []
+            for snr in snrs:
+                model = build_gm_model(2, rho, 1.0, snr)
+                ach = achievable_rates(model, max_arborescence(build_recycle_graph(model)))
+                bound, _ = pair_upper_bound(snr, snr, 1.0, 1.0, rho)
+                joint = joint_capacity(model)
+                gaps.append(joint - bound)
+                print(f"{rho},{snr},{ach.sum_rate:.6g},{bound:.6g},{joint:.6g},"
+                      f"{gaps[-1]:.6g}")
+                assert ach.sum_rate <= bound + 1e-12
+                assert bound <= joint + 1e-12
+            if rho == 0.0:
+                assert max(map(abs, gaps)) <= 1e-10
+            else:
+                assert all(b < a for a, b in zip(gaps, gaps[1:]))
+
     def test_heterogeneous_power_rejected(self):
         model = build_gm_model(2, 0.5, 1.0, 1.0)
         object.__setattr__(model, "power", np.array([1.0, 2.0]))
