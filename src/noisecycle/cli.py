@@ -103,7 +103,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         for snr in args.snr_grid:
             indep = 2 * theory.capacity(snr)
             ach = theory.capacity(snr) + theory.capacity(snr / (1 - rho * rho))
-            bound, _ = theory.pair_upper_bound(snr, snr, 1.0, 1.0, rho)
+            bound = theory.pair_upper_bound(snr, snr, 1.0, 1.0, rho).total
             model = build_gm_model(2, rho, 1.0, snr)
             joint = theory.joint_capacity(model)
             lines.append(f"{rho:.6g},{snr:.6g},{indep:.6g},{ach:.6g},"

@@ -153,7 +153,7 @@ def _crc_from_spec(spec: Mapping[str, Any]) -> CrcSpec | None:
     if poly is None:
         return None
     checked(poly, "crc_polynomial", str)
-    return CrcSpec(degree=len(poly) - 1, polynomial=poly)
+    return CrcSpec(poly)
 
 
 # code type -> its required keys besides "type"

@@ -290,9 +290,9 @@ class OrbgrandDecoder(_GuessingDecoder):
         # which bounds the chunk's temporaries at about 1 MB
         while queries < cap:
             rows = _rank_rows(n, min(queries + size, cap), cap)
+            # the stream holds every flip set, so the one that gives the all-zero
+            # codeword (the hard decision's ones) hits before the stream ends
             stop = min(queries + size, cap, len(rows))
-            if stop == queries:
-                break  # stream exhausted (tiny n)
             syndromes = np.bitwise_xor.reduce(ranked[rows[queries:stop]], axis=1) ^ base
             hits = np.flatnonzero(~syndromes.any(axis=1))
             if hits.size:
@@ -324,7 +324,7 @@ class SgrandabDecoder(_GuessingDecoder):
         heappush, heappop = heapq.heappush, heapq.heappop
         heap = [(r[0], 0, (0,), start ^ sorted_masks[0])]
         queries, seq = 1, 1
-        while heap and queries < cap:
+        while queries < cap:  # the all-zero codeword's flip set pops before the heap empties
             score, _, pat, s = heappop(heap)
             queries += 1
             t = pat[-1]

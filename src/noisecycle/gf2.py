@@ -3,7 +3,11 @@
 Provides random linear codes in systematic form, regular LDPC code
 construction, CRC attachment/validation, alist parsing for sparse
 parity-check matrices, syndrome-based membership tests, and a brute-force
-maximum-likelihood decoder used as an oracle for small codes.
+maximum-likelihood decoder used as an oracle for small codes.  Their value
+objects store each fact once: ``CodeSpec(generator, parity_check, crc,
+label, sparse)`` reads k and n from G's shape, ``CrcSpec(polynomial)`` its
+degree from the polynomial, and ``SparseParityCheck(n, row_cols)`` its row
+count and column view from its rows.
 
 A CRC is a linear constraint on the message, so a CRC-aided [n, k] code is
 the linear subcode of codewords whose message passes the CRC, with
@@ -24,7 +28,7 @@ Python integer whose bit ``r`` is ``M[r, j]``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -96,13 +100,13 @@ def gf2_nullspace(mat: np.ndarray) -> np.ndarray:
 
 
 def _nullspace_of_rref(a: np.ndarray, pivots: list[int]) -> np.ndarray:
-    _, cols = a.shape
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.uint8)
-    for i, f in enumerate(free):
-        basis[i, f] = 1
-        for row, p in enumerate(pivots):
-            basis[i, p] = a[row, f]
+    # a boolean mask, not np.setdiff1d, whose import of numpy.ma costs ~1 MB of RSS
+    is_free = np.ones(a.shape[1], dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    basis = np.zeros((len(free), a.shape[1]), dtype=np.uint8)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = a[: len(pivots), free].T
     return basis
 
 
@@ -117,14 +121,6 @@ def pack_rows(mat: np.ndarray) -> np.ndarray:
     return packed_bytes.view(np.uint64).reshape(rows, words)
 
 
-def unpack_words(words: np.ndarray, n: int) -> np.ndarray:
-    """The first ``n`` bits of packed rows (``pack_rows``'s layout), as bit
-    vectors stacked like the rows."""
-    bits = np.unpackbits(np.ascontiguousarray(words).view(np.uint8), axis=-1,
-                         bitorder="little")
-    return bits[..., :n]
-
-
 # ---------------------------------------------------------------------------
 # CRC
 # ---------------------------------------------------------------------------
@@ -133,22 +129,23 @@ def unpack_words(words: np.ndarray, n: int) -> np.ndarray:
 class CrcSpec:
     """Cyclic redundancy check defined by a binary polynomial.
 
-    ``polynomial`` is a bit string of length ``degree + 1``, highest power
-    first (e.g. ``"1011"`` is x^3 + x + 1).
+    ``polynomial`` is a bit string, highest power first, so its ``degree``
+    is its length less one (e.g. ``"1011"`` is x^3 + x + 1, degree 3).
     """
 
-    degree: int
     polynomial: str
 
     def __post_init__(self) -> None:
-        if self.degree < 1:
+        if len(self.polynomial) < 2:
             raise ValueError("CRC degree must be >= 1")
-        if len(self.polynomial) != self.degree + 1:
-            raise ValueError("polynomial length must be degree + 1")
         if set(self.polynomial) - {"0", "1"}:
             raise ValueError("polynomial must be a bit string")
         if self.polynomial[0] != "1":
             raise ValueError("leading polynomial coefficient must be 1")
+
+    @property
+    def degree(self) -> int:
+        return len(self.polynomial) - 1
 
     @property
     def taps(self) -> np.ndarray:
@@ -167,19 +164,13 @@ def _crc_remainder(bits: np.ndarray, crc: CrcSpec) -> np.ndarray:
 
 # The remainder is GF(2)-linear in the dividend, so per (polynomial, length)
 # it is one matrix multiply; rows are the remainders of the unit vectors.
-_CRC_MATRIX_CACHE: dict[tuple[str, int], np.ndarray] = {}
-
-
+@cache
 def _remainder_matrix(crc: CrcSpec, length: int) -> np.ndarray:
-    key = (crc.polynomial, length)
-    mat = _CRC_MATRIX_CACHE.get(key)
-    if mat is None:
-        mat = np.zeros((length, crc.degree), dtype=np.uint8)
-        for i in range(length):
-            unit = np.zeros(length, dtype=np.uint8)
-            unit[i] = 1
-            mat[i] = _crc_remainder(unit, crc)
-        _CRC_MATRIX_CACHE[key] = mat
+    mat = np.zeros((length, crc.degree), dtype=np.uint8)
+    for i in range(length):
+        unit = np.zeros(length, dtype=np.uint8)
+        unit[i] = 1
+        mat[i] = _crc_remainder(unit, crc)
     return mat
 
 
@@ -209,28 +200,32 @@ def crc_check(crc: CrcSpec, word) -> bool:
 
 @dataclass(frozen=True)
 class SparseParityCheck:
-    """Sparse H held as mutually consistent row and column adjacency lists."""
+    """Sparse H on ``n`` columns, held as its rows: ``row_cols[r]`` lists the
+    columns of row r, distinct and ascending in [0, n).  ``m_rows`` and the
+    column view ``col_rows`` are derived from them."""
 
     n: int
-    m_rows: int
-    col_rows: tuple[tuple[int, ...], ...]  # per column: sorted row indices
-    row_cols: tuple[tuple[int, ...], ...]  # per row: sorted column indices
+    row_cols: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if len(self.col_rows) != self.n or len(self.row_cols) != self.m_rows:
-            raise ValueError("adjacency list lengths disagree with dimensions")
-        from_cols = {(r, c) for c, rows in enumerate(self.col_rows) for r in rows}
-        from_rows = {(r, c) for r, cols in enumerate(self.row_cols) for c in cols}
-        if from_cols != from_rows:
-            raise ValueError("row and column adjacency views are inconsistent")
+        for r, cols in enumerate(self.row_cols):
+            if list(cols) != sorted(set(cols)) or not all(0 <= c < self.n for c in cols):
+                raise ValueError(f"row {r} must list distinct ascending columns in "
+                                 f"[0, {self.n}), got {cols}")
+
+    @property
+    def m_rows(self) -> int:
+        return len(self.row_cols)
+
+    @cached_property
+    def col_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Per column, its rows in ascending order, built on first use."""
+        return tuple(tuple(np.flatnonzero(col).tolist()) for col in self.to_dense().T)
 
     @classmethod
     def from_dense(cls, h: np.ndarray) -> "SparseParityCheck":
         bits = _as_bits(np.atleast_2d(h))
-        m_rows, n = bits.shape
-        col_rows = tuple(tuple(int(r) for r in np.nonzero(bits[:, c])[0]) for c in range(n))
-        row_cols = tuple(tuple(int(c) for c in np.nonzero(bits[r])[0]) for r in range(m_rows))
-        return cls(n=n, m_rows=m_rows, col_rows=col_rows, row_cols=row_cols)
+        return cls(bits.shape[1], tuple(tuple(np.flatnonzero(row).tolist()) for row in bits))
 
     def to_dense(self) -> np.ndarray:
         h = np.zeros((self.m_rows, self.n), dtype=np.uint8)
@@ -286,6 +281,23 @@ def parse_alist(text: str) -> SparseParityCheck:
         except ValueError as exc:
             raise AlistError(f"line {idx + 1}: {exc}") from None
 
+    def adjacency(first: int, degrees: list[int], what: str, other: str,
+                  bound: int) -> tuple[tuple[int, ...], ...]:
+        # the 0-based entries of the lists on lines first + 1.., one per degree
+        lists = []
+        for i, degree in enumerate(degrees):
+            entries = [e for e in ints(first + i) if e != 0]
+            where = f"line {first + i + 1}: {what} {i + 1}"
+            if len(entries) != degree:
+                raise AlistError(f"{where} lists {len(entries)} entries, degree says {degree}")
+            for e in entries:
+                if not 1 <= e <= bound:
+                    raise AlistError(f"{where}: {other} index {e} out of range 1..{bound}")
+            if len(set(entries)) != degree:
+                raise AlistError(f"{where} lists a {other} twice")
+            lists.append(tuple(sorted(e - 1 for e in entries)))
+        return tuple(lists)
+
     header = ints(0)
     if len(header) != 2 or header[0] <= 0 or header[1] <= 0:
         raise AlistError("line 1: header must be two positive integers 'n m'")
@@ -296,34 +308,12 @@ def parse_alist(text: str) -> SparseParityCheck:
         raise AlistError(f"line 3: expected {n} column degrees, got {len(col_deg)}")
     if len(row_deg) != m_rows:
         raise AlistError(f"line 4: expected {m_rows} row degrees, got {len(row_deg)}")
-
-    col_rows = []
-    for c in range(n):
-        entries = [e for e in ints(4 + c) if e != 0]
-        if len(entries) != col_deg[c]:
-            raise AlistError(f"line {5 + c}: column {c + 1} lists {len(entries)} entries, "
-                             f"degree says {col_deg[c]}")
-        for e in entries:
-            if not 1 <= e <= m_rows:
-                raise AlistError(f"line {5 + c}: row index {e} out of range 1..{m_rows}")
-        col_rows.append(tuple(sorted(e - 1 for e in entries)))
-
-    row_cols = []
-    for r in range(m_rows):
-        entries = [e for e in ints(4 + n + r) if e != 0]
-        if len(entries) != row_deg[r]:
-            raise AlistError(f"line {5 + n + r}: row {r + 1} lists {len(entries)} entries, "
-                             f"degree says {row_deg[r]}")
-        for e in entries:
-            if not 1 <= e <= n:
-                raise AlistError(f"line {5 + n + r}: column index {e} out of range 1..{n}")
-        row_cols.append(tuple(sorted(e - 1 for e in entries)))
-
-    try:
-        return SparseParityCheck(n=n, m_rows=m_rows, col_rows=tuple(col_rows),
-                                 row_cols=tuple(row_cols))
-    except ValueError as exc:
-        raise AlistError(f"line 5..{4 + n + m_rows}: {exc}") from None
+    col_rows = adjacency(4, col_deg, "column", "row", m_rows)
+    sparse = SparseParityCheck(n, adjacency(4 + n, row_deg, "row", "column", n))
+    if sparse.col_rows != col_rows:
+        raise AlistError(f"line 5..{4 + n + m_rows}: "
+                         "row and column adjacency views are inconsistent")
+    return sparse
 
 
 def serialize_alist(h: SparseParityCheck) -> str:
@@ -351,8 +341,8 @@ def serialize_alist(h: SparseParityCheck) -> str:
 class CodeSpec:
     """A binary [n, k] linear block code.
 
-    ``generator`` is k x n and ``parity_check`` (n - k) x n, both with full
-    row rank, and G @ H.T = 0 over GF(2).  ``sparse`` optionally carries
+    ``generator`` is k x n, which sets k and n, and ``parity_check`` is
+    (n - k) x n, both with full row rank, and G @ H.T = 0 over GF(2).  ``sparse`` optionally carries
     a redundant sparse parity-check view for message-passing decoders; its
     rows must span the same space as H's, so its null space is the code.
     When ``crc`` is set, the last ``crc.degree`` bits of every valid message
@@ -360,42 +350,38 @@ class CodeSpec:
     the checks that say so.
     """
 
-    n: int
-    k: int
+    n: int = field(init=False)
+    k: int = field(init=False)
     generator: np.ndarray
     parity_check: np.ndarray
     crc: CrcSpec | None = None
     label: str = ""
     sparse: SparseParityCheck | None = None
-    # caches, derived in __post_init__
-    _packed_g: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         g = _as_bits(self.generator)
         h = _as_bits(self.parity_check)
-        if not 0 < self.k <= self.n:
-            raise ValueError("need 0 < k <= n")
-        if g.shape != (self.k, self.n):
-            raise ValueError("generator must be k x n")
-        if h.shape != (self.n - self.k, self.n):
+        if g.ndim != 2 or not 0 < len(g) <= g.shape[1]:
+            raise ValueError(f"generator must be k x n with 0 < k <= n, got shape {g.shape}")
+        k, n = g.shape
+        if h.shape != (n - k, n):
             raise ValueError("parity_check must be (n - k) x n")
         if ((g @ h.T) % 2).any():
             raise ValueError("G . H^T != 0")
-        if gf2_rank(g) != self.k:
+        if gf2_rank(g) != k:
             raise ValueError("generator rows are linearly dependent")
-        if gf2_rank(h) != self.n - self.k:
+        if gf2_rank(h) != n - k:
             raise ValueError("parity_check rows are linearly dependent")
-        if self.crc is not None and self.k <= self.crc.degree:
+        if self.crc is not None and k <= self.crc.degree:
             raise ValueError("k must exceed the CRC degree")
         if self.sparse is not None:
             # the view spans H's rows: rank(Hs) = rank([H; Hs]) = n - k
             hs = self.sparse.to_dense()
-            if (self.sparse.n != self.n or gf2_rank(hs) != self.n - self.k
-                    or gf2_rank(np.concatenate([h, hs])) != self.n - self.k):
+            if (self.sparse.n != n or gf2_rank(hs) != n - k
+                    or gf2_rank(np.concatenate([h, hs])) != n - k):
                 raise ValueError("sparse must span the rows of parity_check")
-        object.__setattr__(self, "generator", g)
-        object.__setattr__(self, "parity_check", h)
-        object.__setattr__(self, "_packed_g", pack_rows(g))
+        for name, value in (("n", n), ("k", k), ("generator", g), ("parity_check", h)):
+            object.__setattr__(self, name, value)
 
     @property
     def rate(self) -> float:
@@ -430,6 +416,11 @@ class CodeSpec:
         words = pack_rows(self.membership_check.T)
         return np.concatenate([words, np.zeros((1, words.shape[1]), np.uint64)])
 
+    @cached_property
+    def _packed_g(self) -> np.ndarray:
+        """Rows of ``generator`` packed into ``uint64`` words, built on first use."""
+        return pack_rows(self.generator)
+
     @property
     def payload_bits(self) -> int:
         """Message bits carried before CRC attachment (= k without CRC)."""
@@ -441,7 +432,7 @@ def encode(code: CodeSpec, message) -> np.ndarray:
     leading axes."""
     msg = _as_bits(message, code.k)
     words = np.bitwise_xor.reduce(np.where(msg[..., None], code._packed_g, 0), axis=-2)
-    return unpack_words(words, code.n)
+    return np.unpackbits(words.view(np.uint8), axis=-1, bitorder="little")[..., : code.n]
 
 
 def syndrome(code: CodeSpec, word) -> np.ndarray:
@@ -454,18 +445,20 @@ def sample_rlc(n: int, k: int, seed: int, crc: CrcSpec | None = None,
     """Systematic random linear code: G = [I_k | A], H = [A^T | I_{n-k}]."""
     if not 0 < k <= n:
         raise ValueError("need 0 < k <= n")
-    rng = np.random.default_rng(seed)
-    a = rng.integers(0, 2, size=(k, n - k), dtype=np.uint8)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    a = np.random.default_rng(seed).integers(0, 2, size=(k, n - k), dtype=np.uint8)
     g = np.concatenate([np.eye(k, dtype=np.uint8), a], axis=1)
     h = np.concatenate([a.T, np.eye(n - k, dtype=np.uint8)], axis=1)
-    return CodeSpec(n=n, k=k, generator=g, parity_check=h, crc=crc,
-                    label=label or f"rlc[{n},{k}]s{seed}")
+    return CodeSpec(g, h, crc=crc, label=label or f"rlc[{n},{k}]s{seed}")
 
 
-def _reduce_four_cycles(col_rows: list[set[int]], rng: np.random.Generator,
-                        n: int, passes: int = 4) -> None:
+LDPC_FOUR_CYCLE_PASSES = 4  # sample_regular_ldpc's passes of 4-cycle reduction
+
+
+def _reduce_four_cycles(col_rows: list[set[int]], rng: np.random.Generator, n: int) -> None:
     """Best-effort removal of length-4 cycles by swapping row assignments."""
-    for _ in range(passes):
+    for _ in range(LDPC_FOUR_CYCLE_PASSES):
         swapped = False
         for c1 in range(n):
             for c2 in range(c1 + 1, n):
@@ -499,10 +492,14 @@ def sample_regular_ldpc(n: int, col_weight: int, row_weight: int, seed: int,
     """(col_weight, row_weight)-regular LDPC code via random edge permutation.
 
     Repeated edges are resolved by retrying the permutation (at most
-    ``LDPC_EDGE_REPAIR_PASSES`` times), then a few passes of 4-cycle
-    reduction are attempted.  The generator is the GF(2) nullspace of H, so
-    k = n - rank(H) (H may carry redundant rows).
+    ``LDPC_EDGE_REPAIR_PASSES`` times), then ``LDPC_FOUR_CYCLE_PASSES``
+    passes of 4-cycle reduction are attempted.  The generator is the GF(2)
+    nullspace of H, so k = n - rank(H) (H may carry redundant rows).
     """
+    for name, value, least in (("n", n, 1), ("col_weight", col_weight, 1),
+                               ("row_weight", row_weight, 1), ("seed", seed, 0)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     if (n * col_weight) % row_weight != 0:
         raise ValueError("n * col_weight must be divisible by row_weight")
     m_rows = n * col_weight // row_weight
@@ -560,8 +557,7 @@ def code_from_parity_check(h: np.ndarray | SparseParityCheck,
         sparse = SparseParityCheck.from_dense(dense)
     red, pivots = gf2_row_reduce(dense)
     n, k = sparse.n, sparse.n - len(pivots)
-    return CodeSpec(n=n, k=k, generator=_nullspace_of_rref(red, pivots),
-                    parity_check=red[: n - k], crc=crc,
+    return CodeSpec(_nullspace_of_rref(red, pivots), red[: n - k], crc=crc,
                     label=label(n, k) if callable(label) else label, sparse=sparse)
 
 

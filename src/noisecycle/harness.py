@@ -42,6 +42,7 @@ import numpy as np
 
 from . import configio
 from .channel import ChannelModel, ebn0_to_sigma2, modulate_bpsk, sample_noise
+from .decoders import BpDecoder
 from .gf2 import crc_encode, encode
 from .ordering import plan_for
 from .pipeline import (MODE_DYNAMIC, MODE_INDEPENDENT, MODE_STATIC, BlockResult,
@@ -91,6 +92,8 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self) -> None:
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         # The built experiment lives in private attributes, not fields:
         # dataclasses.asdict, and so canonical_json and sha256, sees fields only.
         base = configio.load_channel_model(self.channel)
@@ -101,6 +104,8 @@ class ExperimentConfig:
             try:
                 codes.append(configio.load_code(code))
                 decoders.append(configio.load_decoder(decoder))
+                if isinstance(decoders[-1], BpDecoder) and codes[-1].sparse is None:
+                    raise ValueError("a bp decoder needs a code with a sparse parity check")
             except ValueError as exc:
                 raise ValueError(f"channel {j + 1}: {exc}") from None
         if len({c.n for c in codes}) != 1:

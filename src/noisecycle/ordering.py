@@ -45,23 +45,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RecycleGraph:
-    """(m+1) x (m+1) weight matrix; NaN marks absent edges.
+    """(m+1) x (m+1) weight matrix, m >= 1; NaN marks absent edges.
 
-    Row i, column j holds the weight of edge i -> j.  The zero node (0) has
-    no incoming edges, there are no self-loops, and every channel can be
-    reached from the zero node, so every solver below has a plan to return.
+    Row i, column j holds the weight of edge i -> j; ``node_count`` is read
+    from the shape.  The zero node (0) has no incoming edges, there are no
+    self-loops, and every channel can be reached from the zero node, so
+    every solver below has a plan to return.
     """
 
-    node_count: int
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.node_count < 2:
-            raise ValueError(f"node_count must be >= 2, the zero node and a channel, "
-                             f"got {self.node_count}")
         w = np.asarray(self.weights, dtype=float)
-        if w.shape != (self.node_count, self.node_count):
-            raise ValueError("weights must be (m+1) x (m+1)")
+        if w.ndim != 2 or len(w) < 2 or w.shape[1] != len(w):
+            raise ValueError(f"weights must be square and at least 2 x 2, the zero node "
+                             f"and a channel, got shape {w.shape}")
         if not np.isnan(w[:, 0]).all():
             raise ValueError("the zero node cannot have incoming edges")
         if not np.isnan(np.diag(w)).all():
@@ -70,22 +68,23 @@ class RecycleGraph:
         reached = [0]
         for i in reached:  # breadth-first: the list grows while it is walked
             reached += [j for j, edge in enumerate(adjacent[i]) if edge and j not in reached]
-        unreached = sorted(set(range(self.node_count)) - set(reached))
+        unreached = sorted(set(range(len(w))) - set(reached))
         if unreached:
             raise ValueError(f"channels {unreached} cannot be reached from the zero node")
         object.__setattr__(self, "weights", w)
+
+    @property
+    def node_count(self) -> int:
+        return len(self.weights)
 
     @property
     def m(self) -> int:
         return self.node_count - 1
 
     def edges(self) -> list[tuple[int, int, float]]:
-        out = []
-        for i in range(self.node_count):
-            for j in range(1, self.node_count):
-                if i != j and not np.isnan(self.weights[i, j]):
-                    out.append((i, j, float(self.weights[i, j])))
-        return out
+        """(source, target, weight) of every edge, in row-major order."""
+        return [(i, j, float(self.weights[i, j]))
+                for i, j in np.argwhere(~np.isnan(self.weights)).tolist()]
 
 
 @dataclass(frozen=True)
@@ -139,7 +138,7 @@ def build_recycle_graph(model: ChannelModel) -> RecycleGraph:
         for i in range(1, m + 1):
             if i != j:
                 w[i, j] = effective_snr(model, j - 1, i - 1)  # raises on |rho| = 1
-    return RecycleGraph(node_count=m + 1, weights=w)
+    return RecycleGraph(w)
 
 
 def constrain_root_child(graph: RecycleGraph, channel: int) -> RecycleGraph:
@@ -150,7 +149,7 @@ def constrain_root_child(graph: RecycleGraph, channel: int) -> RecycleGraph:
     for j in range(1, graph.node_count):
         if j != channel:
             w[0, j] = np.nan
-    return RecycleGraph(node_count=graph.node_count, weights=w)
+    return RecycleGraph(w)
 
 
 def _order_total(graph: RecycleGraph, parent: tuple[int, ...]) -> float:

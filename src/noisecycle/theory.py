@@ -35,16 +35,22 @@ WATER_FILL_REL_TOL = 1e-12  # relative width at which water_fill's bisection sto
 
 @dataclass(frozen=True)
 class RateReport:
+    """Nonnegative per-channel rates in bits, with their sum and average."""
+
     per_channel_rates: tuple[float, ...]
-    sum_rate: float
-    average_rate: float
     label: str
 
     def __post_init__(self) -> None:
         if any(r < 0 for r in self.per_channel_rates):
             raise ValueError("rates must be nonnegative")
-        if not np.isclose(self.sum_rate, sum(self.per_channel_rates)):
-            raise ValueError("sum_rate must equal the sum of per-channel rates")
+
+    @property
+    def sum_rate(self) -> float:
+        return float(sum(self.per_channel_rates))
+
+    @property
+    def average_rate(self) -> float:
+        return self.sum_rate / len(self.per_channel_rates)
 
 
 @dataclass(frozen=True)
@@ -79,12 +85,6 @@ def capacity(snr: float) -> float:
     return 0.5 * float(np.log2(1.0 + snr))
 
 
-def _report(rates: list[float], label: str) -> RateReport:
-    total = float(sum(rates))
-    return RateReport(per_channel_rates=tuple(rates), sum_rate=total,
-                      average_rate=total / len(rates), label=label)
-
-
 def achievable_rates(model: ChannelModel, plan: RecyclingPlan) -> RateReport:
     """Per-channel capacities at the plan's effective SNRs.
 
@@ -98,12 +98,12 @@ def achievable_rates(model: ChannelModel, plan: RecyclingPlan) -> RateReport:
         parent = plan.parent_of(ch)
         source = None if parent == 0 else parent - 1
         rates.append(capacity(effective_snr(model, ch - 1, source)))
-    return _report(rates, "recycling")
+    return RateReport(tuple(rates), "recycling")
 
 
 def independent_rates(model: ChannelModel) -> RateReport:
     """Per-channel capacities without recycling: C(P_j / sigma_j^2)."""
-    return _report([capacity(model.snr(j)) for j in range(model.m)], "independent")
+    return RateReport(tuple(capacity(model.snr(j)) for j in range(model.m)), "independent")
 
 
 def gm_average_rate(m: int, rho: float, snr: float) -> float:
@@ -122,8 +122,9 @@ def gm_average_rate(m: int, rho: float, snr: float) -> float:
 
 
 def pair_upper_bound(p_i: float, p_j: float, sigma2_i: float, sigma2_j: float,
-                     rho: float) -> tuple[float, UpperBoundBreakdown]:
-    """Upper bound on the sum capacity of a correlated pair, in bits.
+                     rho: float) -> UpperBoundBreakdown:
+    """Upper bound on the sum capacity of a correlated pair, in bits, as the
+    breakdown whose ``total`` is the bound.
 
     Four additive terms: the lead channel's capacity, a variance-ratio
     term log((P_j + s_j^2) / (P_j + (1 - rho^2) s_j^2)) / 2, the (negative)
@@ -139,7 +140,7 @@ def pair_upper_bound(p_i: float, p_j: float, sigma2_i: float, sigma2_j: float,
     one_minus = 1.0 - rho * rho
     rho_tilde = rho * np.sqrt(sigma2_i * sigma2_j) / np.sqrt(
         (p_i + sigma2_i) * (p_j + sigma2_j))
-    breakdown = UpperBoundBreakdown(
+    return UpperBoundBreakdown(
         lead_capacity=capacity(p_i / sigma2_i),
         variance_ratio=0.5 * float(np.log2((p_j + sigma2_j)
                                            / (p_j + one_minus * sigma2_j))),
@@ -147,7 +148,6 @@ def pair_upper_bound(p_i: float, p_j: float, sigma2_i: float, sigma2_j: float,
         reduced_capacity=capacity(p_j / (one_minus * sigma2_j)),
         rho_tilde=float(rho_tilde),
     )
-    return breakdown.total, breakdown
 
 
 def water_fill(noise_eigenvalues: np.ndarray,

@@ -108,7 +108,7 @@ def test_batches_exercise_their_mode(mode):
 
 
 def test_stacked_messages_encode_like_single_ones(rng):
-    crc = CrcSpec(4, "10011")
+    crc = CrcSpec("10011")
     code = sample_rlc(40, 20, seed=3, crc=crc)
     payloads = rng.integers(0, 2, size=(9, code.payload_bits), dtype=np.uint8)
     messages = crc_encode(crc, payloads)

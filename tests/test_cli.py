@@ -192,6 +192,9 @@ class TestBlerCommand:
         (lambda c: c.update(sweep=[1]), ["sweep must be an object, got [1]"]),
         (lambda c: c["sweep"].update(ebn0_db=[float("nan")]),
          ["ebn0_db entry must be finite, got nan"]),
+        (lambda c: c["decoders"].__setitem__(0, {"type": "bp"}),
+         ["channel 1", "a bp decoder needs a code with a sparse parity check"]),
+        (lambda c: c.update(base_seed=-1), ["base_seed must be >= 0, got -1"]),
     ])
     def test_bad_descriptor_exits_before_any_trial(self, tmp_path, edit, named):
         config = {
@@ -237,10 +240,20 @@ class TestBlerCommand:
         assert exc.value.code == f"noisecycle bler: {cfg_path}: {named}"
         assert not out_path.exists()
 
+    def test_negative_seed_option_exits_before_any_trial(self, tmp_path):
+        config = {
+            "channel": {"m": 1, "mode": "gm", "rho": 0.0},
+            "codes": [{"type": "rlc", "n": 32, "k": 26, "seed": 1}],
+            "decoders": [{"type": "orbgrand", "max_queries": 2000}],
+            "sweep": {"ebn0_db": [3.0], "min_trials": 10**6, "max_trials": 10**6},
+        }
+        self._exits_before_any_trial(tmp_path, config, ["base_seed must be >= 0, got -1"],
+                                     {}, ["--seed", "-1"])
+
     @staticmethod
-    def _exits_before_any_trial(tmp_path, config, named, extra_env):
-        """``noisecycle bler`` on ``config`` exits nonzero, naming each of
-        ``named``, with no traceback and no CSV."""
+    def _exits_before_any_trial(tmp_path, config, named, extra_env, argv=()):
+        """``noisecycle bler`` on ``config`` with the options ``argv`` exits
+        nonzero, naming each of ``named``, with no traceback and no CSV."""
         cfg_path = tmp_path / "exp.json"
         cfg_path.write_text(json.dumps(config))
         out_path = tmp_path / "out.csv"
@@ -248,7 +261,7 @@ class TestBlerCommand:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p), **extra_env)
         proc = subprocess.run([sys.executable, "-m", "noisecycle.cli", "bler",
-                               str(cfg_path), "--output", str(out_path)],
+                               str(cfg_path), "--output", str(out_path), *argv],
                               capture_output=True, text=True, env=env, timeout=120,
                               cwd=tmp_path)
         assert proc.returncode != 0

@@ -38,7 +38,7 @@ class TestQueryOrder:
 
     def _blocks(self, rng, count):
         for code in (sample_rlc(self.N, 5, seed=19),
-                     sample_rlc(self.N, 5, seed=19, crc=CrcSpec(2, "111"))):
+                     sample_rlc(self.N, 5, seed=19, crc=CrcSpec("111"))):
             for _ in range(count):
                 y = rng.normal(size=self.N)
                 yield code, y, (y < 0).astype(np.uint8)
@@ -165,7 +165,7 @@ class TestSgrandabDecode:
             assert np.array_equal(out.codeword, ml_decode_bruteforce(code, y))
 
     def test_equals_ml_oracle_with_crc(self, rng):
-        crc = CrcSpec(degree=2, polynomial="111")
+        crc = CrcSpec("111")
         code = sample_rlc(8, 4, seed=6, crc=crc)
         decoder = SgrandabDecoder(256)
         for _ in range(500):
@@ -226,7 +226,7 @@ class TestOrbgrandDecode:
 
     @pytest.mark.parametrize("n, k, crc", [
         (72, 4, None),                   # 68 checks
-        (80, 12, CrcSpec(4, "10011")),   # 68 checks plus the CRC's 4
+        (80, 12, CrcSpec("10011")),   # 68 checks plus the CRC's 4
     ])
     def test_long_membership_check_follows_rank_stream(self, rng, n, k, crc):
         code = sample_rlc(n, k, seed=26, crc=crc)
@@ -283,15 +283,14 @@ class TestBpDecode:
         from noisecycle.gf2 import SparseParityCheck, gf2_nullspace
         h = np.array([[1, 1, 0], [0, 1, 1]], dtype=np.uint8)
         g = gf2_nullspace(h)
-        code = CodeSpec(n=3, k=1, generator=g, parity_check=h,
-                        sparse=SparseParityCheck.from_dense(h))
+        code = CodeSpec(g, h, sparse=SparseParityCheck.from_dense(h))
         y = np.array([1.0, 0.0, 1.0])  # middle bit erased, others confident
         out = BpDecoder(50).decode(code, SoftBlock(y, 0.5))
         assert out.status == "decoded" and out.queries == 1
         assert np.array_equal(out.codeword, [0, 0, 0])
 
     def test_codeword_failing_the_crc_reported_at_first_iteration(self, rng):
-        crc = CrcSpec(degree=4, polynomial="10011")
+        crc = CrcSpec("10011")
         code = sample_regular_ldpc(24, 3, 6, seed=13, crc=crc)
         message = crc_encode(crc, rng.integers(0, 2, size=code.payload_bits,
                                                dtype=np.uint8))
@@ -309,11 +308,9 @@ class TestBpDecode:
         h = np.array([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]], dtype=np.uint8)
         for view in (h[:2], np.concatenate([h[:2], h[:2]]), h[:, :3]):
             with pytest.raises(ValueError, match="sparse"):
-                CodeSpec(n=4, k=1, generator=gf2_nullspace(h), parity_check=h,
-                         sparse=SparseParityCheck.from_dense(view))
+                CodeSpec(gf2_nullspace(h), h, sparse=SparseParityCheck.from_dense(view))
         redundant = np.concatenate([h, h[:1] ^ h[1:2]])  # one more row in H's span
-        code = CodeSpec(n=4, k=1, generator=gf2_nullspace(h), parity_check=h,
-                        sparse=SparseParityCheck.from_dense(redundant))
+        code = CodeSpec(gf2_nullspace(h), h, sparse=SparseParityCheck.from_dense(redundant))
         out = BpDecoder(5).decode(code, SoftBlock(np.array([-1.0, -1.0, -1.0, 1.0]), 1.0))
         assert out.status != "crc_failed"
 
@@ -340,9 +337,9 @@ class TestBpDecode:
         alist = parse_alist(self.IRREGULAR_ALIST)
         empty = parse_alist("6 3\n0 0\n" + " ".join(["0"] * 6) + "\n0 0 0\n" + "0\n" * 9)
         codes = [sample_regular_ldpc(96, 3, 6, seed=13),
-                 sample_regular_ldpc(96, 3, 6, seed=13, crc=CrcSpec(8, "100000111")),
+                 sample_regular_ldpc(96, 3, 6, seed=13, crc=CrcSpec("100000111")),
                  code_from_parity_check(alist),
-                 code_from_parity_check(alist, crc=CrcSpec(3, "1011")),
+                 code_from_parity_check(alist, crc=CrcSpec("1011")),
                  code_from_parity_check(empty)]
         statuses = set()
         for code in codes:
@@ -373,7 +370,7 @@ class TestBpDecode:
         # codeword whose message fails the CRC, ends crc_failed.  Every row
         # is what the reference and a decode of that row alone give, and a
         # permuted batch gives permuted outcomes
-        crc = CrcSpec(8, "100000111")
+        crc = CrcSpec("100000111")
         codes = [sample_regular_ldpc(256, 3, 6, seed=51),
                  sample_regular_ldpc(256, 3, 6, seed=51, crc=crc)]
         rng = np.random.default_rng(52)
@@ -437,7 +434,7 @@ class TestDegenerateCodes:
                 assert np.array_equal(out.codeword, hard)
 
     def test_full_rate_code_with_crc_decodes_to_ml(self, rng):
-        code = sample_rlc(8, 8, seed=25, crc=CrcSpec(3, "1011"))
+        code = sample_rlc(8, 8, seed=25, crc=CrcSpec("1011"))
         for _ in range(50):
             y = rng.normal(size=8)
             out = SgrandabDecoder(2 ** 8).decode(code, SoftBlock(y, 1.0))
@@ -506,7 +503,7 @@ class TestDecoderContracts:
                     assert not syndrome(code, out.codeword).any()
 
     def test_crc_bearing_codes_validate(self, rng):
-        crc = CrcSpec(degree=4, polynomial="10011")
+        crc = CrcSpec("10011")
         code = sample_rlc(24, 16, seed=18, crc=crc)
         decoders = (SgrandabDecoder(4000), OrbgrandDecoder(4000))
         for _ in range(100):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from noisecycle import (CodeSpec, CrcSpec, SparseParityCheck,
                         code_from_parity_check, crc_check, crc_encode, encode,
                         ml_decode_bruteforce, parse_alist, sample_regular_ldpc,
                         sample_rlc, serialize_alist, syndrome)
-from noisecycle.gf2 import AlistError, gf2_rank, pack_rows
+from noisecycle.gf2 import AlistError, gf2_nullspace, gf2_rank, gf2_row_reduce, pack_rows
 
 from conftest import column_ints, crc_longdivision, enumerate_codebook, mod2
 
@@ -95,31 +97,31 @@ class TestSampleRlc:
 
 class TestCrc:
     def test_textbook_remainder(self):
-        crc = CrcSpec(degree=3, polynomial="1011")
+        crc = CrcSpec("1011")
         msg = np.array([1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1, 1, 0, 0], dtype=np.uint8)
         out = crc_encode(crc, msg)
         assert np.array_equal(out[-3:], [1, 0, 0])
         assert np.array_equal(out[-3:], crc_longdivision(msg, [1, 0, 1, 1]))
 
     def test_matches_long_division_on_random_messages(self, rng):
-        crc = CrcSpec(degree=8, polynomial="100000111")
+        crc = CrcSpec("100000111")
         for _ in range(40):
             msg = rng.integers(0, 2, size=int(rng.integers(9, 60)), dtype=np.uint8)
             out = crc_encode(crc, msg)
             assert np.array_equal(out[-8:], crc_longdivision(msg, crc.taps))
 
     def test_zero_message_zero_remainder(self):
-        crc = CrcSpec(degree=3, polynomial="1011")
+        crc = CrcSpec("1011")
         assert not crc_encode(crc, np.zeros(10, dtype=np.uint8))[-3:].any()
 
     def test_round_trip(self, rng):
-        crc = CrcSpec(degree=5, polynomial="110101")
+        crc = CrcSpec("110101")
         for _ in range(20):
             msg = rng.integers(0, 2, size=17, dtype=np.uint8)
             assert crc_check(crc, crc_encode(crc, msg))
 
     def test_every_single_bit_flip_detected(self, rng):
-        crc = CrcSpec(degree=8, polynomial="100000111")
+        crc = CrcSpec("100000111")
         word = crc_encode(crc, rng.integers(0, 2, size=30, dtype=np.uint8))
         for i in range(word.size):
             flipped = word.copy()
@@ -128,7 +130,7 @@ class TestCrc:
 
     def test_random_word_acceptance_rate(self, rng):
         # acceptance probability of an unrelated word is ~2^-degree
-        crc = CrcSpec(degree=8, polynomial="100000111")
+        crc = CrcSpec("100000111")
         words = rng.integers(0, 2, size=(100_000, 24), dtype=np.uint8)
         hits = sum(crc_check(crc, w) for w in words)
         rate = hits / 100_000
@@ -136,19 +138,36 @@ class TestCrc:
         assert abs(rate - 2.0**-8) < 4 * sigma
 
     def test_word_too_short(self):
-        crc = CrcSpec(degree=8, polynomial="100000111")
+        crc = CrcSpec("100000111")
         with pytest.raises(ValueError):
             crc_check(crc, np.zeros(8, dtype=np.uint8))
 
     def test_bad_polynomial_rejected(self):
-        with pytest.raises(ValueError):
-            CrcSpec(degree=3, polynomial="0011")
-        with pytest.raises(ValueError):
-            CrcSpec(degree=3, polynomial="10111")
+        with pytest.raises(ValueError, match="leading"):
+            CrcSpec("0011")
+        with pytest.raises(ValueError, match="degree"):
+            CrcSpec("1")
+        with pytest.raises(ValueError, match="bit string"):
+            CrcSpec("10a1")
+
+    def test_degree_read_from_polynomial(self):
+        assert CrcSpec("1011").degree == 3 and CrcSpec("100000111").degree == 8
+
+
+ALIST_EXAMPLE = "4 2\n1 2\n1 1 1 1\n2 2\n1\n1\n2\n2\n1 2\n3 4\n"
+
+
+def alist_edited(lines: dict[int, str], drop: int = 0) -> str:
+    """``ALIST_EXAMPLE`` with the 1-based ``lines`` replaced and its last
+    ``drop`` lines removed."""
+    text = ALIST_EXAMPLE.splitlines()
+    for number, line in lines.items():
+        text[number - 1] = line
+    return "\n".join(text[: len(text) - drop]) + "\n"
 
 
 class TestAlist:
-    EXAMPLE = "4 2\n1 2\n1 1 1 1\n2 2\n1\n1\n2\n2\n1 2\n3 4\n"
+    EXAMPLE = ALIST_EXAMPLE
 
     def test_hand_constructed_matrix(self):
         sp = parse_alist(self.EXAMPLE)
@@ -161,6 +180,28 @@ class TestAlist:
         bad = self.EXAMPLE.replace("3 4", "3 5")
         with pytest.raises(AlistError, match="line 10"):
             parse_alist(bad)
+
+    @pytest.mark.parametrize("text, message", [
+        (alist_edited({}, drop=1), "line 10: unexpected end of file"),
+        (alist_edited({7: "2 x"}), "line 7: invalid literal for int()"),
+        (alist_edited({1: "4"}), "line 1: header must be two positive integers"),
+        (alist_edited({1: "4 0"}), "line 1: header must be two positive integers"),
+        (alist_edited({3: "1 1 1"}), "line 3: expected 4 column degrees, got 3"),
+        (alist_edited({4: "2 2 2"}), "line 4: expected 2 row degrees, got 3"),
+        (alist_edited({6: "1 2"}), "line 6: column 2 lists 2 entries, degree says 1"),
+        (alist_edited({9: "1 0"}), "line 9: row 1 lists 1 entries, degree says 2"),
+        (alist_edited({5: "3"}), "line 5: column 1: row index 3 out of range 1..2"),
+        (alist_edited({10: "0 4"}), "line 10: row 2 lists 1 entries, degree says 2"),
+        (alist_edited({10: "3 5"}), "line 10: row 2: column index 5 out of range 1..4"),
+        (alist_edited({9: "1 3", 10: "2 4"}),
+         "line 5..10: row and column adjacency views are inconsistent"),
+        # as sets the views agree, but row 1 would put a double edge in the Tanner graph
+        (alist_edited({3: "1 0 1 1", 6: "", 9: "1 1"}), "line 9: row 1 lists a column twice"),
+        (alist_edited({3: "2 1 1 1", 5: "1 1"}), "line 5: column 1 lists a row twice"),
+    ])
+    def test_malformed_file_names_its_line(self, text, message):
+        with pytest.raises(AlistError, match="^" + re.escape(message)):
+            parse_alist(text)
 
     def test_inconsistent_views_rejected(self):
         bad = self.EXAMPLE.replace("\n1 2\n3 4\n", "\n1 3\n2 4\n")
@@ -177,6 +218,30 @@ class TestAlist:
             h[0, 0] = 1  # avoid the all-zero corner case
             sp = SparseParityCheck.from_dense(h)
             assert parse_alist(serialize_alist(sp)) == sp
+
+
+def nullspace_by_loop(mat):
+    """The nullspace basis read off the RREF one entry at a time (reference)."""
+    red, pivots = gf2_row_reduce(mat)
+    free = [c for c in range(red.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), red.shape[1]), dtype=np.uint8)
+    for i, f in enumerate(free):
+        basis[i, f] = 1
+        for row, p in enumerate(pivots):
+            basis[i, p] = red[row, f]
+    return basis
+
+
+class TestNullspace:
+    @pytest.mark.parametrize("rows, cols, density", [
+        (5, 12, 0.3), (12, 30, 0.2), (8, 8, 0.5), (3, 20, 0.0), (1, 1, 1.0), (6, 4, 0.6)])
+    def test_equals_the_entrywise_reference(self, rng, rows, cols, density):
+        for _ in range(10):
+            mat = (rng.random((rows, cols)) < density).astype(np.uint8)
+            basis = gf2_nullspace(mat)
+            assert basis.dtype == np.uint8
+            assert np.array_equal(basis, nullspace_by_loop(mat))
+            assert not mod2(mat, basis.T).any()
 
 
 class TestRegularLdpc:
@@ -203,7 +268,7 @@ class TestRegularLdpc:
             sample_regular_ldpc(7, 2, 3, seed=1)
 
     def test_crc_attaches_without_changing_the_code(self):
-        crc = CrcSpec(degree=4, polynomial="10011")
+        crc = CrcSpec("10011")
         plain = sample_regular_ldpc(24, 3, 6, seed=8)
         with_crc = sample_regular_ldpc(24, 3, 6, seed=8, crc=crc)
         assert with_crc.crc == crc and plain.crc is None
@@ -230,7 +295,7 @@ class TestCodeFromParityCheck:
 
     def test_sparse_input_kept_and_label_from_dimensions(self):
         sparse = SparseParityCheck.from_dense(self.H)
-        crc = CrcSpec(degree=1, polynomial="11")
+        crc = CrcSpec("11")
         code = code_from_parity_check(sparse, crc=crc,
                                       label=lambda n, k: f"toy[{n},{k}]")
         assert code.sparse is sparse
@@ -250,11 +315,11 @@ class TestCodeSpecRank:
         assert not mod2(self.G, h.T).any()
         assert not mod2(h, np.array([1, 1, 0, 0])).any()
         with pytest.raises(ValueError, match="parity_check"):
-            CodeSpec(n=4, k=1, generator=self.G, parity_check=h)
+            CodeSpec(self.G, h)
 
     def test_full_rank_parity_check_accepted(self):
         h = np.array([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]], dtype=np.uint8)
-        code = CodeSpec(n=4, k=1, generator=self.G, parity_check=h)
+        code = CodeSpec(self.G, h)
         assert syndrome(code, [1, 1, 0, 0]).any()
 
 
@@ -269,7 +334,7 @@ class TestDerivedLayouts:
 
     @pytest.mark.parametrize("n, k, crc, words", [
         (16, 11, None, 1),
-        (16, 11, CrcSpec(2, "111"), 1),
+        (16, 11, CrcSpec("111"), 1),
         (72, 4, None, 2),   # 68 checks: two words per column
         (12, 12, None, 0),  # no checks at all
     ])
@@ -343,7 +408,7 @@ class TestMembershipCheck:
         lambda crc: sample_regular_ldpc(12, 3, 4, seed=19, crc=crc),  # non-systematic G
     ])
     def test_crc_adds_its_checks(self, build):
-        crc = CrcSpec(degree=2, polynomial="111")
+        crc = CrcSpec("111")
         code = build(crc)
         assert code.membership_check.shape == (code.n - code.k + crc.degree, code.n)
         assert gf2_rank(code.membership_check) == code.n - code.payload_bits
@@ -351,7 +416,7 @@ class TestMembershipCheck:
         assert code.column_masks == column_ints(code.membership_check)
 
     def test_full_rate_code_checks_the_crc_alone(self):
-        crc = CrcSpec(degree=3, polynomial="1011")
+        crc = CrcSpec("1011")
         code = sample_rlc(8, 8, seed=23, crc=crc)  # G = I, H has no rows
         assert code.parity_check.shape == (0, 8)
         assert code.membership_check.shape == (3, 8)
@@ -367,8 +432,7 @@ class TestMlBruteforce:
         assert np.array_equal(ml_decode_bruteforce(code, soft), cw)
 
     def test_repetition_code_sign_decision(self):
-        code = CodeSpec(n=2, k=1, generator=np.array([[1, 1]], dtype=np.uint8),
-                        parity_check=np.array([[1, 1]], dtype=np.uint8))
+        code = CodeSpec(np.array([[1, 1]], dtype=np.uint8), np.array([[1, 1]], dtype=np.uint8))
         assert np.array_equal(ml_decode_bruteforce(code, [0.1, -0.2]), [1, 1])
         assert np.array_equal(ml_decode_bruteforce(code, [0.3, -0.2]), [0, 0])
 
@@ -397,11 +461,18 @@ class TestCodeSpecValidation:
     def test_mismatched_parity_check_rejected(self):
         g = np.eye(4, dtype=np.uint8)
         h = np.ones((2, 4), dtype=np.uint8)
-        with pytest.raises(ValueError):
-            CodeSpec(n=4, k=4, generator=g, parity_check=np.zeros((0, 4)))
-            CodeSpec(n=4, k=2, generator=g[:2], parity_check=h)
+        with pytest.raises(ValueError, match=r"parity_check must be \(n - k\) x n"):
+            CodeSpec(g, np.zeros((1, 4)))  # a [4, 4] code has no checks
+        with pytest.raises(ValueError, match="G . H"):
+            CodeSpec(g[:2], h)
+
+    @pytest.mark.parametrize("generator", [np.ones(4), np.zeros((0, 4)), np.ones((4, 2))])
+    def test_generator_that_is_not_k_by_n_named(self, generator):
+        with pytest.raises(ValueError, match="generator must be k x n with 0 < k <= n, got "
+                                             + re.escape(f"shape {generator.shape}")):
+            CodeSpec(generator, np.zeros((0, 4)))
 
     def test_dependent_generator_rows_rejected(self):
         g = np.array([[1, 0, 1, 0], [1, 0, 1, 0]], dtype=np.uint8)
         with pytest.raises(ValueError):
-            CodeSpec(n=4, k=2, generator=g, parity_check=np.zeros((2, 4), dtype=np.uint8))
+            CodeSpec(g, np.zeros((2, 4), dtype=np.uint8))

@@ -399,6 +399,23 @@ class TestValidation:
         ({("channel", "sigma2"): [math.nan, 1.0]}, r"sigma2 entry must be finite, got nan"),
         ({("channel", "sigma2"): math.inf}, r"sigma2 must be finite, got inf"),
         ({("channel", "power"): [math.inf, 1.0]}, r"power entry must be finite, got inf"),
+        # values of the right type that cannot be used (appended, so the rows
+        # above keep their ids): a negative seed, an LDPC weight below 1, BP
+        # on a code without a sparse parity check
+        ({("base_seed",): -1}, r"base_seed must be >= 0, got -1"),
+        ({("codes", 0): {"type": "ldpc", "n": 12, "col_weight": 3, "row_weight": 0, "seed": 1}},
+         r"channel 1: row_weight must be >= 1, got 0"),
+        ({("codes", 0): {"type": "ldpc", "n": 12, "col_weight": 0, "row_weight": 6, "seed": 1}},
+         r"channel 1: col_weight must be >= 1, got 0"),
+        ({("codes", 0): {"type": "ldpc", "n": 12, "col_weight": -3, "row_weight": -6, "seed": 1}},
+         r"channel 1: col_weight must be >= 1, got -3"),
+        ({("codes", 0): {"type": "ldpc", "n": 12, "col_weight": 3, "row_weight": -6, "seed": 1}},
+         r"channel 1: row_weight must be >= 1, got -6"),
+        ({("codes", 0): {"type": "ldpc", "n": 12, "col_weight": 3, "row_weight": 6, "seed": -1}},
+         r"channel 1: seed must be >= 0, got -1"),
+        ({("codes", 1, "seed"): -2}, r"channel 2: seed must be >= 0, got -2"),
+        ({("decoders", 1): {"type": "bp"}},
+         r"channel 2: a bp decoder needs a code with a sparse parity check"),
     ])
     def test_bad_input_fails_at_construction(self, edits, pattern, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ def random_graph(rng, m, low=0.05, high=20.0):
         for j in range(1, m + 1):
             if i != j:
                 w[i, j] = rng.uniform(low, high)
-    return RecycleGraph(node_count=m + 1, weights=w)
+    return RecycleGraph(w)
 
 
 def all_arborescences(m):
@@ -39,6 +40,14 @@ def all_arborescences(m):
 
 
 class TestBuildGraph:
+    def test_edges_listed_row_by_row(self, rng):
+        # the solver's tie-breaking reads edges in this order
+        graph = random_graph(rng, 4)
+        graph.weights[2, 3] = graph.weights[4, 1] = np.nan
+        by_loop = [(i, j, float(graph.weights[i, j])) for i in range(5) for j in range(1, 5)
+                   if i != j and not np.isnan(graph.weights[i, j])]
+        assert graph.edges() == by_loop and len(by_loop) == 14
+
     def test_zero_rho_cross_edges_equal_root_edges(self):
         graph = build_recycle_graph(build_gm_model(3, 0.0, 0.5, 2.0))
         for i in range(1, 4):
@@ -102,7 +111,7 @@ class TestMaxArborescence:
                 for j in range(1, m + 1):
                     if i != j:
                         w[i, j] = float(rng.integers(1, 4))
-            graph = RecycleGraph(node_count=m + 1, weights=w)
+            graph = RecycleGraph(w)
             assert max_arborescence(graph).total_snr == \
                 brute_force_plan(graph).total_snr
 
@@ -116,7 +125,7 @@ class TestMaxArborescence:
 
     def test_plan_invariant_under_weight_scaling(self, rng):
         graph = random_graph(rng, 4)
-        scaled = RecycleGraph(node_count=5, weights=graph.weights * 7.25)
+        scaled = RecycleGraph(graph.weights * 7.25)
         assert max_arborescence(graph).parent == max_arborescence(scaled).parent
 
 
@@ -144,13 +153,13 @@ class TestUnreachableChannels:
         w[2, 3] = w[3, 2] = 2.0
         with pytest.raises(ValueError,
                            match=r"channels \[2, 3\] cannot be reached from the zero node"):
-            RecycleGraph(node_count=4, weights=w)
+            RecycleGraph(w)
 
     def test_forced_lead_that_cannot_reach_every_channel(self):
         w = np.full((4, 4), np.nan)
         w[0, 1:] = 1.0
         w[1, 2] = w[2, 1] = 2.0  # channel 3 hangs off the zero node alone
-        graph = RecycleGraph(node_count=4, weights=w)
+        graph = RecycleGraph(w)
         assert max_arborescence(graph).parent == (0, 1, 0)
         with pytest.raises(ValueError,
                            match=r"channels \[3\] cannot be reached from the zero node"):
@@ -160,8 +169,20 @@ class TestUnreachableChannels:
 class TestNoChannels:
     @pytest.mark.parametrize("node_count", [0, 1])
     def test_rejected_when_the_graph_is_built(self, node_count):
-        with pytest.raises(ValueError, match=rf"node_count must be >= 2.*got {node_count}"):
-            RecycleGraph(node_count=node_count, weights=np.full((node_count,) * 2, np.nan))
+        with pytest.raises(ValueError,
+                           match=rf"at least 2 x 2.*got shape \({node_count}, {node_count}\)"):
+            RecycleGraph(np.full((node_count,) * 2, np.nan))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (3, 3, 3)])
+    def test_weights_that_are_not_a_square_matrix(self, shape):
+        with pytest.raises(ValueError, match=rf"square.*got shape {re.escape(str(shape))}"):
+            RecycleGraph(np.full(shape, np.nan))
+
+    def test_node_count_read_from_the_shape(self):
+        w = np.full((4, 4), np.nan)
+        w[0, 1:] = 1.0
+        graph = RecycleGraph(w)
+        assert (graph.node_count, graph.m) == (4, 3)
 
 
 class TestBruteForce:

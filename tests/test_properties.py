@@ -31,7 +31,7 @@ def crc_codes(draw, max_n=10):
     k = draw(st.integers(2, n))
     degree = draw(st.integers(1, k - 1))
     tail = draw(st.lists(st.sampled_from("01"), min_size=degree, max_size=degree))
-    crc = CrcSpec(degree, "1" + "".join(tail))
+    crc = CrcSpec("1" + "".join(tail))
     return sample_rlc(n, k, seed=draw(seeds), crc=crc)
 
 
@@ -84,7 +84,7 @@ def sparse_codes(draw, max_n=24):
     crc = None
     if k > 1 and draw(st.booleans()):
         degree = draw(st.integers(1, k - 1))
-        crc = CrcSpec(degree, "1" + "".join(map(str, rng.integers(0, 2, degree))))
+        crc = CrcSpec("1" + "".join(map(str, rng.integers(0, 2, degree))))
     return code_from_parity_check(h, crc=crc)
 
 
@@ -250,7 +250,7 @@ def tied_graphs(draw):
         for j in range(1, m + 1):
             if i != j:
                 w[i, j] = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0] + [np.nan] * (i > 0)))
-    return RecycleGraph(node_count=m + 1, weights=w)
+    return RecycleGraph(w)
 
 
 @given(tied_graphs())

@@ -98,36 +98,36 @@ class TestGmAverageRate:
 
 class TestPairUpperBound:
     def test_zero_rho_reduces_to_independent_sum(self):
-        bound, br = pair_upper_bound(2.0, 3.0, 1.0, 0.5, 0.0)
+        br = pair_upper_bound(2.0, 3.0, 1.0, 0.5, 0.0)
         assert br.variance_ratio == 0.0
         assert br.correlation_penalty == 0.0
-        assert bound == pytest.approx(capacity(2.0) + capacity(6.0))
+        assert br.total == pytest.approx(capacity(2.0) + capacity(6.0))
 
     def test_reference_terms(self):
         # independently derived: 0.5 log2(2/1.75), 0.5 log2(1 - 0.25^2),
         # 0.5 log2(1 + 4/3)
-        bound, br = pair_upper_bound(1.0, 1.0, 1.0, 1.0, 0.5)
+        br = pair_upper_bound(1.0, 1.0, 1.0, 1.0, 0.5)
         assert br.lead_capacity == pytest.approx(0.5)
         assert br.variance_ratio == pytest.approx(0.0963226, abs=5e-7)
         assert br.correlation_penalty == pytest.approx(-0.0465547, abs=5e-7)
         assert br.reduced_capacity == pytest.approx(0.6111965, abs=5e-7)
         assert br.rho_tilde == pytest.approx(0.25)
-        assert bound == pytest.approx(1.1610, abs=5e-5)
+        assert br.total == pytest.approx(1.1610, abs=5e-5)
 
     def test_rho_tilde_magnitude_bounded_by_rho(self, rng):
         for _ in range(50):
             rho = float(rng.uniform(-0.95, 0.95))
-            _, br = pair_upper_bound(float(rng.uniform(0.2, 8)),
-                                     float(rng.uniform(0.2, 8)),
-                                     float(rng.uniform(0.3, 2)),
-                                     float(rng.uniform(0.3, 2)), rho)
+            br = pair_upper_bound(float(rng.uniform(0.2, 8)),
+                                  float(rng.uniform(0.2, 8)),
+                                  float(rng.uniform(0.3, 2)),
+                                  float(rng.uniform(0.3, 2)), rho)
             assert abs(br.rho_tilde) <= abs(rho) + 1e-12
 
     def test_bound_dominates_achievable_pair(self):
         for rho in np.arange(0.0, 0.951, 0.05):
             for snr in np.geomspace(0.5, 16, 6):
                 ach = capacity(snr) + capacity(snr / (1 - rho * rho))
-                bound, _ = pair_upper_bound(snr, snr, 1.0, 1.0, float(rho))
+                bound = pair_upper_bound(snr, snr, 1.0, 1.0, float(rho)).total
                 assert bound >= ach - 1e-9
 
 
@@ -192,7 +192,7 @@ class TestJointCapacity:
         # only where the curves visually coincide (mild rho, high SNR)
         for rho, snr in ((0.4, 8.0), (0.3, 10.0), (0.5, 12.0)):
             model = build_gm_model(2, rho, 1.0, snr)
-            bound, _ = pair_upper_bound(snr, snr, 1.0, 1.0, rho)
+            bound = pair_upper_bound(snr, snr, 1.0, 1.0, rho).total
             assert joint_capacity(model) == pytest.approx(bound, abs=0.05)
 
     def test_bound_gap_over_bounds_grid(self):
@@ -206,7 +206,7 @@ class TestJointCapacity:
             for snr in snrs:
                 model = build_gm_model(2, rho, 1.0, snr)
                 ach = achievable_rates(model, max_arborescence(build_recycle_graph(model)))
-                bound, _ = pair_upper_bound(snr, snr, 1.0, 1.0, rho)
+                bound = pair_upper_bound(snr, snr, 1.0, 1.0, rho).total
                 joint = joint_capacity(model)
                 gaps.append(joint - bound)
                 print(f"{rho},{snr},{ach.sum_rate:.6g},{bound:.6g},{joint:.6g},"
@@ -226,7 +226,10 @@ class TestJointCapacity:
 
 
 class TestReportTypes:
-    def test_rate_report_validates_sum(self):
-        with pytest.raises(ValueError):
-            RateReport(per_channel_rates=(0.5, 0.5), sum_rate=2.0,
-                       average_rate=1.0, label="broken")
+    def test_rate_report_derives_its_totals(self):
+        rep = RateReport((0.5, 0.25, 0.75), "hand-made")
+        assert (rep.sum_rate, rep.average_rate) == (1.5, 0.5)
+
+    def test_rate_report_rejects_negative_rates(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            RateReport((0.5, -0.25), "broken")
