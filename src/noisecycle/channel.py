@@ -48,6 +48,9 @@ class ChannelModel:
             raise ValueError("sigma2 and power must be length-m vectors")
         if corr.shape != (self.m, self.m):
             raise ValueError("corr must be m x m")
+        for name, values in (("sigma2", sigma2), ("power", power), ("corr", corr)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite, got {values.tolist()}")
         if (sigma2 <= 0).any() or (power <= 0).any():
             raise ValueError("sigma2 and power must be positive")
         if not np.allclose(corr, corr.T, atol=1e-12):

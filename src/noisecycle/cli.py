@@ -16,7 +16,7 @@ import numpy as np
 
 from . import configio, theory
 from .channel import build_gm_model
-from .harness import ExperimentConfig, csv_text, run_bler_sweep, worker_count
+from .harness import WORKERS_ENV, ExperimentConfig, csv_text, run_bler_sweep, worker_count
 from .ordering import build_recycle_graph, plan_for
 
 
@@ -136,7 +136,7 @@ def main(argv: list[str] | None = None) -> int:
                    help="override the config base seed")
     p.add_argument("--output", default=None, help="CSV output path")
     p.add_argument("--workers", type=int, default=None,
-                   help=f"worker processes (default ${{{'NOISECYCLE_WORKERS'}}} or 1)")
+                   help=f"worker processes (default ${{{WORKERS_ENV}}} or 1)")
     p.set_defaults(func=_cmd_bler)
 
     p = sub.add_parser("order", help="print the optimal static decode order")

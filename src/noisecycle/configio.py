@@ -15,10 +15,15 @@ the fields of the decoder class; a limit below 1 is rejected.
 Pipeline: ``{"mode": "independent" | "static" | "dynamic",
 "confidence_metric": "query_count" | "noise_nll", "rerecycle": false,
 "forced_lead": 1, "genie": false, "parents": [0, 1]}`` where ``parents``
-optionally pins the static plan instead of solving for it.  Each mode takes
-only the keys it reads: ``confidence_metric`` is dynamic-only,
-``forced_lead`` and ``parents`` static-only, and an independent pipeline
-takes ``mode`` alone.
+optionally pins the static plan instead of solving for it, and so excludes
+``forced_lead``.  Each mode takes only the keys it reads, as the one table
+``pipeline.MODE_SETTINGS`` lists them: ``confidence_metric`` is
+dynamic-only, ``forced_lead`` and ``parents`` static-only, and an
+independent pipeline takes ``mode`` alone.  ``PipelineConfig`` holds the
+same rule for its fields.  The model a pipeline runs on is checked by
+``pipeline.check_model``, when an experiment is built and again by
+``run_block`` and ``run_batch``, which reject a recycling mode on a model
+with a channel pair at |rho| = 1.
 
 A missing key, a key the descriptor does not know, or a value of the wrong
 type (an integer key given ``2.5`` or ``true``, a flag given ``"false"``, a
@@ -41,7 +46,7 @@ from .channel import ChannelModel, build_gm_model
 from .decoders import BpDecoder, OrbgrandDecoder, SgrandabDecoder
 from .gf2 import (CodeSpec, CrcSpec, code_from_parity_check, parse_alist,
                   sample_regular_ldpc, sample_rlc)
-from .pipeline import MODE_DYNAMIC, MODE_INDEPENDENT, MODE_STATIC, PipelineConfig
+from .pipeline import MODE_INDEPENDENT, MODE_SETTINGS, PipelineConfig, check_settings
 
 __all__ = [
     "check_keys",
@@ -198,29 +203,14 @@ def load_decoder(spec: Mapping[str, Any]):
                   if key != "type"})
 
 
-# pipeline mode -> the keys it reads, besides "mode"
-_PIPELINE_MODE_KEYS = {
-    MODE_INDEPENDENT: (),
-    MODE_STATIC: ("rerecycle", "genie", "forced_lead", "parents"),
-    MODE_DYNAMIC: ("rerecycle", "genie", "confidence_metric"),
-}
-_PIPELINE_KEY_TYPES = {"confidence_metric": str, "rerecycle": bool, "genie": bool,
-                       "forced_lead": int}
-
-
 def load_pipeline(spec: Mapping[str, Any]) -> PipelineConfig:
     """The pipeline's settings; ``forced_lead`` and ``parents`` are checked
     here and read where the plan is built."""
-    check_keys(spec, "pipeline", optional=("mode", *_PIPELINE_KEY_TYPES, "parents"))
-    mode = _one_of(spec.get("mode", MODE_INDEPENDENT), _PIPELINE_MODE_KEYS,
-                   "pipeline key 'mode'")
-    unread = [key for key in spec if key not in ("mode", *_PIPELINE_MODE_KEYS[mode])]
-    if unread:
-        raise ValueError(f"{mode} pipeline does not read key(s) "
-                         f"{', '.join(map(repr, unread))}")
-    for key, kind in _PIPELINE_KEY_TYPES.items():
-        if key in spec:
-            checked(spec[key], key, kind)
+    keys = sorted({key for names in MODE_SETTINGS.values() for key in names} - {"plan"})
+    check_keys(spec, "pipeline", optional=("mode", *keys))
+    mode = _one_of(spec.get("mode", MODE_INDEPENDENT), MODE_SETTINGS, "pipeline key 'mode'")
+    check_settings(mode, [key for key in spec if key != "mode"])
+    checked(spec.get("forced_lead", 1), "forced_lead", int)
     checked_list(spec.get("parents", []), "parents", int)
     return PipelineConfig(**{key: value for key, value in spec.items()
                              if key not in ("forced_lead", "parents")})

@@ -270,6 +270,7 @@ def parse_alist(text: str) -> SparseParityCheck:
     Layout: line 1 is ``n m``, line 2 the max column/row degrees, lines 3-4
     the per-column and per-row degrees, then ``n`` column lists and ``m``
     row lists of 1-indexed positions (zero entries are padding and ignored).
+    Only blank lines may follow.  An error names the line it found.
     """
     lines = text.splitlines()
 
@@ -313,6 +314,13 @@ def parse_alist(text: str) -> SparseParityCheck:
     if sparse.col_rows != col_rows:
         raise AlistError(f"line 5..{4 + n + m_rows}: "
                          "row and column adjacency views are inconsistent")
+    max_deg = [max(col_deg, default=0), max(row_deg, default=0)]
+    if ints(1) != max_deg:
+        raise AlistError(f"line 2: expected the maximum degrees {max_deg[0]} {max_deg[1]} "
+                         f"of lines 3-4, got {lines[1].strip()!r}")
+    for idx in range(4 + n + m_rows, len(lines)):
+        if lines[idx].strip():
+            raise AlistError(f"line {idx + 1}: unexpected line after the last row list")
     return sparse
 
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import itertools
 import json
 import os
 import tempfile
@@ -45,8 +44,7 @@ from .channel import ChannelModel, ebn0_to_sigma2, modulate_bpsk, sample_noise
 from .decoders import BpDecoder
 from .gf2 import crc_encode, encode
 from .ordering import plan_for
-from .pipeline import (MODE_DYNAMIC, MODE_INDEPENDENT, MODE_STATIC, BlockResult,
-                       PipelineConfig, run_batch)
+from .pipeline import MODE_STATIC, BlockResult, check_model, run_batch
 
 __all__ = [
     "SweepSpec",
@@ -73,6 +71,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.ebn0_db:
             raise ValueError("sweep needs at least one Eb/N0 point")
+        for name in ("min_trials", "max_trials", "min_block_errors"):
+            configio.checked(getattr(self, name), name, int)
         if self.min_block_errors < 1:
             raise ValueError("min_block_errors must be >= 1")
         if not 0 < self.min_trials <= self.max_trials:
@@ -111,26 +111,16 @@ class ExperimentConfig:
         if len({c.n for c in codes}) != 1:
             raise ValueError("all channels must share one code length")
         pipe = configio.load_pipeline(self.pipeline)
-        if pipe.mode == MODE_DYNAMIC and base.m < 2:
-            raise ValueError("dynamic recycling needs at least two channels")
-        if pipe.mode != MODE_INDEPENDENT:
-            # recycling across |rho| = 1 would leave zero noise variance
-            for i, j in itertools.combinations(range(base.m), 2):
-                if abs(base.corr[i, j]) >= 1.0:
-                    raise ValueError(f"channels {i + 1} and {j + 1} have |rho| = 1, "
-                                     f"which {pipe.mode} recycling cannot use")
-
         per_rate = tuple([ebn0_to_sigma2(ebn0, c.rate) for c in codes]
                          for ebn0 in self.sweep.ebn0_db)
         models = tuple(ChannelModel(m=base.m, sigma2=base.sigma2 * rates,
                                     power=base.power, corr=base.corr)
                        for rates in per_rate)
-        pipelines = (pipe,) * len(models)
-        if pipe.mode == MODE_STATIC:
-            plans = (plan_for(model, self.pipeline.get("forced_lead"),
-                              self.pipeline.get("parents"))
-                     for model in models)
-            pipelines = tuple(dataclasses.replace(pipe, plan=plan) for plan in plans)
+        pipelines = tuple(pipe if pipe.mode != MODE_STATIC else dataclasses.replace(
+            pipe, plan=plan_for(model, self.pipeline.get("forced_lead"),
+                                self.pipeline.get("parents"))) for model in models)
+        for point, model in zip(pipelines, models):
+            check_model(point, model)
         built = {"_codes": tuple(codes), "_decoders": tuple(decoders),
                  "_models": models, "_pipelines": pipelines, "_per_rate_sigma2": per_rate,
                  "_sha": hashlib.sha256(self.canonical_json().encode()).hexdigest()}
@@ -153,8 +143,7 @@ class ExperimentConfig:
             codes=tuple(map(dict, configio.checked_list(raw["codes"], "codes", dict))),
             decoders=tuple(map(dict, configio.checked_list(raw["decoders"], "decoders", dict))),
             pipeline=dict(configio.checked(raw.get("pipeline", {}), "pipeline", dict)),
-            sweep=SweepSpec(ebn0_db, **{k: configio.checked(v, k, int)
-                                        for k, v in sweep.items()}),
+            sweep=SweepSpec(ebn0_db, **sweep),
             base_seed=configio.checked(raw.get("base_seed", 0), "base_seed", int),
             output_path=(None if raw.get("output_path") is None
                          else configio.checked(raw["output_path"], "output_path", str)),
@@ -242,10 +231,6 @@ def _run_range(config: ExperimentConfig, point_index: int, start: int,
     return counts
 
 
-def _mode_label(pipe: PipelineConfig) -> str:
-    return pipe.mode + ("+rr" if pipe.rerecycle else "") + ("+genie" if pipe.genie else "")
-
-
 def worker_count(explicit: int | None = None) -> int:
     """``explicit`` if given, else ``$NOISECYCLE_WORKERS``, else 1; a count
     below 1 raises ``ValueError`` naming where it came from."""
@@ -296,7 +281,7 @@ def run_bler_sweep(config: ExperimentConfig, workers: int | None = None,
                     break
                 target = min(2 * target, config.sweep.max_trials)
 
-            mode = _mode_label(config._pipelines[p_idx])
+            mode = config._pipelines[p_idx].label
             for j, (errors, queries, leads) in enumerate(counts.T):
                 points.append(BlerPoint(
                     ebn0_db=float(ebn0),
@@ -397,6 +382,8 @@ def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
     z = WILSON_Z
     if trials <= 0:
         raise ValueError("need at least one trial")
+    if not 0 <= errors <= trials:
+        raise ValueError(f"errors must lie in [0, {trials}], got {errors}")
     phat = errors / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom

@@ -166,11 +166,15 @@ def plan_for(model: ChannelModel, forced_lead: int | None = None,
     """The static recycling plan for ``model``.
 
     Pinned ``parents`` (the parent node of each channel, 0 for the zero
-    node) are scored on the recycle graph and take precedence; otherwise
-    the maximum arborescence is solved, with ``forced_lead`` (a 1-based
-    channel) as the zero node's only child when given.
+    node) are scored on the recycle graph; otherwise the maximum
+    arborescence is solved, with ``forced_lead`` (a 1-based channel) as the
+    zero node's only child when given.  Pinned parents already fix the
+    lead, so the two cannot be given together.
     """
     m = model.m
+    if forced_lead is not None and parents is not None:
+        raise ValueError("forced_lead and parents cannot both be given: parents fix the "
+                         "whole plan, its lead included")
     if parents is not None and (len(parents) != m or not all(0 <= p <= m for p in parents)):
         raise ValueError(f"parents must list one entry in [0, {m}] for each of the {m} "
                          f"channels, got {list(parents)}")

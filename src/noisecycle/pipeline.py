@@ -38,7 +38,7 @@ would alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -50,11 +50,24 @@ from .gf2 import CodeSpec
 from .ordering import RecyclingPlan
 from .recycling import effective_variance, estimate_noise, llse_update
 
-__all__ = ["PipelineConfig", "BlockResult", "run_block", "run_batch"]
+__all__ = ["PipelineConfig", "BlockResult", "check_model", "run_block", "run_batch"]
 
 MODE_INDEPENDENT = "independent"
 MODE_STATIC = "static"
 MODE_DYNAMIC = "dynamic"
+
+# mode -> what it reads: PipelineConfig fields, and forced_lead and parents for the plan
+MODE_SETTINGS = {
+    MODE_INDEPENDENT: (),
+    MODE_STATIC: ("rerecycle", "genie", "plan", "forced_lead", "parents"),
+    MODE_DYNAMIC: ("rerecycle", "genie", "confidence_metric"),
+}
+
+
+def check_settings(mode: str, names: Sequence[str]) -> None:
+    """Raise ``ValueError`` naming those of ``names`` that ``mode`` does not read."""
+    if unread := ", ".join(repr(name) for name in names if name not in MODE_SETTINGS[mode]):
+        raise ValueError(f"{mode} pipeline does not read key(s) {unread}")
 
 
 @dataclass(frozen=True)
@@ -71,11 +84,34 @@ class PipelineConfig:
     genie: bool = False
 
     def __post_init__(self) -> None:
-        if self.mode not in (MODE_INDEPENDENT, MODE_STATIC, MODE_DYNAMIC):
+        if self.mode not in MODE_SETTINGS:
             raise ValueError(f"unknown pipeline mode {self.mode!r}")
+        check_settings(self.mode, [f.name for f in fields(self) if f.name != "mode"
+                                   and getattr(self, f.name) is not f.default])
+        for flag in ("rerecycle", "genie"):
+            if not isinstance(getattr(self, flag), bool):
+                raise ValueError(f"{flag} must be true or false, got {getattr(self, flag)!r}")
         if self.mode == MODE_DYNAMIC:
             if self.confidence_metric not in (METRIC_QUERY_COUNT, METRIC_NOISE_NLL):
-                raise ValueError("dynamic mode needs a confidence metric")
+                raise ValueError(f"dynamic mode needs a confidence metric, got "
+                                 f"{self.confidence_metric!r}")
+
+    @property
+    def label(self) -> str:  # the CSV's mode column
+        return self.mode + ("+rr" if self.rerecycle else "") + ("+genie" if self.genie else "")
+
+
+def check_model(config: PipelineConfig, model: ChannelModel) -> None:
+    """Raise ``ValueError`` unless ``config`` can run on ``model``: dynamic mode
+    needs two channels, static a plan of m, and recycling no pair at |rho| = 1."""
+    if config.mode == MODE_DYNAMIC and model.m < 2:
+        raise ValueError("dynamic recycling needs at least two channels")
+    if config.mode == MODE_STATIC and getattr(config.plan, "m", None) != model.m:
+        raise ValueError(f"static mode needs a recycling plan of {model.m} channels")
+    pairs = np.argwhere(np.triu(np.abs(model.corr) >= 1.0, 1)) + 1
+    if len(pairs) and config.mode != MODE_INDEPENDENT:
+        raise ValueError(f"channels {pairs[0, 0]} and {pairs[0, 1]} have |rho| = 1, "
+                         f"which {config.mode} recycling cannot use")
 
 
 @dataclass(frozen=True)
@@ -197,20 +233,14 @@ def run_batch(config: PipelineConfig, received: np.ndarray, sent: np.ndarray,
     descending index order, over the blocks that reach it at that distance;
     re-recycling is one call per lead channel.
     """
+    check_model(config, model)
     m = model.m
-    if config.mode == MODE_DYNAMIC and m < 2:
-        raise ValueError("dynamic recycling needs at least two channels")
     batch = _Batch(received, sent, codes, decoders, model, config.genie)
     every = np.arange(len(received))
     if config.mode == MODE_STATIC:
-        plan = config.plan
-        if plan is None:
-            raise ValueError("static mode needs a recycling plan")
-        if plan.m != m:
-            raise ValueError("plan size disagrees with channel model")
-        for ch in plan.order:
-            batch.decode(ch - 1, every, plan.parent_of(ch) - 1)
-        batch.lead[:] = plan.order[0] - 1
+        for ch in config.plan.order:
+            batch.decode(ch - 1, every, config.plan.parent_of(ch) - 1)
+        batch.lead[:] = config.plan.order[0] - 1
     else:
         for j in range(m):
             batch.decode(j, every)

@@ -91,7 +91,8 @@ def effective_snr(model: ChannelModel, i: int, j: int | None = None) -> float:
         raise IndexError("source index out of range")
     rho = float(model.corr[i, j])
     if rho * rho >= 1.0:
-        raise ValueError("|rho| = 1 gives unbounded effective SNR")
+        raise ValueError(f"channels {min(i, j) + 1} and {max(i, j) + 1} have |rho| = 1, "
+                         "which gives unbounded effective SNR")
     return float(model.power[i] / effective_variance(model.sigma2[i], rho))
 
 

@@ -31,6 +31,16 @@ class TestGmModel:
         with pytest.raises(ValueError):
             ChannelModel(m=2, sigma2=np.array([1.0, -1.0]), power=np.ones(2),
                          corr=np.eye(2))
+        # a non-finite entry fails here, naming its field, not at the first draw
+        with pytest.raises(ValueError, match="sigma2 must be finite"):
+            ChannelModel(m=2, sigma2=np.array([np.nan, 1.0]), power=np.ones(2),
+                         corr=np.eye(2))
+        with pytest.raises(ValueError, match="power must be finite"):
+            ChannelModel(m=2, sigma2=np.ones(2), power=np.array([1.0, np.inf]),
+                         corr=np.eye(2))
+        with pytest.raises(ValueError, match="corr must be finite"):
+            ChannelModel(m=2, sigma2=np.ones(2), power=np.ones(2),
+                         corr=np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
 class TestModulation:

@@ -1,8 +1,9 @@
 import pytest
 
-from noisecycle import BpDecoder, OrbgrandDecoder, SgrandabDecoder
+from noisecycle import BpDecoder, OrbgrandDecoder, PipelineConfig, SgrandabDecoder
 from noisecycle.configio import (load_channel_model, load_code, load_decoder,
                                  load_pipeline)
+from noisecycle.ordering import RecyclingPlan
 
 
 class TestDecoderTable:
@@ -89,3 +90,61 @@ class TestMissingKeys:
     def test_named(self, loader, spec, key):
         with pytest.raises(ValueError, match=f"missing key.*{key}"):
             loader(spec)
+
+
+class TestModeSettings:
+    """The descriptor and the dataclass accept exactly the same settings for
+    each mode: the ones its schedule reads, and no other."""
+
+    PLAN = RecyclingPlan(parent=(0, 1), total_snr=0.0)
+    # setting -> (descriptor keys, PipelineConfig fields) that set it to a
+    # value other than its default; forced_lead and parents become the plan
+    SET = {
+        "confidence_metric": ({"confidence_metric": "noise_nll"},) * 2,
+        "rerecycle": ({"rerecycle": True},) * 2,
+        "genie": ({"genie": True},) * 2,
+        "forced_lead": ({"forced_lead": 1}, {"plan": PLAN}),
+        "parents": ({"parents": [0, 1]}, {"plan": PLAN}),
+    }
+    # what each schedule of the paper reads
+    READS = {
+        "independent": set(),
+        "static": {"rerecycle", "genie", "forced_lead", "parents"},
+        "dynamic": {"rerecycle", "genie", "confidence_metric"},
+    }
+
+    @staticmethod
+    def _accepts(build, settings):
+        try:
+            build(settings)
+        except ValueError:
+            return False
+        return True
+
+    @pytest.mark.parametrize("mode", sorted(READS))
+    @pytest.mark.parametrize("setting", sorted(SET))
+    def test_descriptor_and_dataclass_accept_the_same_pairs(self, mode, setting):
+        base = {"mode": mode}
+        if mode == "dynamic":  # the one setting a mode cannot do without
+            base["confidence_metric"] = "query_count"
+        keys, fields = self.SET[setting]
+        by_descriptor = self._accepts(load_pipeline, {**base, **keys})
+        by_dataclass = self._accepts(lambda kw: PipelineConfig(**kw), {**base, **fields})
+        assert by_descriptor == by_dataclass == (setting in self.READS[mode])
+
+    def test_unread_field_named(self):
+        with pytest.raises(ValueError,
+                           match="static pipeline does not read key.*'confidence_metric'"):
+            PipelineConfig(mode="static", confidence_metric="bogus")
+
+    def test_plan_is_not_a_descriptor_key(self):
+        with pytest.raises(ValueError, match="unknown pipeline key.*'plan'"):
+            load_pipeline({"mode": "static", "plan": [0, 1]})
+
+    def test_dynamic_metric_named(self):
+        with pytest.raises(ValueError, match="confidence metric.*got 'bogus'"):
+            PipelineConfig(mode="dynamic", confidence_metric="bogus")
+
+    def test_label_marks_switches(self):
+        assert PipelineConfig(mode="static", rerecycle=True, genie=True).label == "static+rr+genie"
+        assert load_pipeline({}).label == "independent"

@@ -198,6 +198,8 @@ class TestAlist:
         # as sets the views agree, but row 1 would put a double edge in the Tanner graph
         (alist_edited({3: "1 0 1 1", 6: "", 9: "1 1"}), "line 9: row 1 lists a column twice"),
         (alist_edited({3: "2 1 1 1", 5: "1 1"}), "line 5: column 1 lists a row twice"),
+        (alist_edited({2: "9 9"}), "line 2: expected the maximum degrees 1 2 of lines 3-4"),
+        (ALIST_EXAMPLE + "\n7 7 7\n", "line 12: unexpected line after the last row list"),
     ])
     def test_malformed_file_names_its_line(self, text, message):
         with pytest.raises(AlistError, match="^" + re.escape(message)):
@@ -207,6 +209,9 @@ class TestAlist:
         bad = self.EXAMPLE.replace("\n1 2\n3 4\n", "\n1 3\n2 4\n")
         with pytest.raises(AlistError):
             parse_alist(bad)
+
+    def test_trailing_blank_lines_allowed(self):
+        assert parse_alist(ALIST_EXAMPLE + "\n  \n") == parse_alist(ALIST_EXAMPLE)
 
     def test_zero_padding_ignored(self):
         padded = "4 2\n1 2\n1 1 1 1\n2 2\n1 0\n1 0\n2 0\n2 0\n1 2\n3 4\n"

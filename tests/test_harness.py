@@ -416,6 +416,10 @@ class TestValidation:
         ({("codes", 1, "seed"): -2}, r"channel 2: seed must be >= 0, got -2"),
         ({("decoders", 1): {"type": "bp"}},
          r"channel 2: a bp decoder needs a code with a sparse parity check"),
+        # pinned parents already fix the lead, so a forced_lead beside them
+        # would be read by nothing
+        ({("pipeline",): {"mode": "static", "parents": [0, 1], "forced_lead": 2}},
+         r"forced_lead and parents cannot both be given"),
     ])
     def test_bad_input_fails_at_construction(self, edits, pattern, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -449,6 +453,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             SweepSpec(ebn0_db=(1.0,), min_block_errors=0)
 
+    @pytest.mark.parametrize("counts, pattern", [
+        ({"min_trials": 10.5}, r"min_trials must be an integer, got 10.5"),
+        ({"max_trials": True}, r"max_trials must be an integer, got True"),
+        ({"min_block_errors": 5.0}, r"min_block_errors must be an integer, got 5.0"),
+    ])
+    def test_sweep_counts_must_be_integers(self, counts, pattern):
+        with pytest.raises(ValueError, match=pattern):
+            SweepSpec(ebn0_db=(1.0,), **counts)
+
     def test_mixed_code_lengths_rejected(self):
         with pytest.raises(ValueError, match="one code length"):
             tiny_config(codes=({"type": "rlc", "n": 32, "k": 26, "seed": 1},
@@ -472,3 +485,8 @@ class TestWilson:
         assert lo == 0.0 and hi > 0.0
         lo, hi = wilson_interval(20, 20)
         assert hi == 1.0 and lo < 1.0
+
+    @pytest.mark.parametrize("errors, trials", [(5, 3), (-1, 10)])
+    def test_errors_outside_trials_rejected(self, errors, trials):
+        with pytest.raises(ValueError, match=rf"errors must lie in \[0, {trials}\], got {errors}"):
+            wilson_interval(errors, trials)

@@ -304,9 +304,11 @@ class TestPlanFor:
         assert plan.order == (3, 1, 2)
         assert plan.total_snr == float(w[3, 1] + w[3, 2] + w[0, 3])
 
-    def test_pinned_parents_win_over_forced_lead(self):
-        plan = plan_for(fig2_model(), forced_lead=1, parents=(0, 0, 0))
-        assert plan.parent == (0, 0, 0)
+    def test_forced_lead_with_pinned_parents_rejected(self):
+        # pinned parents fix the lead themselves, so a forced_lead beside
+        # them would be read by nothing (or contradict them)
+        with pytest.raises(ValueError, match="forced_lead and parents cannot both be given"):
+            plan_for(fig2_model(), forced_lead=1, parents=(0, 0, 0))
 
     def test_pinned_parents_length_checked(self):
         with pytest.raises(ValueError):

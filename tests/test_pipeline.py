@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from noisecycle import (NoiseEstimate, OrbgrandDecoder,
+from noisecycle import (ChannelModel, NoiseEstimate, OrbgrandDecoder,
                         PipelineConfig, build_gm_model, build_recycle_graph,
                         effective_variance, encode, llse_update,
                         max_arborescence, modulate_bpsk, run_block,
@@ -476,6 +476,19 @@ class TestRunBlockDispatch:
         with pytest.raises(ValueError):
             run_block(config, outputs, codes,
                       [OrbgrandDecoder(max_queries=10)] * 2, model)
+
+    @pytest.mark.parametrize("config", [static(CHAIN2), DYNAMIC_Q])
+    def test_unit_correlation_rejected_before_any_decode(self, config):
+        # recycling across |rho| = 1 would leave zero noise variance, so the
+        # LLRs would divide by zero
+        model = ChannelModel(m=2, sigma2=np.ones(2), power=np.ones(2),
+                             corr=np.ones((2, 2)))
+        codes = [sample_rlc(16, 11, seed=s) for s in (38, 39)]
+        outputs, cws, _ = make_outputs(model, codes, np.random.default_rng(5))
+        decoders = [RecordingDecoder(cw, 1, []) for cw in cws]
+        with pytest.raises(ValueError, match=r"channels 1 and 2 have \|rho\| = 1"):
+            run_block(config, outputs, codes, decoders, model)
+        assert all(not d.log for d in decoders)
 
     def test_decode_counts_per_mode(self, rng):
         # static: every channel once; dynamic: lead once, others twice
