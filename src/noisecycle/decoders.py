@@ -31,11 +31,16 @@ query 1 together; only the others search, one at a time:
   logistic weight, the sum of flipped ranks; equal-weight sets are ordered
   by size then lexicographically.  Rank sets of a given weight are the
   partitions of that weight into distinct parts <= n.  The order is the
-  same for every block, so ORBGRAND checks it in chunks that double in
-  length, one array operation per chunk, from a per-process matrix for
-  each n: int16 0-based ranks, one row per rank set, padded with n, which
-  indexes the all-zero row of ``column_words``.  The matrix grows by
-  doubling, but never past the largest ``max_queries`` that asked for it.
+  same for every block, so ORBGRAND checks it in chunks of 16 rows that
+  double up to 8192, from a per-process table for each n.  The table holds
+  each rank set as pair codes ``a * (n + 1) + b``, its 0-based ranks taken
+  two at a time, an odd last one paired with n, which indexes the all-zero
+  row of ``column_words``; within a chunk the rows are sorted stably by
+  pair count.  A search XORs the reliability-ordered columns of every pair
+  it can meet into one table, and a chunk's syndromes are one gather of
+  that table per pair index, each over only the rows that have that pair.
+  The rank table is built with numpy one weight at a time, and a chunk only
+  when a search first reaches it, never past that search's query cap.
 
 BpDecoder runs each sum-product iteration on every still-active row of a
 call at once, the batch axis last, through the code's ``TannerLayout``:
@@ -46,7 +51,7 @@ in ascending row order as ``np.bincount`` does.  A row leaves at its first
 iteration in which every sparse row has even parity, accepted or not on the
 packed membership check, so each row decodes as it would alone.
 
-All decoders are pure given their inputs.  The rank matrices, and the
+All decoders are pure given their inputs.  The rank tables, and the
 membership checks, packed columns and Tanner-graph layouts that codes build
 on first use, are not guarded by a lock, so share work across processes
 rather than threads.
@@ -55,10 +60,9 @@ rather than threads.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass, fields
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -208,42 +212,107 @@ def orbgrand_rank_patterns(n: int, max_weight: int | None = None
             size += 1
 
 
-# n -> [head of the rank stream as a padded matrix, the generator extending it]
-_RANK_STREAMS: dict[int, list] = {}
+def _rank_layers(n: int) -> Iterator[np.ndarray]:
+    """The rank sets of ``orbgrand_rank_patterns(n)`` after the empty one, as
+    0-based ranks: one array per (weight, size) in stream order, its rows in
+    lexicographic order.
+
+    Lowering every rank by one maps the sets of weight w and size s one to
+    one onto sets of weight w - s, in the same order: a set holding rank 0
+    loses it, the others keep their size.  So layer (w, s) is rank 0 joined
+    to layer (w - s, s - 1) raised by one, then layer (w - s, s) raised by
+    one, less the sets that the raise takes to rank n."""
+    dtype = np.min_scalar_type(n)  # the ranks, and the pad n
+    layers = {0: [np.zeros((1, 0), dtype)]}  # weight -> its layer of each size
+    for w in range(1, n * (n + 1) // 2 + 1):
+        top = min(n, (math.isqrt(8 * w + 1) - 1) // 2)  # the largest size of weight w
+        layers.pop(w - top - 1, None)  # no later weight reaches back that far
+        layers[w] = [np.zeros((0, 0), dtype)]
+        for s in range(1, top + 1):
+            lower = layers[w - s]
+            joined, kept = (lower[size] + 1 if size < len(lower) else np.zeros((0, size), dtype)
+                            for size in (s - 1, s))
+            layer = np.concatenate([np.concatenate([np.zeros((len(joined), 1), dtype), joined],
+                                                   axis=1), kept])
+            layers[w].append(layer[(layer < n).all(axis=1)])
+            if len(layers[w][s]):
+                yield layers[w][s]
 
 
-def _rank_rows(n: int, count: int, cap: int) -> np.ndarray:
-    """The shared head of ``orbgrand_rank_patterns(n)``, one row per rank set
-    holding its 0-based ranks padded with ``n``: at least ``count`` rows
-    unless the stream ends first.  It grows by doubling, but not past
-    ``cap``, so it is bounded by the largest query cap that asked."""
-    stream = _RANK_STREAMS.get(n)
-    if stream is None:
-        dtype = np.int16 if n < 2 ** 15 else np.int32
-        stream = _RANK_STREAMS[n] = [np.empty((0, 0), dtype), orbgrand_rank_patterns(n)]
-    rows, source = stream
-    if len(rows) < count:
-        # read the new rank sets once, straight into flat arrays: holding them
-        # as tuples, even briefly, costs more memory than the matrix
-        new = itertools.islice(source, max(count, min(cap, 2 * len(rows))) - len(rows))
-        sizes: list[int] = []
-        ranks = np.fromiter(_chained(new, sizes), rows.dtype)
-        if sizes:
-            width = max(rows.shape[1], max(sizes))
-            grown = np.full((len(rows) + len(sizes), width), n, rows.dtype)
-            grown[: len(rows), : rows.shape[1]] = rows
-            # row-major order of the mask is the order of the chained rank sets
-            tail = grown[len(rows):]
-            tail[np.arange(width) < np.array(sizes)[:, None]] = ranks - 1
-            stream[0] = rows = grown
-    return rows
+class _Chunk(NamedTuple):
+    """Rows [start, stop) of the rank stream, row i being the rank set
+    checked at query i + 1, as pair codes ``a * (n + 1) + b``: a set's
+    0-based ranks taken in consecutive pairs, an odd last one paired with
+    the pad n.  The rows are sorted stably by how many pairs they have, so
+    the rows with a k-th pair are a suffix."""
+
+    start: int
+    stop: int
+    rows: np.ndarray  # uint16: each row, less start, in that order
+    pairs: list[np.ndarray]  # pairs[k]: the k-th pair code of the last len(pairs[k]) rows
+    lead: int  # one more than the largest first rank of any pair in this or an earlier chunk
 
 
-def _chained(patterns: Iterator[tuple[int, ...]], sizes: list[int]) -> Iterator[int]:
-    # the ranks of each set in turn, appending its size to ``sizes``
-    for pattern in patterns:
-        sizes.append(len(pattern))
-        yield from pattern
+class _RankTable:
+    """The rank stream of one n as ``_Chunk`` s in the search's schedule:
+    16 rows from row 1, doubling up to 8192.  A chunk is built when a search
+    first reaches it, from the rank sets that ``_rank_layers`` gave and no
+    full chunk holds yet, and only up to the query cap of that search; a
+    later search with a higher cap builds it again."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.code_dtype = np.min_scalar_type((n + 1) ** 2 - 1)
+        self.layers = _rank_layers(n)
+        self.pending: list[np.ndarray] = []  # rank sets from the first row of no full chunk
+        self.length: int | None = None  # the stream's row count, once the layers ran out
+        self.chunks: list[_Chunk] = []
+
+    def chunks_below(self, cap: int) -> Iterator[_Chunk]:
+        """The chunks that start below row ``cap``, in order, each holding
+        every row below ``cap`` in its span that the stream has."""
+        index, start, size = 0, 1, 16
+        while start < min(cap, self.length or cap):
+            stop = min(start + size, cap)
+            if index == len(self.chunks) or self.length is None and self.chunks[index].stop < stop:
+                del self.chunks[index:]  # only the last chunk can be short
+                self.chunks.append(self._build(start, stop, full=stop == start + size))
+            yield self.chunks[index]
+            index, start, size = index + 1, start + size, min(2 * size, 8192)
+
+    def _build(self, start: int, stop: int, full: bool) -> _Chunk:
+        n, pieces, have = self.n, [], 0
+        while have < stop - start:
+            if not self.pending:
+                layer = next(self.layers, None)
+                if layer is None:
+                    self.length, full = start + have, True
+                    break
+                self.pending.append(layer)
+            sets = self.pending.pop(0)
+            if have + len(sets) > stop - start:
+                self.pending.insert(0, sets[stop - start - have:])
+                sets = sets[: stop - start - have]
+            pieces.append(sets)
+            have += len(sets)
+        if not full:  # a later, higher cap builds this chunk again from the same rows
+            self.pending[:0] = pieces
+        sizes = np.repeat([sets.shape[1] for sets in pieces], [len(sets) for sets in pieces])
+        width = int(sizes.max() + 1) // 2 * 2
+        ranks = np.full((have, width), n, pieces[0].dtype)  # padded with n to whole pairs
+        # row-major order of the mask is the order of the pieces' raveled ranks
+        ranks[np.arange(width) < sizes[:, None]] = np.concatenate([p.ravel() for p in pieces])
+        counts = (sizes + 1) // 2
+        rows = np.argsort(counts, kind="stable").astype(np.uint16)
+        codes = ranks[rows, 0::2].astype(self.code_dtype) * (n + 1) + ranks[rows, 1::2]
+        pairs = [codes[np.count_nonzero(counts <= k):, k].copy() for k in range(width // 2)]
+        lead = max([self.chunks[-1].lead if self.chunks else 0]
+                   + [int(c.max()) // (n + 1) + 1 for c in pairs])
+        return _Chunk(start, start + have, rows, pairs, lead)
+
+
+# n -> its rank table, shared by every ORBGRAND search in the process
+_RANK_TABLES: dict[int, _RankTable] = {}
 
 
 @dataclass(frozen=True)
@@ -283,22 +352,31 @@ class OrbgrandDecoder(_GuessingDecoder):
         empty one whose flips zero the syndrome ``base``; (queries, None)
         when the cap or the stream runs out first."""
         n, cap = len(order), self.max_queries
-        queries, size = 1, 16
+        table = _RANK_TABLES.get(n) or _RANK_TABLES.setdefault(n, _RankTable(n))
         ranked = code.column_words[np.append(order, n)]  # row r: 0-based rank r; row n: zero
-        # every block walks the same stream: check it in chunks that double,
-        # since most decodes stop within a few dozen queries, up to 8192 rows,
-        # which bounds the chunk's temporaries at about 1 MB
-        while queries < cap:
-            rows = _rank_rows(n, min(queries + size, cap), cap)
-            # the stream holds every flip set, so the one that gives the all-zero
-            # codeword (the hard decision's ones) hits before the stream ends
-            stop = min(queries + size, cap, len(rows))
-            syndromes = np.bitwise_xor.reduce(ranked[rows[queries:stop]], axis=1) ^ base
-            hits = np.flatnonzero(~syndromes.any(axis=1))
+        xors, queries = ranked[:0], 1
+        # the stream holds every flip set, so the one that gives the all-zero
+        # codeword (the hard decision's ones) hits before the stream ends
+        for chunk in table.chunks_below(cap):
+            if len(xors) < chunk.lead * (n + 1):
+                # row a * (n + 1) + b: the columns of ranks a and b XORed, for
+                # twice as many a each time, but no more than any chunk needs
+                lead = min(max(chunk.lead, 2 * len(xors) // (n + 1)), table.chunks[-1].lead)
+                xors = (ranked[:lead, None] ^ ranked[None]).reshape(-1, ranked.shape[1])
+            # take, not fancy indexing, which is several times slower with uint16 codes
+            syndromes = xors.take(chunk.pairs[0], axis=0)
+            for codes in chunk.pairs[1:]:
+                syndromes[len(syndromes) - len(codes):] ^= xors.take(codes, axis=0)
+            hits = (syndromes == base).all(axis=1).nonzero()[0]
+            if chunk.stop > cap:
+                hits = hits[chunk.rows[hits] < cap - chunk.start]
             if hits.size:
-                flips = rows[queries + hits[0]]
-                return queries + int(hits[0]) + 1, order[flips[flips < n]]
-            queries, size = stop, min(2 * size, 8192)
+                at = int(hits[chunk.rows[hits].argmin()])
+                tail = len(syndromes) - at  # the rows from `at` on
+                ranks = [r for codes in chunk.pairs if len(codes) >= tail
+                         for r in divmod(int(codes[-tail]), n + 1) if r < n]
+                return chunk.start + int(chunk.rows[at]) + 1, order[ranks]
+            queries = min(chunk.stop, cap)
         return queries, None
 
 
@@ -431,6 +509,7 @@ class BpDecoder(_Decoder):
 
 METRIC_QUERY_COUNT = "query_count"
 METRIC_NOISE_NLL = "noise_nll"
+METRICS = (METRIC_QUERY_COUNT, METRIC_NOISE_NLL)  # every name ``confidence`` accepts
 
 
 def confidence(outcome: DecodeOutcome, metric: str) -> float:
@@ -441,7 +520,7 @@ def confidence(outcome: DecodeOutcome, metric: str) -> float:
     sum(z^2) / (2 sigma^2) + n * ln(sigma * sqrt(2 pi)), so the most likely
     noise sequence wins the comparison.
     """
-    if metric not in (METRIC_QUERY_COUNT, METRIC_NOISE_NLL):
+    if metric not in METRICS:
         raise ValueError(f"unknown confidence metric {metric!r}")
     if outcome.status != STATUS_DECODED:
         return math.inf

@@ -21,7 +21,7 @@ at bit position ``j % 64``.  The decoders read the columns of the
 membership check M in two packings: ``column_words`` hold column ``j`` as
 row ``j`` of a ``uint64`` array under the row rule above (``ceil(rows /
 64)`` words, none when M has no rows), over an all-zero row ``n`` that pads
-ORBGRAND's rank matrix, and SGRANDAB's ``column_masks`` hold it as one
+ORBGRAND's rank pairs, and SGRANDAB's ``column_masks`` hold it as one
 Python integer whose bit ``r`` is ``M[r, j]``.
 """
 

@@ -69,8 +69,10 @@ class SweepSpec:
     min_block_errors: int = 50
 
     def __post_init__(self) -> None:
-        if not self.ebn0_db:
+        points = configio.checked_list(self.ebn0_db, "ebn0_db", float)
+        if not points:
             raise ValueError("sweep needs at least one Eb/N0 point")
+        object.__setattr__(self, "ebn0_db", tuple(float(x) for x in points))
         for name in ("min_trials", "max_trials", "min_block_errors"):
             configio.checked(getattr(self, name), name, int)
         if self.min_block_errors < 1:
@@ -136,14 +138,12 @@ class ExperimentConfig:
                             optional=("pipeline", "base_seed", "output_path"))
         sweep = dict(configio.checked(raw["sweep"], "sweep", dict))
         configio.check_keys(sweep, "sweep", *configio.field_keys(SweepSpec))
-        ebn0_db = tuple(float(x) for x in
-                        configio.checked_list(sweep.pop("ebn0_db"), "ebn0_db", float))
         return cls(
             channel=dict(configio.checked(raw["channel"], "channel", dict)),
             codes=tuple(map(dict, configio.checked_list(raw["codes"], "codes", dict))),
             decoders=tuple(map(dict, configio.checked_list(raw["decoders"], "decoders", dict))),
             pipeline=dict(configio.checked(raw.get("pipeline", {}), "pipeline", dict)),
-            sweep=SweepSpec(ebn0_db, **sweep),
+            sweep=SweepSpec(**sweep),
             base_seed=configio.checked(raw.get("base_seed", 0), "base_seed", int),
             output_path=(None if raw.get("output_path") is None
                          else configio.checked(raw["output_path"], "output_path", str)),

@@ -44,8 +44,8 @@ from typing import Sequence
 import numpy as np
 
 from .channel import ChannelModel, ChannelOutput, modulate_bpsk
-from .decoders import (METRIC_NOISE_NLL, METRIC_QUERY_COUNT, STATUS_DECODED,
-                       DecodeOutcome, SoftBlock, confidence)
+from .decoders import (METRICS, STATUS_DECODED, DecodeOutcome, SoftBlock,
+                       confidence)
 from .gf2 import CodeSpec
 from .ordering import RecyclingPlan
 from .recycling import effective_variance, estimate_noise, llse_update
@@ -92,7 +92,7 @@ class PipelineConfig:
             if not isinstance(getattr(self, flag), bool):
                 raise ValueError(f"{flag} must be true or false, got {getattr(self, flag)!r}")
         if self.mode == MODE_DYNAMIC:
-            if self.confidence_metric not in (METRIC_QUERY_COUNT, METRIC_NOISE_NLL):
+            if self.confidence_metric not in METRICS:
                 raise ValueError(f"dynamic mode needs a confidence metric, got "
                                  f"{self.confidence_metric!r}")
 

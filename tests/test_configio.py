@@ -1,8 +1,12 @@
+import math
+
 import pytest
 
-from noisecycle import BpDecoder, OrbgrandDecoder, PipelineConfig, SgrandabDecoder
+from noisecycle import (BpDecoder, DecodeOutcome, OrbgrandDecoder, PipelineConfig,
+                        SgrandabDecoder, confidence)
 from noisecycle.configio import (load_channel_model, load_code, load_decoder,
                                  load_pipeline)
+from noisecycle.decoders import METRICS
 from noisecycle.ordering import RecyclingPlan
 
 
@@ -144,6 +148,13 @@ class TestModeSettings:
     def test_dynamic_metric_named(self):
         with pytest.raises(ValueError, match="confidence metric.*got 'bogus'"):
             PipelineConfig(mode="dynamic", confidence_metric="bogus")
+        # the pipeline accepts exactly the metrics that ``confidence`` computes
+        outcome = DecodeOutcome(status="abandoned", queries=1, codeword=None)
+        with pytest.raises(ValueError, match="unknown confidence metric 'bogus'"):
+            confidence(outcome, "bogus")
+        for metric in METRICS:
+            assert PipelineConfig(mode="dynamic", confidence_metric=metric).confidence_metric
+            assert confidence(outcome, metric) == math.inf
 
     def test_label_marks_switches(self):
         assert PipelineConfig(mode="static", rerecycle=True, genie=True).label == "static+rr+genie"

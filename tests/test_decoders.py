@@ -87,6 +87,58 @@ class TestQueryOrder:
                 assert out.status == "abandoned" and out.queries == pos - 1
                 abandoned += 1
         assert abandoned > 100
+        # blocks whose hard decision is the all-zero codeword with the rank set at
+        # a chosen position flipped, checked against the one-set-at-a-time oracle
+        # with caps on and next to chunk edges and inside an 8192-row chunk
+        wide = sample_rlc(72, 4, seed=26)  # 68 checks: two syndrome words
+        crc = sample_rlc(72, 12, seed=26, crc=CrcSpec("10011"))
+        stream = list(itertools.islice(orbgrand_rank_patterns(72), 12_001))
+        order = rng.permutation(72)  # rank r at order[r - 1]
+        for code, cap in [(wide, 16), (wide, 17), (wide, 48), (wide, 49), (wide, 113),
+                          (wide, 12_000), (crc, 16), (crc, 49), (crc, 113), (crc, 9000)]:
+            y = np.empty(72)
+            y[order] = np.linspace(0.2, 1.2, 72)
+            y[order[[r - 1 for r in stream[cap]]]] *= -1
+            pos, word = orbgrand_first_hit(code, y)
+            assert pos == cap + 1 and not word.any()
+            out = OrbgrandDecoder(pos).decode(code, SoftBlock(y, 1.0))
+            assert out.status == "decoded" and out.queries == pos
+            assert np.array_equal(out.codeword, word)
+            out = OrbgrandDecoder(cap).decode(code, SoftBlock(y, 1.0))
+            assert out.status == "abandoned" and out.queries == cap
+        # two hits in the chunk of rows 17-48, the later with fewer rank pairs:
+        # rank sets {1, 2, 4} (row 18) and {8} (row 19) differ by the support
+        # of a weight-4 codeword
+        code = sample_rlc(16, 8, seed=0)
+        weight4 = next(w for m in itertools.product([0, 1], repeat=8)
+                       if (w := encode(code, np.array(m, dtype=np.uint8))).sum() == 4)
+        order = np.empty(16, dtype=int)
+        order[[0, 1, 3, 7]] = np.flatnonzero(weight4)
+        order[[r for r in range(16) if r not in (0, 1, 3, 7)]] = np.flatnonzero(weight4 == 0)
+        y = np.empty(16)
+        y[order] = np.linspace(0.2, 1.2, 16)
+        y[order[[0, 1, 3]]] *= -1
+        later = (y < 0).astype(np.uint8)
+        later[order[7]] ^= 1
+        pos, word = orbgrand_first_hit(code, y)
+        assert pos == 19 and np.array_equal(later, weight4)
+        out = OrbgrandDecoder(1000).decode(code, SoftBlock(y, 1.0))
+        assert out.status == "decoded" and out.queries == pos
+        assert np.array_equal(out.codeword, word)
+
+
+def _table_rows(table):
+    """The 1-based rank sets that a rank table's chunks hold, in stream
+    order, read back from their pair codes."""
+    sets = {}
+    for chunk in table.chunks:
+        for at, row in enumerate(chunk.rows.tolist()):
+            tail = len(chunk.rows) - at
+            sets[chunk.start + row] = tuple(
+                r + 1 for codes in chunk.pairs if len(codes) >= tail
+                for r in divmod(int(codes[-tail]), table.n + 1) if r < table.n)
+    assert sorted(sets) == list(range(1, len(sets) + 1))
+    return [sets[row] for row in sorted(sets)]
 
 
 class TestOrbgrandPatternStream:
@@ -105,29 +157,38 @@ class TestOrbgrandPatternStream:
             got = list(orbgrand_rank_patterns(n, max_weight=20))
             assert got == want
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 32, 128])
+    def test_rank_table_holds_the_stream(self, n):
+        table = decoders._RankTable(n)
+        chunks = list(table.chunks_below(40_000))
+        want = list(itertools.islice(orbgrand_rank_patterns(n), 40_000))
+        assert _table_rows(table) == want[1:]
+        for chunk in chunks:
+            assert all(codes.dtype == table.code_dtype for codes in chunk.pairs)
+            first = max(int(codes.max()) // (n + 1) for codes in chunk.pairs)
+            assert first < chunk.lead
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_rank_matrix_runs_out_at_tiny_n(self, n, monkeypatch):
-        monkeypatch.setattr(decoders, "_RANK_STREAMS", {})
-        rows = decoders._rank_rows(n, 100, 100)
-        assert rows.shape[0] == 2 ** n  # every subset of the n ranks, once
-        want = np.full((2 ** n, n), n)
-        for i, ranks in enumerate(orbgrand_rank_patterns(n)):
-            want[i, :len(ranks)] = [r - 1 for r in ranks]
-        assert np.array_equal(rows, want)
-        assert decoders._rank_rows(n, 100, 100) is rows
+        monkeypatch.setattr(decoders, "_RANK_TABLES", {})
+        table = decoders._RankTable(n)
+        chunks = list(table.chunks_below(100))
+        assert table.length == chunks[-1].stop == 2 ** n  # every subset of the n ranks, once
+        assert _table_rows(table) == list(orbgrand_rank_patterns(n))[1:]
+        assert all(a is b for a, b in zip(table.chunks_below(100), chunks, strict=True))
 
     def test_rank_matrix_bounded_by_largest_cap(self, monkeypatch):
-        monkeypatch.setattr(decoders, "_RANK_STREAMS", {})
+        monkeypatch.setattr(decoders, "_RANK_TABLES", {})
         code = sample_rlc(32, 16, seed=7)
         y = np.random.default_rng(3).normal(size=32)  # unrelated noise
         for cap in (100, 40, 300):
             out = OrbgrandDecoder(cap).decode(code, SoftBlock(y, 1.0))
             assert out.status == "abandoned" and out.queries == cap
-        rows = decoders._RANK_STREAMS[32][0]
-        assert rows.shape[0] == 300 and rows.dtype == np.int16
-        head = itertools.islice(orbgrand_rank_patterns(32), 300)
-        for row, ranks in zip(rows, head):
-            assert row[row < 32].tolist() == [r - 1 for r in ranks]
+        table = decoders._RANK_TABLES[32]
+        assert table.chunks[-1].stop == 300 and table.length is None
+        assert all(chunk.rows.dtype == np.uint16 for chunk in table.chunks)
+        head = list(itertools.islice(orbgrand_rank_patterns(32), 300))
+        assert _table_rows(table) == head[1:]
 
     def test_weight_layering(self):
         # every pattern of weight <= W appears before any pattern of weight > W

@@ -462,6 +462,19 @@ class TestValidation:
         with pytest.raises(ValueError, match=pattern):
             SweepSpec(ebn0_db=(1.0,), **counts)
 
+    @pytest.mark.parametrize("points, pattern", [
+        (("3",), r"ebn0_db entry must be a number, got '3'"),
+        ((3.0, math.nan), r"ebn0_db entry must be finite, got nan"),
+        ((-math.inf,), r"ebn0_db entry must be finite, got -inf"),
+        ("3", r"ebn0_db must be a list, got '3'"),
+    ])
+    def test_sweep_points_must_be_finite_numbers(self, points, pattern):
+        with pytest.raises(ValueError, match=pattern):
+            SweepSpec(ebn0_db=points)
+
+    def test_sweep_points_become_a_float_tuple(self):
+        assert SweepSpec(ebn0_db=[3, 4.5]).ebn0_db == (3.0, 4.5)
+
     def test_mixed_code_lengths_rejected(self):
         with pytest.raises(ValueError, match="one code length"):
             tiny_config(codes=({"type": "rlc", "n": 32, "k": 26, "seed": 1},
