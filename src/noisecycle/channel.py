@@ -145,8 +145,18 @@ def ebn0_to_sigma2(ebn0_db: float, rate: float) -> float:
 
 def sample_noise(model: ChannelModel, n: int, rng: np.random.Generator) -> NoiseBlock:
     """Draw an m x n block with i.i.d. N(0, Sigma) columns."""
-    g = rng.standard_normal((model.m, n))
-    return NoiseBlock(samples=model._chol @ g)
+    return NoiseBlock(samples=correlate(model, rng.standard_normal((model.m, n))))
+
+
+def correlate(model: ChannelModel, white: np.ndarray) -> np.ndarray:
+    """Noise with i.i.d. N(0, Sigma) columns from (..., m, n) standard normal
+    draws: one product by the covariance factor per m x n block, so a stack
+    of blocks gives what each block gives alone.  Non-finite noise raises
+    ``ValueError``."""
+    samples = model._chol @ white
+    if not np.isfinite(samples).all():
+        raise ValueError("noise samples must be finite")
+    return samples
 
 
 def transmit(model: ChannelModel, modulated: np.ndarray,

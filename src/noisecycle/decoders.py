@@ -18,7 +18,7 @@ syndrome under the code's membership check, which includes the CRC's
 checks when the code carries one.  The first zero syndrome is returned
 together with the number of queries spent, which doubles as a
 decoding-confidence proxy.  Their prologue covers all rows at once: the
-hard decision, a stable ``argsort`` by reliability and the base syndrome
+hard decision, the stable order by reliability and the base syndrome
 from ``column_words``.  Rows whose hard decision is accepted decode at
 query 1 together; only the others search, one at a time:
 
@@ -95,8 +95,11 @@ class SoftBlock:
         y = np.asarray(self.received, dtype=float)
         if y.ndim != 1:
             raise ValueError("received must be a vector")
-        if self.noise_variance <= 0:
-            raise ValueError("noise variance must be positive")
+        if not np.isfinite(y).all():
+            raise ValueError("received must be finite")
+        if not (math.isfinite(self.noise_variance) and self.noise_variance > 0):
+            raise ValueError("noise_variance must be finite and positive, "
+                             f"got {self.noise_variance!r}")
         object.__setattr__(self, "received", y)
 
 
@@ -315,6 +318,23 @@ class _RankTable:
 _RANK_TABLES: dict[int, _RankTable] = {}
 
 
+def _reliability_order(reliab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.argsort(reliab, axis=1, kind="stable")``, ties by position, and
+    each row of ``reliab`` in that order.
+
+    A row of distinct values has one sorting permutation, which the faster
+    default sort finds too; only the rows whose sorted values are not
+    strictly increasing (ties, several zeros or infinities, NaN) are sorted
+    again, stably."""
+    order = np.argsort(reliab, axis=1)
+    ranked = np.take_along_axis(reliab, order, axis=1)
+    tied = ~(ranked[:, 1:] > ranked[:, :-1]).all(axis=1)
+    if tied.any():
+        order[tied] = np.argsort(reliab[tied], axis=1, kind="stable")
+        ranked[tied] = np.take_along_axis(reliab[tied], order[tied], axis=1)
+    return order, ranked
+
+
 @dataclass(frozen=True)
 class _GuessingDecoder(_Decoder):
     """The guessing prologue; rows not accepted at query 1 call ``_search``
@@ -328,13 +348,13 @@ class _GuessingDecoder(_Decoder):
         n = code.n
         reliab = np.abs(llr)
         hard = (llr < 0).astype(np.uint8)
-        order = np.argsort(reliab, axis=1, kind="stable")
+        order, ranked = _reliability_order(reliab)
         base = np.bitwise_xor.reduce(code.column_words[np.where(hard, np.arange(n), n)],
                                      axis=1)
         queries = np.ones(len(hard), dtype=np.int64)
         found = ~base.any(axis=1)
         for i in np.flatnonzero(~found):
-            queries[i], flips = self._search(code, order[i], reliab[i, order[i]], base[i])
+            queries[i], flips = self._search(code, order[i], ranked[i], base[i])
             if flips is not None:
                 hard[i, flips] ^= 1
                 found[i] = True
@@ -387,8 +407,10 @@ class SgrandabDecoder(_GuessingDecoder):
     Flip sets are index sets into the reliability order.  Successor
     expansion from {0}: a popped set either grows by the next index or
     slides its largest index one step up, which reaches every nonempty set
-    once while children never score below their parent.  Each heap entry
-    carries its set's syndrome, one or two XORs from its parent's.
+    once while children never score below their parent.  Sets of equal
+    score pop in the order their parents popped, a grown set before a slid
+    one.  Each heap entry carries its set's syndrome, one or two XORs from
+    its parent's.
     """
 
     def _search(self, code: CodeSpec, order: np.ndarray, reliab: np.ndarray,

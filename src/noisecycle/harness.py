@@ -9,11 +9,17 @@ and ``rate_j = k_j / n``.
 Every trial draws its random stream from ``(base_seed, point_index,
 trial_index)``, and per-point totals are integer sums over a trial prefix
 whose length follows a fixed doubling schedule, so results are identical
-for any worker count and any scheduling order.  A range of trials advances
-in batches of ``BATCH_TRIALS``: the trials draw their streams one by one,
-then each channel's messages are encoded together and the pipeline decodes
-the whole batch, so a trial's result does not depend on its batch;
-:func:`run_trial` is a batch of one.  Trials stop once every
+for any worker count and any scheduling order.  A trial's stream is its
+payloads, channel after channel, then its m x n standard normals.  Channel
+j's k_j payload bits are ``rng.integers(0, 2, size=k_j, dtype=np.uint8)``:
+bit 7 of each byte of its own ceil(k_j / 4) 32-bit words of the generator's
+output, low byte and low half first, since numpy draws bytes over a range
+of 2 by Lemire's method, which then never rejects.  So one ``random_raw``
+read gives a trial's payloads (see :func:`_payload_bits`).  A range of
+trials advances in batches of ``BATCH_TRIALS``: each trial makes that raw
+read and one normal draw, then the batch is correlated, encoded and decoded
+by whole-batch array operations, so a trial's result does not depend on its
+batch; :func:`run_trial` is a batch of one.  Trials stop once every
 channel has accumulated ``min_block_errors`` block errors (or at
 ``max_trials``).
 
@@ -40,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from . import configio
-from .channel import ChannelModel, ebn0_to_sigma2, modulate_bpsk, sample_noise
+from .channel import ChannelModel, correlate, ebn0_to_sigma2, modulate_bpsk
 from .decoders import BpDecoder
 from .gf2 import crc_encode, encode
 from .ordering import plan_for
@@ -192,25 +198,59 @@ def run_trial(config: ExperimentConfig, point_index: int,
     return _run_batch(config, point_index, trial_index, trial_index + 1).result(0)
 
 
+def _raw_count(sizes: Sequence[int]) -> int:
+    """The 64-bit raw outputs that payloads of ``sizes`` bits take."""
+    return (sum(-(-k // 4) for k in sizes) + 1) // 2
+
+
+def _payload_bits(raw: np.ndarray, sizes: Sequence[int]) -> list[np.ndarray]:
+    """Channel j's ``sizes[j]`` payload bits, read from the last axis of
+    ``raw``, which holds a trial's ``_raw_count(sizes)`` 64-bit raw outputs.
+
+    ``Generator.integers(0, 2, size=k, dtype=np.uint8)`` is Lemire's method
+    on bytes, which with a range of 2 never rejects and returns bit 7 of
+    each byte.  It takes bytes low first from ``ceil(k / 4)`` fresh 32-bit
+    words and drops the rest, and ``PCG64`` hands out each 64-bit output as
+    two 32-bit words, low half first, keeping a spare half across calls.  So
+    channel j's bit i is bit 7 of byte i of its words, which follow those
+    of the channels before it; the ``W`` words of all channels are
+    ``ceil(W / 2)`` raw outputs, and the generator is left as the
+    ``integers`` calls leave it but for the spare half of an odd ``W``,
+    which a normal draw never reads.  Shifts rather than a byte view keep
+    this independent of the machine's byte order.
+    """
+    words = [-(-k // 4) for k in sizes]
+    first = np.cumsum([0] + words[:-1])  # each channel's first word
+    byte = np.concatenate([4 * w + np.arange(k) for w, k in zip(first, sizes)])
+    bits = (raw[..., byte // 8] >> (8 * (byte % 8) + 7).astype(np.uint64)) & 1
+    return np.split(bits.astype(np.uint8), np.cumsum(sizes)[:-1], axis=-1)
+
+
 def _run_batch(config: ExperimentConfig, point_index: int, start: int, stop: int):
     """Trials [start, stop) as one pipeline batch, row i being trial start + i.
 
-    Each trial draws its payloads, then its noise, from its own
-    ``(base_seed, point_index, trial)`` stream; the stacked payloads of each
-    channel are then encoded together.
+    Each trial seeds ``default_rng((base_seed, point_index, trial))`` and
+    reads all its payload bits with one ``random_raw`` call: channel j's
+    bits are bit 7 of the bytes of its own 32-bit words, which is what
+    ``rng.integers(0, 2, size=payload_bits_j, dtype=np.uint8)`` draws in
+    turn (see :func:`_payload_bits`).  Then it draws its m x n white noise
+    with one ``standard_normal`` call.  The batch is correlated by one
+    stacked product whose every slice is the one ``sample_noise`` takes,
+    and each channel's stacked payloads are encoded together.
     """
     model, codes = config._models[point_index], config._codes
-    n = codes[0].n
-    payloads = [np.empty((stop - start, code.payload_bits), dtype=np.uint8) for code in codes]
-    received = np.empty((stop - start, model.m, n))
+    n, sizes = codes[0].n, [code.payload_bits for code in codes]
+    count = _raw_count(sizes)
+    raw = np.empty((stop - start, count), dtype=np.uint64)
+    white = np.empty((stop - start, model.m, n))
     for row, t in enumerate(range(start, stop)):
         rng = np.random.default_rng((config.base_seed, point_index, t))
-        for code, drawn in zip(codes, payloads):
-            drawn[row] = rng.integers(0, 2, size=code.payload_bits, dtype=np.uint8)
-        received[row] = sample_noise(model, n, rng).samples
+        raw[row] = rng.bit_generator.random_raw(count)
+        rng.standard_normal(out=white[row])
+    received = correlate(model, white)
 
     sent = np.empty(received.shape, dtype=np.uint8)
-    for j, (code, payload) in enumerate(zip(codes, payloads)):
+    for j, (code, payload) in enumerate(zip(codes, _payload_bits(raw, sizes))):
         sent[:, j] = encode(code, crc_encode(code.crc, payload) if code.crc else payload)
         received[:, j] += modulate_bpsk(sent[:, j])  # float addition commutes: x + noise
     return run_batch(config._pipelines[point_index], received, sent, codes,

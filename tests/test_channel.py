@@ -3,6 +3,7 @@ import pytest
 
 from noisecycle import (ChannelModel, NoiseBlock, build_gm_model, ebn0_to_sigma2,
                         modulate_bpsk, sample_noise, transmit)
+from noisecycle.channel import correlate
 
 
 class TestGmModel:
@@ -108,6 +109,28 @@ class TestSampleNoise:
                 rho = 0.6 ** (j - i)
                 se = (1 - rho**2) / np.sqrt(n)
                 assert abs(np.corrcoef(z[i], z[j])[0, 1] - rho) < 3 * se
+
+    @pytest.mark.parametrize("model", [
+        build_gm_model(1, 0.0, 0.7), build_gm_model(2, 0.6, 1.3), build_gm_model(4, -0.4, 0.5),
+        build_gm_model(5, 0.9, 2.0),
+        ChannelModel(m=2, sigma2=np.ones(2), power=np.ones(2), corr=np.ones((2, 2))),
+    ])
+    def test_stacked_blocks_equal_sample_noise(self, model):
+        # the harness correlates a batch of white draws at once; each block
+        # must be what sample_noise gives from the same generator state
+        white = np.stack([np.random.default_rng(s).standard_normal((model.m, 128))
+                          for s in range(32)])
+        stacked = correlate(model, white)
+        for s, block in enumerate(stacked):
+            alone = sample_noise(model, 128, np.random.default_rng(s)).samples
+            assert np.array_equal(block, alone)
+
+    def test_non_finite_noise_rejected(self):
+        model = build_gm_model(2, 0.6, 1.0)
+        white = np.zeros((3, 2, 8))
+        white[2, 1, 5] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            correlate(model, white)
 
     def test_psd_singular_covariance_sampled_via_fallback(self, rng):
         # perfectly correlated pair: Cholesky fails, eigen factor must not

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -26,6 +27,21 @@ class TestLlrs:
         a = llrs(SoftBlock(y, 1.0))
         b = llrs(SoftBlock(3.7 * y, 1.0))
         assert np.array_equal(np.sign(a), np.sign(b))
+
+    @pytest.mark.parametrize("received, variance, field", [
+        (np.ones(8), math.nan, "noise_variance"),
+        (np.ones(8), math.inf, "noise_variance"),
+        (np.ones(8), 0.0, "noise_variance"),
+        (np.ones(8), -1.0, "noise_variance"),
+        (np.full(8, np.nan), 1.0, "received"),
+        (np.array([0.5, np.inf, -1.0]), 1.0, "received"),
+        (np.array([0.5, -np.inf, -1.0]), 1.0, "received"),
+    ])
+    def test_non_finite_or_bad_variance_rejected(self, received, variance, field):
+        # a NaN variance once decoded with noise_nll = nan, and an all-NaN
+        # vector as the all-zero word
+        with pytest.raises(ValueError, match=field):
+            SoftBlock(received, variance)
 
 
 class TestQueryOrder:
@@ -71,6 +87,70 @@ class TestQueryOrder:
                 assert out.codeword is None
                 abandoned += 1
         assert abandoned > 100
+
+    @staticmethod
+    def _heap_order(r):
+        """Every flip set as 0-based index tuples into the reliability order
+        whose values are ``r``, the empty set first and the rest as
+        SGRANDAB's heap pops them: by score, then in the order their parents
+        popped, a grown set before a slid one.  The parent of (..., s, t) is
+        (..., s) when s = t - 1 (t grown onto it) and (..., s, t - 1)
+        otherwise (t slid up); (0,) is the root.  Scores must be exact sums."""
+        @functools.cache
+        def key(flips):
+            score = sum(r[i] for i in flips)
+            *head, t = flips
+            if flips == (0,):
+                return (score, ())
+            if head and head[-1] == t - 1:
+                return (score, key(tuple(head)), 0)
+            return (score, key((*head, t - 1)), 1)
+
+        n = len(r)
+        rest = [c for size in range(1, n + 1) for c in itertools.combinations(range(n), size)]
+        return [()] + sorted(rest, key=key)
+
+    def test_tied_reliabilities_decode_in_stable_order(self, rng):
+        # |y| on a grid of 0.5 ties often, and exactly, so both decoders run
+        # their reliability order's tie rule: rank by position.  Each batch
+        # also holds a row of equal |y|, a row of zeros and rows without ties;
+        # all scores are exact sums
+        n = self.N
+        for code in (sample_rlc(n, 5, seed=19), sample_rlc(n, 5, seed=19, crc=CrcSpec("111"))):
+            y = np.round(2 * rng.normal(size=(40, n))) / 2
+            y[0] = np.where(rng.random(n) < 0.4, -0.5, 0.5)
+            y[1, rng.permutation(n)[:4]] = 0.0
+            y[2:6] = [rng.permutation(np.arange(1, n + 1) / 4) * rng.choice([-1, 1], n)
+                      for _ in range(4)]
+            assert (np.abs(y[0]) == 0.5).all() and np.count_nonzero(y[1] == 0) >= 4
+            variances = np.ones(len(y))
+            orbgrand = OrbgrandDecoder(10**6).decode_batch(code, y, variances)
+            sgrandab = SgrandabDecoder(2**n).decode_batch(code, y, variances)
+            ties = 0
+            for row, orb, sgr in zip(y, orbgrand, sgrandab):
+                order = np.argsort(np.abs(row), kind="stable")
+                ties += len(np.unique(np.abs(row))) < n
+                pos, word = orbgrand_first_hit(code, row)
+                assert (orb.status, orb.queries) == ("decoded", pos)
+                assert np.array_equal(orb.codeword, word)
+                sets = [order[list(flips)] for flips in self._heap_order(np.abs(row)[order])]
+                pos, word = self._first_hit(code, (row < 0).astype(np.uint8), sets)
+                assert (sgr.status, sgr.queries) == ("decoded", pos)
+                assert np.array_equal(sgr.codeword, word)
+            assert ties > 30
+
+    def test_reliability_order_is_the_stable_argsort(self, rng):
+        x = np.round(4 * rng.random((40, 16))) / 4
+        x[:8] = rng.random((8, 16))
+        x[8] = 0.0
+        x[9, [2, 11]] = np.inf
+        x[10, [1, 5]] = -np.inf
+        x[11, [3, 7, 8]] = np.nan
+        x[12, 4] = np.nan
+        order, ranked = decoders._reliability_order(x)
+        stable = np.argsort(x, axis=1, kind="stable")
+        assert np.array_equal(order, stable)
+        assert np.array_equal(ranked, np.take_along_axis(x, stable, axis=1), equal_nan=True)
 
     def test_orbgrand_count_is_position_in_rank_stream(self, rng):
         abandoned = 0

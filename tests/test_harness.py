@@ -7,8 +7,10 @@ import pytest
 
 from noisecycle import (BlerPoint, ExperimentConfig, SweepSpec, emit_csv,
                         run_bler_sweep, run_trial, wilson_interval)
-from noisecycle.channel import ebn0_to_sigma2
-from noisecycle.harness import WORKERS_ENV, csv_text, parse_csv, worker_count
+from noisecycle.channel import ebn0_to_sigma2, modulate_bpsk, sample_noise
+from noisecycle.gf2 import crc_encode, encode
+from noisecycle.harness import (WORKERS_ENV, _payload_bits, _raw_count, _run_batch, csv_text,
+                                parse_csv, worker_count)
 from noisecycle.ordering import (build_recycle_graph, constrain_root_child,
                                  max_arborescence, plan_for)
 
@@ -79,6 +81,61 @@ class TestRunTrial:
             se = np.sqrt(2 * max(p_single[0].bler, 1e-4)
                          * (1 - p_single[0].bler) / 6000)
             assert diff < 3.5 * se
+
+
+class TestTrialStream:
+    """A trial's stream is ``rng.integers(0, 2, size=k_j, dtype=np.uint8)``
+    for each channel j in turn, then ``sample_noise``; the harness reads the
+    payloads in bulk and must reproduce those calls bit for bit."""
+
+    def test_bulk_payload_bits_equal_integers_calls(self):
+        sizes_rng = np.random.default_rng(8)
+        lists = [[1], [4], [5], [1, 1, 1], [4, 4], [3, 5], [110] * 4, [112] * 4,
+                 [1, 5, 13, 38, 110]]
+        lists += [sizes_rng.integers(1, 130, size=sizes_rng.integers(1, 7)).tolist()
+                  for _ in range(300)]
+        parities = set()
+        for seed, sizes in enumerate(lists):
+            parities.add(sum(-(-k // 4) for k in sizes) % 2)
+            drawn, bulk = np.random.default_rng((7, seed)), np.random.default_rng((7, seed))
+            expected = [drawn.integers(0, 2, size=k, dtype=np.uint8) for k in sizes]
+            got = _payload_bits(bulk.bit_generator.random_raw(_raw_count(sizes)), sizes)
+            assert len(got) == len(sizes)
+            for want, have in zip(expected, got):
+                assert have.dtype == np.uint8 and np.array_equal(have, want)
+            # the normal draws that follow read the same state
+            assert np.array_equal(bulk.standard_normal((3, 5)), drawn.standard_normal((3, 5)))
+        assert parities == {0, 1}  # odd word totals leave a spare half unread
+
+    # (n, k, CRC polynomial): payloads of 1, 5, 13, 38 and 110 bits
+    CODES = [(128, 1, None), (128, 8, "1011"), (128, 13, None), (128, 46, "100000111"),
+             (128, 110, None)]
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_batches_equal_the_per_trial_stream(self, m):
+        codes = [self.CODES[(m + j) % 5] for j in range(m)]
+        config = ExperimentConfig(
+            channel={"m": m, "mode": "gm", "rho": 0.6},
+            codes=tuple({"type": "rlc", "n": n, "k": k, "seed": 3 + j,
+                         **({"crc_polynomial": poly} if poly else {})}
+                        for j, (n, k, poly) in enumerate(codes)),
+            decoders=({"type": "orbgrand", "max_queries": 1},) * m,
+            pipeline={"mode": "independent"},
+            sweep=SweepSpec(ebn0_db=(1.0, 4.0)),
+            base_seed=9,
+        )
+        built, model = config._codes, config._models[1]
+        for start, rows in [(0, 1), (5, 7), (40, 32)]:
+            batch = _run_batch(config, 1, start, start + rows)
+            for row, t in enumerate(range(start, start + rows)):
+                rng = np.random.default_rng((9, 1, t))
+                payloads = [rng.integers(0, 2, size=c.payload_bits, dtype=np.uint8)
+                            for c in built]
+                noise = sample_noise(model, 128, rng).samples
+                sent = [encode(c, crc_encode(c.crc, p) if c.crc else p)
+                        for c, p in zip(built, payloads)]
+                assert np.array_equal(batch.sent[row], sent)
+                assert np.array_equal(batch.received[row], noise + modulate_bpsk(sent))
 
 
 class TestStaticPlanChoice:
