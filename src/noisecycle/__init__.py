@@ -3,7 +3,7 @@ orthogonal channels with correlated additive Gaussian noise."""
 
 from .channel import (ChannelModel, ChannelOutput, NoiseBlock, build_gm_model,
                       ebn0_to_sigma2, modulate_bpsk, sample_noise, transmit)
-from .decoders import (BpDecoder, DecodeOutcome, OrbgrandDecoder,
+from .decoders import (BpDecoder, DecodeOutcome, DecodeRecord, OrbgrandDecoder,
                        SgrandabDecoder, SoftBlock, confidence, llrs)
 from .gf2 import (CodeSpec, CrcSpec, SparseParityCheck, code_from_parity_check,
                   crc_check, crc_encode, encode, ml_decode_bruteforce, parse_alist,

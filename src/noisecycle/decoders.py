@@ -1,16 +1,20 @@
 """Soft-decision decoders: ORBGRAND, SGRANDAB, and belief propagation.
 
 A decoder is any object with ``decode(code, soft) -> DecodeOutcome``; it
-may add ``decode_batch(code, received, variances)``, which decodes the rows
-of a (B, n) array exactly as ``decode`` would, one outcome per row.  The
-pipeline calls ``decode`` row by row only for outside decoders without it.
-The three here are frozen dataclasses whose fields are their configuration,
+may add ``decode_batch(code, received, variances) -> DecodeRecord``, which
+decodes the rows of a (B, n) array exactly as ``decode`` would into one
+record of arrays: status codes into ``STATUSES``, query counts, words and
+noise NLLs.  A record has a length and reads row by row as
+``DecodeOutcome`` s.  The pipeline adapts an outside decoder without
+``decode_batch`` by calling ``decode`` row by row.  The three here are
+frozen dataclasses whose fields are their configuration,
 ``OrbgrandDecoder(max_queries)``, ``SgrandabDecoder(max_queries)`` and
 ``BpDecoder(max_iters=50)``; each rejects a limit below 1 when built.  They
-share one frame: ``decode_batch`` takes the LLRs of all rows at once (the
-definition of :func:`llrs`), the decoder turns them into a status, a query
-count and a word per row, and one helper builds the outcomes; ``decode``
-is a batch of one.
+share one frame: ``decode_batch`` checks its input once (finite (B, n)
+``received``, finite positive (B,) ``variances``), takes the LLRs of all
+rows at once (the definition of :func:`llrs`), the decoder turns them into
+a status code, a query count and a word per row, and the frame adds the
+noise NLLs; ``decode`` is a batch of one.
 
 The guessing decoders invert putative noise-effect patterns on the hard
 decision, most plausible first, and query codebook membership by one
@@ -18,14 +22,14 @@ syndrome under the code's membership check, which includes the CRC's
 checks when the code carries one.  The first zero syndrome is returned
 together with the number of queries spent, which doubles as a
 decoding-confidence proxy.  Their prologue covers all rows at once: the
-hard decision, the stable order by reliability and the base syndrome
-from ``column_words``.  Rows whose hard decision is accepted decode at
-query 1 together; only the others search, one at a time:
+hard decision and the base syndrome from ``column_words``.  Rows whose
+hard decision is accepted decode at query 1 together; the others are
+ordered stably by reliability and go to one search call:
 
 * SGRANDAB enumerates flip sets in exactly nondecreasing sum of flipped
   |LLR| via a priority-queue successor expansion, so an accepted answer is
-  a maximum-likelihood decoding and memory stays O(queries).  The heap
-  XORs the Python-int ``column_masks``.
+  a maximum-likelihood decoding and memory stays O(queries).  It walks one
+  heap per row, which XORs the Python-int ``column_masks``.
 * ORBGRAND (Duffy, ICASSP 2021) ranks positions by ascending |LLR| (rank 1
   = least reliable, ties by position) and sweeps flip sets in nondecreasing
   logistic weight, the sum of flipped ranks; equal-weight sets are ordered
@@ -36,11 +40,16 @@ query 1 together; only the others search, one at a time:
   each rank set as pair codes ``a * (n + 1) + b``, its 0-based ranks taken
   two at a time, an odd last one paired with n, which indexes the all-zero
   row of ``column_words``; within a chunk the rows are sorted stably by
-  pair count.  A search XORs the reliability-ordered columns of every pair
-  it can meet into one table, and a chunk's syndromes are one gather of
-  that table per pair index, each over only the rows that have that pair.
-  The rank table is built with numpy one weight at a time, and a chunk only
-  when a search first reaches it, never past that search's query cap.
+  pair count.  The searching rows walk the chunks together.  Each row
+  XORs its reliability-ordered columns for every pair it can meet into its
+  row of one pair table, and a chunk's syndromes for all rows are one
+  gather of that table per pair index, each over only the chunk rows that
+  have that pair.  A row leaves at its first hit, its smallest stream row
+  within the cap, and its flips are read back from the pair codes.  A group
+  of rows whose pair table or syndromes would pass ``_GROUP_WORDS`` words
+  goes on from that chunk in two halves.  The rank table is built with
+  numpy one weight at a time, and a chunk only when a search first reaches
+  it, never past that search's query cap.
 
 BpDecoder runs each sum-product iteration on every still-active row of a
 call at once, the batch axis last, through the code's ``TannerLayout``:
@@ -62,7 +71,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, fields
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,8 +80,11 @@ from .gf2 import CodeSpec
 __all__ = [
     "SoftBlock",
     "DecodeOutcome",
+    "DecodeRecord",
+    "STATUSES",
     "llrs",
     "confidence",
+    "confidences",
     "orbgrand_rank_patterns",
     "OrbgrandDecoder",
     "SgrandabDecoder",
@@ -82,6 +94,8 @@ __all__ = [
 STATUS_DECODED = "decoded"
 STATUS_ABANDONED = "abandoned"
 STATUS_CRC_FAILED = "crc_failed"
+STATUSES = (STATUS_DECODED, STATUS_ABANDONED, STATUS_CRC_FAILED)  # by status code
+DECODED, ABANDONED, CRC_FAILED = range(len(STATUSES))
 
 
 @dataclass(frozen=True)
@@ -120,10 +134,46 @@ class DecodeOutcome:
     noise_nll: float = math.inf
 
     def __post_init__(self) -> None:
-        if self.status not in (STATUS_DECODED, STATUS_ABANDONED, STATUS_CRC_FAILED):
+        if self.status not in STATUSES:
             raise ValueError(f"unknown status {self.status!r}")
         if self.status == STATUS_DECODED and self.codeword is None:
             raise ValueError("decoded outcome must carry a codeword")
+
+
+@dataclass(frozen=True)
+class DecodeRecord:
+    """The outcomes of B decodes as arrays: ``status`` codes indexing
+    ``STATUSES`` (int8), ``queries`` (int64), ``words`` (B, n) uint8, read
+    only where decoded, and ``noise_nll`` (float64, +inf where not decoded).
+    Its length is B, and row i reads as one ``DecodeOutcome``."""
+
+    status: np.ndarray
+    queries: np.ndarray
+    words: np.ndarray
+    noise_nll: np.ndarray
+
+    @classmethod
+    def of(cls, outcomes: Sequence[DecodeOutcome], n: int) -> "DecodeRecord":
+        """The record of ``outcomes`` with words of length ``n``."""
+        words = np.zeros((len(outcomes), n), dtype=np.uint8)
+        for word, out in zip(words, outcomes):
+            if out.codeword is not None:
+                word[:] = out.codeword
+        return cls(np.array([STATUSES.index(out.status) for out in outcomes], dtype=np.int8),
+                   np.array([out.queries for out in outcomes], dtype=np.int64), words,
+                   np.array([out.noise_nll for out in outcomes], dtype=float))
+
+    def __len__(self) -> int:
+        return len(self.status)
+
+    def __getitem__(self, row: int) -> DecodeOutcome:
+        status = int(self.status[row])
+        return DecodeOutcome(STATUSES[status], int(self.queries[row]),
+                             self.words[row] if status == DECODED else None,
+                             float(self.noise_nll[row]))
+
+    def __iter__(self) -> Iterator[DecodeOutcome]:
+        return (self[row] for row in range(len(self)))
 
 
 def llrs(soft: SoftBlock) -> np.ndarray:
@@ -136,10 +186,26 @@ def _llrs(received: np.ndarray, variances: np.ndarray) -> np.ndarray:
     return 2.0 * received / variances[..., None]
 
 
+def _checked_batch(code: CodeSpec, received, variances) -> tuple[np.ndarray, np.ndarray]:
+    """``received`` as finite (B, code.n) floats and ``variances`` as finite,
+    positive (B,) floats, or ``ValueError`` naming the field."""
+    received, variances = np.asarray(received, dtype=float), np.asarray(variances, dtype=float)
+    if received.ndim != 2 or received.shape[1] != code.n:
+        raise ValueError(f"received must be (B, {code.n}), got shape {received.shape}")
+    if variances.shape != received.shape[:1]:
+        raise ValueError(f"variances must be ({len(received)},), got shape {variances.shape}")
+    if not np.isfinite(received).all():
+        raise ValueError("received must be finite")
+    if not (np.isfinite(variances) & (variances > 0)).all():
+        raise ValueError("variances must be finite and positive")
+    return received, variances
+
+
 class _Decoder:
     """The frame of a dataclass whose fields are limits of at least 1:
-    ``_decode_llrs(code, llr)`` returns each row's status and query count,
-    and (B, n) words read only in the rows that decoded."""
+    ``_decode_llrs(code, llr)`` returns each row's status code (int8) and
+    query count (int64), and (B, n) words read only in the rows that
+    decoded."""
 
     def __post_init__(self) -> None:
         for limit in fields(self):
@@ -152,30 +218,27 @@ class _Decoder:
                                  np.array([soft.noise_variance]))[0]
 
     def decode_batch(self, code: CodeSpec, received: np.ndarray,
-                     variances: np.ndarray) -> list[DecodeOutcome]:
+                     variances: np.ndarray) -> DecodeRecord:
         """Decode row i of ``received`` (B, n) at noise variance
-        ``variances[i]``, exactly as ``decode`` would, one outcome per row."""
+        ``variances[i]``, exactly as ``decode`` would, into one record."""
+        received, variances = _checked_batch(code, received, variances)
         status, queries, words = self._decode_llrs(code, _llrs(received, variances))
-        return _outcomes(received, variances, status, queries, words)
+        return DecodeRecord(status, queries, words,
+                            _noise_nll(received, variances, status == DECODED, words))
 
 
-def _outcomes(received: np.ndarray, variances: np.ndarray, status: list[str],
-              queries, words: np.ndarray) -> list[DecodeOutcome]:
-    """Row i's outcome: ``status[i]`` after ``queries[i]`` queries, carrying
-    row i of ``words`` and the noise NLL of ``received[i]`` at
-    ``variances[i]`` when decoded.  The logarithm is ``math.log``, whose
-    last bit can differ from ``np.log``'s."""
-    decoded = np.array([s == STATUS_DECODED for s in status], dtype=bool)
-    words, variances = words[decoded], variances[decoded]
-    z = received[decoded] - (1.0 - 2.0 * words.astype(float))
+def _noise_nll(received: np.ndarray, variances: np.ndarray, decoded: np.ndarray,
+               words: np.ndarray) -> np.ndarray:
+    """The noise NLL of each ``decoded`` row of ``received`` against its
+    word at its variance, +inf elsewhere.  The logarithm is ``math.log``,
+    whose last bit can differ from ``np.log``'s."""
+    variances = variances[decoded]
+    z = received[decoded] - (1.0 - 2.0 * words[decoded].astype(float))
     scaled = np.sum(z * z, axis=1) / (2.0 * variances)
-    half_n = received.shape[1] * 0.5
-    nll = iter([float(s + half_n * math.log(2.0 * math.pi * v))
-                for s, v in zip(scaled, variances.tolist())])
-    word = iter(words)
-    return [DecodeOutcome(s, int(q), next(word), next(nll)) if ok
-            else DecodeOutcome(s, int(q), None)
-            for s, q, ok in zip(status, queries, decoded.tolist())]
+    logs = [math.log(2.0 * math.pi * v) for v in variances.tolist()]
+    nll = np.full(len(decoded), math.inf)
+    nll[decoded] = scaled + received.shape[1] * 0.5 * np.array(logs, dtype=float)
+    return nll
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +315,9 @@ class _Chunk(NamedTuple):
     start: int
     stop: int
     rows: np.ndarray  # uint16: each row, less start, in that order
+    codes: np.ndarray  # every pair code: the pairs, one after another
+    lens: np.ndarray  # len(pairs[k])
+    ends: np.ndarray  # the cumulative lens: pairs[k] ends before codes[ends[k]]
     pairs: list[np.ndarray]  # pairs[k]: the k-th pair code of the last len(pairs[k]) rows
     lead: int  # one more than the largest first rank of any pair in this or an earlier chunk
 
@@ -308,10 +374,13 @@ class _RankTable:
         counts = (sizes + 1) // 2
         rows = np.argsort(counts, kind="stable").astype(np.uint16)
         codes = ranks[rows, 0::2].astype(self.code_dtype) * (n + 1) + ranks[rows, 1::2]
-        pairs = [codes[np.count_nonzero(counts <= k):, k].copy() for k in range(width // 2)]
+        lens = np.array([np.count_nonzero(counts > k) for k in range(width // 2)])
+        flat = np.concatenate([codes[have - size:, k] for k, size in enumerate(lens)])
+        ends = np.cumsum(lens)
+        pairs = np.split(flat, ends[:-1])
         lead = max([self.chunks[-1].lead if self.chunks else 0]
                    + [int(c.max()) // (n + 1) + 1 for c in pairs])
-        return _Chunk(start, start + have, rows, pairs, lead)
+        return _Chunk(start, start + have, rows, flat, lens, ends, pairs, lead)
 
 
 # n -> its rank table, shared by every ORBGRAND search in the process
@@ -337,29 +406,34 @@ def _reliability_order(reliab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class _GuessingDecoder(_Decoder):
-    """The guessing prologue; rows not accepted at query 1 call ``_search``
-    with their positions by ascending reliability (rank r at
-    ``order[r - 1]``), the reliabilities in that order and the packed base
-    syndrome."""
+    """The guessing prologue; the rows not accepted at query 1 go to one
+    ``_search`` call with their positions by ascending reliability (rank r
+    at ``order[:, r - 1]``), their reliabilities in that order and their
+    packed base syndromes.  It returns each row's queries and the (row,
+    position) pairs to flip, which name every row that hit."""
 
     max_queries: int
 
     def _decode_llrs(self, code: CodeSpec, llr: np.ndarray):
         n = code.n
-        reliab = np.abs(llr)
         hard = (llr < 0).astype(np.uint8)
-        order, ranked = _reliability_order(reliab)
         base = np.bitwise_xor.reduce(code.column_words[np.where(hard, np.arange(n), n)],
                                      axis=1)
         queries = np.ones(len(hard), dtype=np.int64)
-        found = ~base.any(axis=1)
-        for i in np.flatnonzero(~found):
-            queries[i], flips = self._search(code, order[i], ranked[i], base[i])
-            if flips is not None:
-                hard[i, flips] ^= 1
-                found[i] = True
-        status = [STATUS_DECODED if ok else STATUS_ABANDONED for ok in found.tolist()]
-        return status, queries.tolist(), hard
+        status = np.full(len(hard), DECODED, dtype=np.int8)
+        rows = np.flatnonzero(base.any(axis=1))
+        if rows.size:
+            order, ranked = _reliability_order(np.abs(llr[rows]))
+            queries[rows], (at, flips) = self._search(code, order, ranked, base[rows])
+            status[rows] = ABANDONED
+            status[rows[at]] = DECODED  # every hit flips at least one position
+            hard[rows[at], flips] ^= 1
+        return status, queries, hard
+
+
+# uint64 words that a group of ORBGRAND rows searching together may hold in
+# its pair table or in one chunk's syndromes; a larger group splits in two
+_GROUP_WORDS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -368,36 +442,74 @@ class OrbgrandDecoder(_GuessingDecoder):
 
     def _search(self, code: CodeSpec, order: np.ndarray, reliab: np.ndarray,
                 base: np.ndarray):
-        """(queries spent, positions to flip) of the first rank set after the
-        empty one whose flips zero the syndrome ``base``; (queries, None)
-        when the cap or the stream runs out first."""
-        n, cap = len(order), self.max_queries
+        """Each row's queries spent and the (row, position) pairs to flip: a
+        row's hit is its first rank set after the empty one whose flips zero
+        its syndrome ``base``; a row without one spent the cap, or the whole
+        stream.  The rows walk the chunks together and leave at their first
+        hit; a group whose pair table or syndromes would pass
+        ``_GROUP_WORDS`` goes on from that chunk in two halves, each taking
+        its rows of the pair table."""
+        (rows, n), cap = order.shape, self.max_queries
         table = _RANK_TABLES.get(n) or _RANK_TABLES.setdefault(n, _RankTable(n))
-        ranked = code.column_words[np.append(order, n)]  # row r: 0-based rank r; row n: zero
-        xors, queries = ranked[:0], 1
-        # the stream holds every flip set, so the one that gives the all-zero
-        # codeword (the hard decision's ones) hits before the stream ends
-        for chunk in table.chunks_below(cap):
-            if len(xors) < chunk.lead * (n + 1):
-                # row a * (n + 1) + b: the columns of ranks a and b XORed, for
-                # twice as many a each time, but no more than any chunk needs
-                lead = min(max(chunk.lead, 2 * len(xors) // (n + 1)), table.chunks[-1].lead)
-                xors = (ranked[:lead, None] ^ ranked[None]).reshape(-1, ranked.shape[1])
-            # take, not fancy indexing, which is several times slower with uint16 codes
-            syndromes = xors.take(chunk.pairs[0], axis=0)
-            for codes in chunk.pairs[1:]:
-                syndromes[len(syndromes) - len(codes):] ^= xors.take(codes, axis=0)
-            hits = (syndromes == base).all(axis=1).nonzero()[0]
-            if chunk.stop > cap:
-                hits = hits[chunk.rows[hits] < cap - chunk.start]
-            if hits.size:
-                at = int(hits[chunk.rows[hits].argmin()])
-                tail = len(syndromes) - at  # the rows from `at` on
-                ranks = [r for codes in chunk.pairs if len(codes) >= tail
-                         for r in divmod(int(codes[-tail]), n + 1) if r < n]
-                return chunk.start + int(chunk.rows[at]) + 1, order[ranks]
-            queries = min(chunk.stop, cap)
-        return queries, None
+        # row r of each block: its 0-based rank r; row n: zero
+        ranked = code.column_words[np.concatenate([order, np.full((rows, 1), n)], axis=1)]
+        words = ranked.shape[2]
+        queries = np.ones(rows, dtype=np.int64)
+        at, flips = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+        # rows searching together, from which chunk, with their pair tables and syndromes
+        groups = [(np.arange(rows), 0, ranked[:, :0], base[:, None])]
+        while groups:
+            live, skip, xors, target = groups.pop()
+            # the stream holds every flip set, so the one that gives the all-zero
+            # codeword (the hard decision's ones) hits before the stream ends
+            for index, chunk in enumerate(table.chunks_below(cap)):
+                if index < skip:
+                    continue
+                size, lead = len(chunk.rows), xors.shape[1] // (n + 1)
+                if lead < chunk.lead:
+                    # row a * (n + 1) + b: the columns of ranks a and b XORed, for
+                    # twice as many a each time, but no more than any chunk needs
+                    lead = min(max(chunk.lead, 2 * lead), table.chunks[-1].lead)
+                if len(live) > 1 and len(live) * max(size, lead * (n + 1)) * words > _GROUP_WORDS:
+                    half = len(live) // 2
+                    groups += [(live[half:], index, xors[half:], target[half:]),
+                               (live[:half], index, xors[:half], target[:half])]
+                    break
+                if xors.shape[1] < lead * (n + 1):
+                    xors = (ranked[live, :lead, None] ^ ranked[live, None]).reshape(
+                        len(live), -1, words)
+                # take, not fancy indexing, which is several times slower with uint16 codes
+                syndromes = xors.take(chunk.pairs[0], axis=1)
+                for codes in chunk.pairs[1:]:
+                    syndromes[:, size - len(codes):] ^= xors.take(codes, axis=1)
+                hits = (syndromes == target).all(axis=2)
+                if chunk.stop > cap:
+                    hits &= chunk.rows < cap - chunk.start
+                hit, pos = np.divmod(np.flatnonzero(hits), size)  # 1-D: the fast nonzero
+                if hit.size:
+                    again = hit[1:] == hit[:-1]  # hit ascends
+                    if again.any():  # a row's hit is its smallest stream row in the chunk
+                        pos = pos[np.lexsort((chunk.rows[pos], hit))]
+                        first = np.concatenate([[True], ~again])
+                        hit, pos = hit[first], pos[first]
+                    done = live[hit]
+                    queries[done] = chunk.start + 1 + chunk.rows[pos].astype(np.int64)
+                    # hit i has pair k when its rows from pos[i] on are no more
+                    # than the len(pairs[k]) rows that have one; a pair's first
+                    # rank is real, its second may be the pad n
+                    tail = size - pos
+                    i, k = np.nonzero(chunk.lens >= tail[:, None])
+                    a, b = np.divmod(chunk.codes[chunk.ends[k] - tail[i]].astype(np.intp), n + 1)
+                    row, real = done[i], b < n
+                    at += [row, row[real]]
+                    flips += [order[row, a], order[row[real], b[real]]]
+                    keep = np.ones(len(live), dtype=bool)
+                    keep[hit] = False
+                    live, xors, target = live[keep], xors[keep], target[keep]
+                queries[live] = min(chunk.stop, cap)
+                if not live.size:
+                    break
+        return queries, (np.concatenate(at), np.concatenate(flips))
 
 
 @dataclass(frozen=True)
@@ -415,6 +527,20 @@ class SgrandabDecoder(_GuessingDecoder):
 
     def _search(self, code: CodeSpec, order: np.ndarray, reliab: np.ndarray,
                 base: np.ndarray):
+        """Each row's queries spent and the (row, position) pairs to flip,
+        one heap walk per row."""
+        queries, at, flips = np.empty(len(order), dtype=np.int64), [], []
+        for i, args in enumerate(zip(order, reliab, base)):
+            queries[i], hit = self._walk(code, *args)
+            if hit is not None:
+                at += [i] * len(hit)
+                flips += hit
+        return queries, (np.array(at, dtype=np.intp), np.array(flips, dtype=np.intp))
+
+    def _walk(self, code: CodeSpec, order: np.ndarray, reliab: np.ndarray,
+              base: np.ndarray):
+        """(queries spent, positions to flip) of one row's first hit;
+        (queries, None) when the cap runs out first."""
         r = reliab.tolist()
         n, cap = len(r), self.max_queries
         masks = code.column_masks
@@ -436,7 +562,7 @@ class SgrandabDecoder(_GuessingDecoder):
                                 s ^ nxt ^ sorted_masks[t]))
                 seq += 2
             if s == 0:
-                return queries, order[list(pat)]
+                return queries, order[list(pat)].tolist()
         return queries, None
 
 
@@ -467,7 +593,8 @@ class BpDecoder(_Decoder):
             raise ValueError("BpDecoder needs a code with a sparse parity check")
         cols, col_slots = code.sparse.tanner.slot_cols, code.sparse.tanner.col_slots
         n, rows = code.n, len(llr)
-        status, iters = [STATUS_ABANDONED] * rows, [self.max_iters] * rows
+        status = np.full(rows, ABANDONED, dtype=np.int8)
+        iters = np.full(rows, self.max_iters, dtype=np.int64)
         words = np.zeros(llr.shape, dtype=np.uint8)
         active = np.arange(rows)
         # the batch axis is last; variable n, which pads the checks, is +inf,
@@ -514,8 +641,8 @@ class BpDecoder(_Decoder):
             words[finished] = word
             rejected = np.bitwise_xor.reduce(
                 code.column_words[np.where(word, np.arange(n), n)], axis=1).any(axis=1)
-            for row, bad in zip(finished.tolist(), rejected.tolist()):
-                status[row], iters[row] = STATUS_CRC_FAILED if bad else STATUS_DECODED, it
+            status[finished] = np.where(rejected, CRC_FAILED, DECODED)
+            iters[finished] = it
             active = active[odd]
             if not active.size:
                 break
@@ -542,10 +669,14 @@ def confidence(outcome: DecodeOutcome, metric: str) -> float:
     sum(z^2) / (2 sigma^2) + n * ln(sigma * sqrt(2 pi)), so the most likely
     noise sequence wins the comparison.
     """
+    return float(confidences(STATUSES.index(outcome.status), outcome.queries,
+                             outcome.noise_nll, metric))
+
+
+def confidences(status, queries, noise_nll, metric: str) -> np.ndarray:
+    """:func:`confidence` of outcomes given as arrays of equal shape: status
+    codes, query counts and noise NLLs."""
     if metric not in METRICS:
         raise ValueError(f"unknown confidence metric {metric!r}")
-    if outcome.status != STATUS_DECODED:
-        return math.inf
-    if metric == METRIC_QUERY_COUNT:
-        return float(outcome.queries)
-    return outcome.noise_nll
+    value = queries if metric == METRIC_QUERY_COUNT else noise_nll
+    return np.where(np.equal(status, DECODED), value, math.inf)

@@ -425,9 +425,17 @@ class CodeSpec:
         return np.concatenate([words, np.zeros((1, words.shape[1]), np.uint64)])
 
     @cached_property
-    def _packed_g(self) -> np.ndarray:
-        """Rows of ``generator`` packed into ``uint64`` words, built on first use."""
-        return pack_rows(self.generator)
+    def _byte_table(self) -> np.ndarray:
+        """(ceil(k / 8) * 256, words) ``uint64``: row 256 b + v is the XOR of
+        the packed generator rows 8 b + i for each bit i of v, built on first
+        use."""
+        rows = np.zeros((-(-self.k // 8) * 8, -(-self.n // 64)), dtype=np.uint64)
+        rows[: self.k] = pack_rows(self.generator)
+        rows = rows.reshape(-1, 8, 1, rows.shape[1])
+        table = np.zeros((len(rows), 256, rows.shape[3]), dtype=np.uint64)
+        for i in range(8):  # values with top bit i: those below 2^i, plus row i
+            table[:, 1 << i: 2 << i] = table[:, : 1 << i] ^ rows[:, i]
+        return table.reshape(-1, rows.shape[3])
 
     @property
     def payload_bits(self) -> int:
@@ -439,7 +447,10 @@ def encode(code: CodeSpec, message) -> np.ndarray:
     """u |-> u G over GF(2), for one message or for messages stacked along
     leading axes."""
     msg = _as_bits(message, code.k)
-    words = np.bitwise_xor.reduce(np.where(msg[..., None], code._packed_g, 0), axis=-2)
+    # each message byte picks the XOR of its generator rows from that byte's 256
+    packed = np.packbits(msg, axis=-1, bitorder="little")
+    rows = packed + np.arange(0, 256 * packed.shape[-1], 256)
+    words = np.bitwise_xor.reduce(code._byte_table.take(rows, axis=0), axis=-2)
     return np.unpackbits(words.view(np.uint8), axis=-1, bitorder="little")[..., : code.n]
 
 

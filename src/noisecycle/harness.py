@@ -16,10 +16,14 @@ bit 7 of each byte of its own ceil(k_j / 4) 32-bit words of the generator's
 output, low byte and low half first, since numpy draws bytes over a range
 of 2 by Lemire's method, which then never rejects.  So one ``random_raw``
 read gives a trial's payloads (see :func:`_payload_bits`).  A range of
-trials advances in batches of ``BATCH_TRIALS``: each trial makes that raw
-read and one normal draw, then the batch is correlated, encoded and decoded
-by whole-batch array operations, so a trial's result does not depend on its
-batch; :func:`run_trial` is a batch of one.  Trials stop once every
+trials advances in batches of ``BATCH_TRIALS``.  A batch's streams are
+seeded at once: ``SeedSequence``'s hashing of every trial's entropy runs
+as uint32 array operations and PCG64's seeding step on Python ints (see
+:func:`_trial_states`), and one reused generator takes each trial's state
+in turn for its raw read and its normal draw.  Then the batch is
+correlated, encoded and decoded by whole-batch array operations, so a
+trial's result does not depend on its batch; :func:`run_trial` is a batch
+of one.  Trials stop once every
 channel has accumulated ``min_block_errors`` block errors (or at
 ``max_trials``).
 
@@ -226,12 +230,97 @@ def _payload_bits(raw: np.ndarray, sizes: Sequence[int]) -> list[np.ndarray]:
     return np.split(bits.astype(np.uint8), np.cumsum(sizes)[:-1], axis=-1)
 
 
+# numpy's SeedSequence (a pool of four 32-bit words) and PCG64's seeding
+# step, for the streams of _trial_states
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _int_words(value: int) -> list[int]:
+    """``value`` as ``SeedSequence`` reads an int: 32-bit words, low first,
+    and 0 as one word."""
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    # (count + 1, 1) uint32: init, then each times mult, wrapping at 32 bits
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _seed_words(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` for each row of
+    ``entropy``, (B, L) uint32 words, as a (4, B) uint64 array.
+
+    Call i of numpy's ``hashmix`` XORs with the i-th hash constant and
+    multiplies by the next, whatever the words are, and the calls that mix
+    one word into the other pool words do not read each other.  So each
+    such run of calls is one uint32 operation on stacked rows, over every
+    row at once, and wraps as the C code's does."""
+    rows, length = entropy.shape
+    shift = np.uint32(16)
+    consts = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * max(0, length - 4))
+
+    def hashmix(values, first):  # calls first, first + 1, ... on the rows of values
+        values = (values ^ consts[first:first + len(values)]) * consts[first + 1:][:len(values)]
+        return values ^ values >> shift
+
+    def mix(x, y):
+        values = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+        return values ^ values >> shift
+
+    pool = np.zeros((4, rows), dtype=np.uint32)
+    pool[:length] = entropy[:, :4].T
+    pool = hashmix(pool, 0)
+    for src in range(4):  # each other pool word mixes in its own hash of this one
+        dst = [i for i in range(4) if i != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[[src] * 3], 4 + 3 * src))
+    for src in range(4, length):  # words past the pool mix into every pool word, calls 4 src on
+        pool = mix(pool, hashmix(np.broadcast_to(entropy[:, src], (4, rows)), 4 * src))
+    # generate_state: eight 32-bit words, from the pool words in turn
+    consts = _hash_constants(_INIT_B, _MULT_B, 8)
+    words = hashmix(pool[[0, 1, 2, 3] * 2], 0).astype(np.uint64)
+    return words[0::2] | words[1::2] << np.uint64(32)  # little-endian pairs
+
+
+def _trial_states(base_seed: int, point_index: int, start: int,
+                  stop: int) -> list[tuple[int, int]]:
+    """The PCG64 (state, inc) of ``default_rng((base_seed, point_index, t))``
+    for each trial t in [start, stop).
+
+    ``SeedSequence`` reads the tuple as the 32-bit words of its ints in
+    turn, hashes them into its pool and draws four 64-bit words from it;
+    ``PCG64`` takes the first two as its seed s and the last two as its
+    sequence q, sets ``inc = 2 q + 1`` and steps its LCG twice, from state
+    0 and then from ``inc + s``.  Trials are grouped by how many words they
+    take, so a range across 2^32 gets the same states."""
+    prefix = _int_words(base_seed) + _int_words(point_index)
+    entropy = [prefix + _int_words(t) for t in range(start, stop)]
+    states: list[tuple[int, int]] = [(0, 0)] * len(entropy)
+    for length in sorted({len(e) for e in entropy}):
+        rows = [row for row, e in enumerate(entropy) if len(e) == length]
+        words = _seed_words(np.array([entropy[row] for row in rows], dtype=np.uint32))
+        for row, s0, s1, q0, q1 in zip(rows, *(w.tolist() for w in words)):
+            inc = (q0 << 65 | q1 << 1 | 1) & _MASK128
+            states[row] = (((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128, inc)
+    return states
+
+
 def _run_batch(config: ExperimentConfig, point_index: int, start: int, stop: int):
     """Trials [start, stop) as one pipeline batch, row i being trial start + i.
 
-    Each trial seeds ``default_rng((base_seed, point_index, trial))`` and
-    reads all its payload bits with one ``random_raw`` call: channel j's
-    bits are bit 7 of the bytes of its own 32-bit words, which is what
+    Each trial's stream is ``default_rng((base_seed, point_index, trial))``:
+    one reused generator takes each trial's PCG64 state from
+    :func:`_trial_states`, which seeds the whole batch at once.  From it the
+    trial reads all its payload bits with one ``random_raw`` call: channel
+    j's bits are bit 7 of the bytes of its own 32-bit words, which is what
     ``rng.integers(0, 2, size=payload_bits_j, dtype=np.uint8)`` draws in
     turn (see :func:`_payload_bits`).  Then it draws its m x n white noise
     with one ``standard_normal`` call.  The batch is correlated by one
@@ -243,9 +332,13 @@ def _run_batch(config: ExperimentConfig, point_index: int, start: int, stop: int
     count = _raw_count(sizes)
     raw = np.empty((stop - start, count), dtype=np.uint64)
     white = np.empty((stop - start, model.m, n))
-    for row, t in enumerate(range(start, stop)):
-        rng = np.random.default_rng((config.base_seed, point_index, t))
-        raw[row] = rng.bit_generator.random_raw(count)
+    rng = np.random.Generator(np.random.PCG64(0))
+    bits = rng.bit_generator
+    for row, (state, inc) in enumerate(_trial_states(config.base_seed, point_index,
+                                                     start, stop)):
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        raw[row] = bits.random_raw(count)
         rng.standard_normal(out=white[row])
     received = correlate(model, white)
 

@@ -25,14 +25,22 @@ transmission; it exists for validation experiments that need error-free
 recycling detection and is off everywhere else.
 
 Each step decodes one channel for a set of rows with one call to the
-decoder's ``decode_batch(code, received, variances)``; a decoder from
-outside the package that has only ``decode`` is called row by row.  Every
-row names its own source channel, so blocks with different leads share a
-call.  The step's estimates and LLSE inputs come from
+decoder's ``decode_batch(code, received, variances)``, which returns one
+``DecodeRecord`` of arrays; a decoder from outside the package that has
+only ``decode`` is called row by row and its outcomes gathered into a
+record.  Every row names its own source channel, so blocks with different
+leads share a call.  The step's estimates and LLSE inputs come from
 :func:`~noisecycle.recycling.estimate_noise` and
 :func:`~noisecycle.recycling.llse_update` on the stacked rows of each
 source, which are elementwise, so a row decodes exactly as the same block
 would alone.
+
+The batch keeps its state as arrays: (B, m) status codes, latest query
+counts, noise NLLs, correctness, queries spent and usable estimates, and
+the (B, m, n) latest words.  So a step stores a record with a few array
+assignments, lead and feedback choice read confidences with one
+``np.where``, and ``DecodeOutcome`` s are built only when
+``result(row)`` is asked for a block.
 """
 
 from __future__ import annotations
@@ -44,8 +52,8 @@ from typing import Sequence
 import numpy as np
 
 from .channel import ChannelModel, ChannelOutput, modulate_bpsk
-from .decoders import (METRICS, STATUS_DECODED, DecodeOutcome, SoftBlock,
-                       confidence)
+from .decoders import (ABANDONED, DECODED, METRICS, DecodeOutcome, DecodeRecord,
+                       SoftBlock, confidences)
 from .gf2 import CodeSpec
 from .ordering import RecyclingPlan
 from .recycling import effective_variance, estimate_noise, llse_update
@@ -125,21 +133,23 @@ class BlockResult:
 
 
 def _decode_rows(decoder, code: CodeSpec, received: np.ndarray,
-                 variances: np.ndarray) -> list[DecodeOutcome]:
-    """``decoder.decode_batch`` if it has one, else ``decode`` row by row,
-    which only decoders from outside the package need."""
+                 variances: np.ndarray) -> DecodeRecord:
+    """``decoder.decode_batch`` if it has one, else ``decode`` row by row
+    gathered into a record, which only decoders from outside the package
+    need."""
     batch = getattr(decoder, "decode_batch", None)
     if batch is not None:
         return batch(code, received, variances)
-    return [decoder.decode(code, SoftBlock(received=y, noise_variance=float(v)))
-            for y, v in zip(received, variances)]
+    return DecodeRecord.of([decoder.decode(code, SoftBlock(received=y, noise_variance=float(v)))
+                            for y, v in zip(received, variances)], code.n)
 
 
 class _Batch:
-    """The decode state of B blocks, one row each: every channel's latest
-    outcome and whether it is correct, the queries spent, which channels
-    have a usable noise estimate and the decision it is taken against, and
-    the lead (-1 where there is none)."""
+    """The decode state of B blocks, one row each, as (B, m) arrays: every
+    channel's latest status code, query count and noise NLL, whether it is
+    correct, the queries spent, and whether the channel has a usable noise
+    estimate; the (B, m, n) latest words, which are the decisions those
+    estimates are taken against; and the lead (-1 where there is none)."""
 
     def __init__(self, received: np.ndarray, sent: np.ndarray,
                  codes: Sequence[CodeSpec], decoders: Sequence, model: ChannelModel,
@@ -147,10 +157,12 @@ class _Batch:
         rows, m, n = received.shape
         self.received, self.sent = received, sent
         self.codes, self.decoders, self.model, self.genie = codes, decoders, model, genie
-        self.outcomes: list[list[DecodeOutcome | None]] = [[None] * rows for _ in range(m)]
+        self.status = np.full((rows, m), ABANDONED, dtype=np.int8)
+        self.last = np.zeros((rows, m), dtype=np.int64)
+        self.noise_nll = np.full((rows, m), math.inf)
+        self.words = np.zeros((rows, m, n), dtype=np.uint8)
         self.correct = np.zeros((rows, m), dtype=bool)
         self.queries = np.zeros((rows, m), dtype=np.int64)
-        self.decisions = np.zeros((rows, m, n), dtype=np.uint8)
         self.usable = np.zeros((rows, m), dtype=bool)
         self.lead = np.full(rows, -1, dtype=np.int64)
 
@@ -177,33 +189,27 @@ class _Batch:
             sel = hit & (sources == source)
             src = rows[sel]
             estimate = estimate_noise(self.received[src, source],
-                                      modulate_bpsk(self.decisions[src, source]), source)
+                                      modulate_bpsk(self.words[src, source]), source)
             y[sel] = llse_update(y[sel], estimate, self.model, j)
             variances[sel] = effective_variance(sigma2, float(self.model.corr[source, j]))
-        outcomes = _decode_rows(self.decoders[j], self.codes[j], y, variances)
-        decoded = np.zeros(rows.size, dtype=bool)
-        for i, (row, outcome) in enumerate(zip(rows.tolist(), outcomes)):
-            self.outcomes[j][row] = outcome
-            self.queries[row, j] += outcome.queries
-            decoded[i] = outcome.status == STATUS_DECODED
-        words = np.array([o.codeword for o, ok in zip(outcomes, decoded) if ok])
-        correct = np.zeros(rows.size, dtype=bool)
-        if words.size:
-            correct[decoded] = (words == self.sent[rows[decoded], j]).all(axis=1)
+        record = _decode_rows(self.decoders[j], self.codes[j], y, variances)
+        self.status[rows, j], self.last[rows, j] = record.status, record.queries
+        self.noise_nll[rows, j], self.words[rows, j] = record.noise_nll, record.words
+        self.queries[rows, j] += record.queries
+        decoded = record.status == DECODED
+        correct = decoded & (record.words == self.sent[rows, j]).all(axis=1)
         self.correct[rows, j] = correct
-        usable = correct if self.genie else decoded
-        self.usable[rows, j] = usable
-        if usable.any():
-            self.decisions[rows[usable], j] = words[usable[decoded]]
+        self.usable[rows, j] = correct if self.genie else decoded
 
     def confidence(self, metric: str) -> np.ndarray:
         """(B, m) confidence of every channel's latest outcome."""
-        return np.array([[confidence(self.outcomes[j][row], metric)
-                          for j in range(self.model.m)] for row in range(len(self.lead))])
+        return confidences(self.status, self.last, self.noise_nll, metric)
 
     def result(self, row: int) -> BlockResult:
         lead = int(self.lead[row])
-        return BlockResult(outcomes=tuple(outs[row] for outs in self.outcomes),
+        record = DecodeRecord(self.status[row], self.last[row], self.words[row].copy(),
+                              self.noise_nll[row])
+        return BlockResult(outcomes=tuple(record),
                            correct=tuple(self.correct[row].tolist()),
                            lead_channel=None if lead < 0 else lead,
                            queries_spent=tuple(self.queries[row].tolist()))

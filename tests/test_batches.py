@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from noisecycle import ExperimentConfig, SweepSpec, crc_encode, encode, run_trial, sample_rlc
+from noisecycle.decoders import METRICS, STATUSES, confidence
 from noisecycle.gf2 import CrcSpec
 from noisecycle.harness import BATCH_TRIALS, _run_batch, _run_range
 
@@ -88,8 +89,7 @@ def test_batches_exercise_their_mode(mode):
     # can do: several leads, re-decodes, failed decodes, genie rejections
     name, config, batch = mode
     leads = set(batch.lead.tolist())
-    last = np.array([[o.queries for o in outs] for outs in batch.outcomes]).T
-    redecoded = batch.queries > last
+    redecoded = batch.queries > batch.last
     assert (~batch.correct).any()
     if name == "no-lead":
         assert leads == {-1}
@@ -102,9 +102,17 @@ def test_batches_exercise_their_mode(mode):
     if "rerecycle" in name or "genie" in name:
         assert redecoded.any()
     if "genie" in name:
-        decoded = np.array([[o.status == "decoded" for o in outs]
-                            for outs in batch.outcomes]).T
+        decoded = batch.status == STATUSES.index("decoded")
         assert (decoded & ~batch.correct).any()
+
+
+def test_confidence_is_each_outcomes(mode):
+    # the (B, m) array of the batch is confidence() of each row's outcomes
+    _, config, batch = mode
+    for metric in METRICS:
+        want = [[confidence(out, metric) for out in batch.result(row).outcomes]
+                for row in range(TRIALS)]
+        assert np.array_equal(batch.confidence(metric), want)
 
 
 def test_stacked_messages_encode_like_single_ones(rng):

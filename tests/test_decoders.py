@@ -189,6 +189,66 @@ class TestQueryOrder:
         # two hits in the chunk of rows 17-48, the later with fewer rank pairs:
         # rank sets {1, 2, 4} (row 18) and {8} (row 19) differ by the support
         # of a weight-4 codeword
+        code, y, weight4 = self._two_hit_block()
+        later = (y < 0).astype(np.uint8)
+        later[np.argsort(np.abs(y))[7]] ^= 1  # rank 8
+        pos, word = orbgrand_first_hit(code, y)
+        assert pos == 19 and np.array_equal(later, weight4)
+        out = OrbgrandDecoder(1000).decode(code, SoftBlock(y, 1.0))
+        assert out.status == "decoded" and out.queries == pos
+        assert np.array_equal(out.codeword, word)
+
+    def test_orbgrand_batch_mixes_every_depth(self, rng):
+        # one decode_batch call whose rows hit at query 1, in chunk 1, on both
+        # sides of the edges of chunks 1 and 2, inside an 8192-row chunk and in
+        # the chunk that the cap cuts, at the cap, or are abandoned one query
+        # past it or further, each row with its own reliability order and
+        # variance; every row is what the one-set-at-a-time oracle and a decode
+        # of that row alone give, and a permuted batch gives permuted outcomes.
+        # The higher cap first builds the cut chunk past the lower one.
+        positions = [1, 2, 16, 17, 48, 49, 10_000, 19_999, 20_000, 20_001, 20_500]
+        stream = list(itertools.islice(orbgrand_rank_patterns(72), max(positions)))
+        batches = [(sample_rlc(72, 4, seed=26), [], positions),
+                   (sample_rlc(72, 12, seed=26, crc=CrcSpec("10011")), [], positions)]
+        for code, rows, _ in batches:
+            for pos in positions:
+                order = rng.permutation(72)  # rank r at order[r - 1]
+                y = np.empty(72)
+                y[order] = np.linspace(0.2, 1.2, 72)
+                y[order[[r - 1 for r in stream[pos - 1]]]] *= -1
+                rows.append(y)
+        # and a block with two hits in one chunk, the first not the first in
+        # the chunk's sorted order, next to unrelated noise
+        code, y, _ = self._two_hit_block()
+        batches.append((code, [y, *rng.normal(size=(6, 16))], [19]))
+        for code, rows, constructed in batches:
+            received = np.array(rows)
+            variances = rng.uniform(0.5, 2.0, size=len(rows))
+            hits = [orbgrand_first_hit(code, y) for y in received]
+            assert [first for first, _ in hits[:len(constructed)]] == constructed
+            for cap in (24_000, 20_000):
+                decoder = OrbgrandDecoder(cap)
+                record = decoder.decode_batch(code, received, variances)
+                assert len(record) == len(rows)
+                keys = []
+                for out, y, v, (first, word) in zip(record, received, variances.tolist(), hits):
+                    if first <= cap:
+                        assert out.status == "decoded" and out.queries == first
+                        assert np.array_equal(out.codeword, word)
+                    else:
+                        assert out.status == "abandoned" and out.queries == cap
+                    keys.append(outcome_key(out))
+                    assert keys[-1] == outcome_key(decoder.decode(code, SoftBlock(y, v)))
+                order = rng.permutation(len(rows))
+                permuted = decoder.decode_batch(code, received[order], variances[order])
+                assert [outcome_key(out) for out in permuted] == [keys[i] for i in order]
+
+    @staticmethod
+    def _two_hit_block():
+        """rlc[16,8], a block whose rank sets {1, 2, 4} (query 19) and {8}
+        (query 20), in the chunk of rows 17-48, both hit, and the weight-4
+        codeword whose support they differ by; the later has fewer rank
+        pairs."""
         code = sample_rlc(16, 8, seed=0)
         weight4 = next(w for m in itertools.product([0, 1], repeat=8)
                        if (w := encode(code, np.array(m, dtype=np.uint8))).sum() == 4)
@@ -198,14 +258,7 @@ class TestQueryOrder:
         y = np.empty(16)
         y[order] = np.linspace(0.2, 1.2, 16)
         y[order[[0, 1, 3]]] *= -1
-        later = (y < 0).astype(np.uint8)
-        later[order[7]] ^= 1
-        pos, word = orbgrand_first_hit(code, y)
-        assert pos == 19 and np.array_equal(later, weight4)
-        out = OrbgrandDecoder(1000).decode(code, SoftBlock(y, 1.0))
-        assert out.status == "decoded" and out.queries == pos
-        assert np.array_equal(out.codeword, word)
-
+        return code, y, weight4
 
 def _table_rows(table):
     """The 1-based rank sets that a rank table's chunks hold, in stream
@@ -633,6 +686,27 @@ class TestConfidence:
 
 
 class TestDecoderContracts:
+    @pytest.mark.parametrize("decoder", [OrbgrandDecoder(50), SgrandabDecoder(50), BpDecoder(5)],
+                             ids=["orbgrand", "sgrandab", "bp"])
+    @pytest.mark.parametrize("received, variances, field", [
+        # an all-NaN row once decoded at query 1 with noise_nll = nan, a
+        # variance of -1 ran to the cap and one of 0 raised a bare math error
+        (np.array([[0.5] * 24, [np.nan] * 24]), [1.0, 1.0], "received"),
+        (np.array([[0.5] * 24, [0.5] * 23 + [np.inf]]), [1.0, 1.0], "received"),
+        (np.full((2, 24), 0.5), [1.0, -1.0], "variances"),
+        (np.full((2, 24), 0.5), [0.0, 1.0], "variances"),
+        (np.full((2, 24), 0.5), [1.0, np.nan], "variances"),
+        (np.full((2, 24), 0.5), [1.0, np.inf], "variances"),
+        (np.full((2, 24), 0.5), [1.0, 1.0, 1.0], "variances"),
+        (np.full((2, 23), 0.5), [1.0, 1.0], "received"),
+        (np.full(24, 0.5), [1.0], "received"),
+    ])
+    def test_batch_input_checked(self, decoder, received, variances, field):
+        code = sample_regular_ldpc(24, 3, 6, seed=1)
+        with pytest.raises(ValueError, match=f"^{field}"):
+            decoder.decode_batch(code, received, np.array(variances))
+        assert len(decoder.decode_batch(code, np.full((2, 24), 0.5), np.ones(2))) == 2
+
     def test_all_decoded_outputs_are_codewords(self, rng):
         code = sample_rlc(24, 16, seed=17)
         decoders = (SgrandabDecoder(2000), OrbgrandDecoder(2000))

@@ -37,6 +37,18 @@ class TestEncode:
         with pytest.raises(ValueError):
             encode(code, np.zeros(5, dtype=np.uint8))
 
+    @pytest.mark.parametrize("k", [1, 7, 8, 9, 110, 128, 300])
+    def test_byte_tables_equal_the_dense_product(self, k, rng):
+        # k on both sides of byte edges and past 256; n from one to six
+        # 64-bit words, a full-rate code among them
+        for n in (k, k + 1, k + 64):
+            code = sample_rlc(n, k, seed=k + n)
+            for shape in [(k,), (1, k), (33, k), (2, 5, k), (0, k)]:
+                msg = rng.integers(0, 2, size=shape, dtype=np.uint8)
+                word = encode(code, msg)
+                assert word.dtype == np.uint8 and word.shape == shape[:-1] + (n,)
+                assert np.array_equal(word, mod2(msg, code.generator))
+
     def test_systematic_prefix_is_message(self, rng):
         code = sample_rlc(32, 20, seed=9)
         msg = rng.integers(0, 2, size=20, dtype=np.uint8)

@@ -9,8 +9,8 @@ from noisecycle import (BlerPoint, ExperimentConfig, SweepSpec, emit_csv,
                         run_bler_sweep, run_trial, wilson_interval)
 from noisecycle.channel import ebn0_to_sigma2, modulate_bpsk, sample_noise
 from noisecycle.gf2 import crc_encode, encode
-from noisecycle.harness import (WORKERS_ENV, _payload_bits, _raw_count, _run_batch, csv_text,
-                                parse_csv, worker_count)
+from noisecycle.harness import (WORKERS_ENV, _payload_bits, _raw_count, _run_batch,
+                                _trial_states, csv_text, parse_csv, worker_count)
 from noisecycle.ordering import (build_recycle_graph, constrain_root_child,
                                  max_arborescence, plan_for)
 
@@ -106,6 +106,20 @@ class TestTrialStream:
             # the normal draws that follow read the same state
             assert np.array_equal(bulk.standard_normal((3, 5)), drawn.standard_normal((3, 5)))
         assert parities == {0, 1}  # odd word totals leave a spare half unread
+
+    def test_batch_seeding_equals_default_rng(self):
+        # entropy of every length: 0 is one word, values of 2^32 or more two
+        # or three, more words than SeedSequence's pool of four, and ranges
+        # across 2^32 and 2^64 whose trials change length mid-batch
+        for base_seed in (0, 1, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 3):
+            for point in (0, 3, 2**32 + 1):
+                for start in (0, 29, 2**32 - 3, 2**64 - 2):
+                    states = _trial_states(base_seed, point, start, start + 5)
+                    for t, (state, inc) in zip(range(start, start + 5), states, strict=True):
+                        want = np.random.default_rng((base_seed, point, t)).bit_generator.state
+                        assert want["state"] == {"state": state, "inc": inc}
+                        assert want["has_uint32"] == want["uinteger"] == 0
+        assert _trial_states(4, 0, 7, 7) == []
 
     # (n, k, CRC polynomial): payloads of 1, 5, 13, 38 and 110 bits
     CODES = [(128, 1, None), (128, 8, "1011"), (128, 13, None), (128, 46, "100000111"),
