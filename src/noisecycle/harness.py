@@ -30,8 +30,9 @@ channel has accumulated ``min_block_errors`` block errors (or at
 An :class:`ExperimentConfig` builds everything a trial needs besides the
 noise when it is constructed: codes, decoders and, per point, the channel
 model, the pipeline with its static plan, and the per-rate noise variances.
-So bad input fails there, before any trial runs, and sweep workers receive
-the built experiment by pickling instead of rebuilding it.
+So bad input fails there, before any trial runs, and each sweep worker gets
+it once, from its pool's initializer (inherited under ``fork``, pickled once
+under ``spawn``); a task carries only a point index and a trial range.
 """
 
 from __future__ import annotations
@@ -41,9 +42,8 @@ import hashlib
 import json
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -389,46 +389,71 @@ def _chunks(start: int, stop: int, parts: int) -> list[tuple[int, int]]:
             if bounds[i] < bounds[i + 1]]
 
 
+_WORKER_CONFIG: ExperimentConfig | None = None  # set in each sweep worker by _adopt_config
+
+
+def _adopt_config(config: ExperimentConfig) -> None:
+    global _WORKER_CONFIG
+    _WORKER_CONFIG = config
+
+
+def _run_task(point_index: int, start: int, stop: int) -> np.ndarray:
+    return _run_range(_WORKER_CONFIG, point_index, start, stop)
+
+
 def run_bler_sweep(config: ExperimentConfig, workers: int | None = None,
                    output_path: str | Path | None = None) -> list[BlerPoint]:
     """Sweep every Eb/N0 point; optionally write the CSV and its sidecar.
 
-    The trial count grows by doubling from ``min_trials`` until every
-    channel has ``min_block_errors`` errors or ``max_trials`` is reached,
-    so the executed trial set is a pure function of the config.
+    Each point's trial count doubles from ``min_trials`` until every channel
+    has ``min_block_errors`` errors or ``max_trials`` is reached.  Every
+    point stays in flight: its next segment, one trial range per worker, is
+    queued once its current one is tallied; one worker runs the loop inline.
+    Totals are integer sums over trial prefixes fixed by the config, whatever
+    the worker count or the order in which ranges finish.
     """
     nworkers = worker_count(workers)
-    points: list[BlerPoint] = []
-    executor = ProcessPoolExecutor(max_workers=nworkers) if nworkers > 1 else None
-    run = executor.map if executor else map
-    try:
-        for p_idx, ebn0 in enumerate(config.sweep.ebn0_db):
-            counts = np.zeros((3, config._models[p_idx].m), dtype=np.int64)
-            trials, target = 0, config.sweep.min_trials
-            while True:
-                starts, stops = zip(*_chunks(trials, target, nworkers))
-                counts += sum(run(partial(_run_range, config, p_idx), starts, stops))
-                trials = target
-                done = (counts[0] >= config.sweep.min_block_errors).all()
-                if done or trials >= config.sweep.max_trials:
-                    break
-                target = min(2 * target, config.sweep.max_trials)
+    sweep, npoints = config.sweep, len(config._models)
+    counts = [np.zeros((3, model.m), dtype=np.int64) for model in config._models]
+    trials, targets = [0] * npoints, [sweep.min_trials] * npoints
+    pending: dict = {}  # future -> its point
+    executor = (ProcessPoolExecutor(max_workers=nworkers, initializer=_adopt_config,
+                                    initargs=(config,)) if nworkers > 1 else None)
 
-            mode = config._pipelines[p_idx].label
-            for j, (errors, queries, leads) in enumerate(counts.T):
-                points.append(BlerPoint(
-                    ebn0_db=float(ebn0),
-                    channel=j + 1,
-                    mode=mode,
-                    trials=trials,
-                    block_errors=int(errors),
-                    bler=float(errors / trials),
-                    mean_queries=float(queries / trials),
-                    lead_fraction=float(leads / trials),
-                ))
+    def launch(p: int) -> None:
+        for start, stop in _chunks(trials[p], targets[p], nworkers):
+            if executor is None:
+                absorb(p, _run_range(config, p, start, stop))
+            else:
+                pending[executor.submit(_run_task, p, start, stop)] = p
+
+    def absorb(p: int, part: np.ndarray) -> None:
+        counts[p] += part
+        if p in pending.values():  # the segment has ranges still out
+            return
+        trials[p] = targets[p]
+        if trials[p] < sweep.max_trials and (counts[p][0] < sweep.min_block_errors).any():
+            targets[p] = min(2 * trials[p], sweep.max_trials)
+            launch(p)
+
+    try:
+        for p in range(npoints):
+            launch(p)
+        while pending:
+            done, _ = wait(pending, return_when=FIRST_COMPLETED)
+            for future in done:
+                absorb(pending.pop(future), future.result())
     finally:
-        if executor is not None:
-            executor.shutdown()
+        if executor is not None:  # after an error, drop the ranges still queued
+            executor.shutdown(cancel_futures=True)
+
+    points = [BlerPoint(ebn0_db=float(ebn0), channel=j + 1, mode=config._pipelines[p].label,
+                        trials=trials[p], block_errors=int(errors),
+                        bler=float(errors / trials[p]),
+                        mean_queries=float(queries / trials[p]),
+                        lead_fraction=float(leads / trials[p]))
+              for p, ebn0 in enumerate(sweep.ebn0_db)
+              for j, (errors, queries, leads) in enumerate(counts[p].T)]
 
     target_path = output_path or config.output_path
     if target_path is not None:

@@ -13,6 +13,7 @@ directory removed at exit, not to ``.hypothesis/`` in the working directory.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import tempfile
 from dataclasses import dataclass
 
@@ -221,6 +222,16 @@ class RecordingDecoder:
     def decode(self, code, soft) -> DecodeOutcome:
         self.log.append(soft)
         return decoded_outcome(self.codeword, soft, self.queries)
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running():
+    """Fail any test that leaves a worker process alive, as a sweep that
+    does not shut its pool down would."""
+    yield
+    left = multiprocessing.active_children()
+    if left:
+        pytest.fail(f"processes left running: {left}")
 
 
 @pytest.fixture

@@ -1,12 +1,16 @@
 import json
 import math
+import multiprocessing
 import os
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from noisecycle import (BlerPoint, ExperimentConfig, SweepSpec, emit_csv,
+from noisecycle import (BlerPoint, ExperimentConfig, OrbgrandDecoder, SweepSpec, emit_csv,
                         run_bler_sweep, run_trial, wilson_interval)
+from noisecycle import harness
 from noisecycle.channel import ebn0_to_sigma2, modulate_bpsk, sample_noise
 from noisecycle.gf2 import crc_encode, encode
 from noisecycle.harness import (WORKERS_ENV, _payload_bits, _raw_count, _run_batch,
@@ -28,6 +32,34 @@ def tiny_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+@pytest.fixture
+def submitted(monkeypatch):
+    """Every task a sweep submits to its pool, as (args, kwargs, future)."""
+    tasks = []
+
+    class RecordingPool(harness.ProcessPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            future = super().submit(fn, *args, **kwargs)
+            tasks.append((args, kwargs, future))
+            return future
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    return tasks
+
+
+@dataclass(frozen=True)
+class RaisingDecoder:
+    """ORBGRAND that raises on any block whose noise variance is below
+    ``floor``: a decoder fault at the high-SNR points of a sweep."""
+
+    floor: float
+
+    def decode_batch(self, code, received, variances):
+        if (variances < self.floor).any():
+            raise RuntimeError("decoder fault")
+        return OrbgrandDecoder(2000).decode_batch(code, received, variances)
 
 
 class TestRunTrial:
@@ -215,8 +247,50 @@ class TestSweepControl:
         b = run_bler_sweep(tiny_config(base_seed=4))
         assert any(pa.mean_queries != pb.mean_queries for pa, pb in zip(a, b))
 
+    def test_points_stopping_at_different_rounds(self, tmp_path):
+        # doubling rounds of 50, 100, 200 and 400 trials: 6 dB never collects
+        # its errors, 2 dB has them at the first round and 4 dB at the third,
+        # so with more than one worker the points' segments interleave
+        config = tiny_config(sweep=SweepSpec(ebn0_db=(6.0, 2.0, 4.0), min_trials=50,
+                                             max_trials=400, min_block_errors=5))
+        outputs = set()
+        for workers in (1, 2, 3):
+            out = tmp_path / f"w{workers}.csv"
+            points = run_bler_sweep(config, workers=workers, output_path=out)
+            assert [p.trials for p in points if p.channel == 1] == [400, 50, 200]
+            outputs.add((out.read_bytes(), Path(f"{out}.meta.json").read_bytes()))
+        assert len(outputs) == 1
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_tasks_carry_only_a_point_and_a_trial_range(self, workers, submitted):
+        config = tiny_config(sweep=SweepSpec(ebn0_db=(6.0, 2.0, 4.0), min_trials=50,
+                                             max_trials=400, min_block_errors=5))
+        points = run_bler_sweep(config, workers=workers)
+        assert submitted and all(not kwargs and len(args) == 3 and
+                                 all(type(a) is int for a in args)
+                                 for args, kwargs, _ in submitted)
+        for p, ebn0 in enumerate(config.sweep.ebn0_db):
+            ranges = sorted((start, stop) for (q, start, stop), _, _ in submitted if q == p)
+            trials = next(x.trials for x in points if x.ebn0_db == ebn0)
+            assert [start for start, _ in ranges] == [0] + [stop for _, stop in ranges[:-1]]
+            assert ranges[-1][1] == trials
+
+    def test_worker_error_reaches_caller_and_stops_the_pool(self, submitted):
+        # the first point fails on its first range, with every other point's
+        # first segment queued behind it
+        config = tiny_config(sweep=SweepSpec(ebn0_db=(8.0, 3.0, 3.25, 3.5, 3.75, 4.0),
+                                             min_trials=400, max_trials=800,
+                                             min_block_errors=10_000))
+        floor = ebn0_to_sigma2(6.0, 26 / 32)
+        object.__setattr__(config, "_decoders", (RaisingDecoder(floor),) * 2)
+        with pytest.raises(RuntimeError, match="decoder fault"):
+            run_bler_sweep(config, workers=2)
+        assert multiprocessing.active_children() == []
+        assert any(future.cancelled() for _, _, future in submitted)
+
     def test_worker_count_does_not_change_results(self, tmp_path):
-        # built plans and settings reach the workers by pickling the config
+        # built plans and settings reach each worker once, through the pool's
+        # initializer, and the totals do not depend on which range ends first
         dynamic = {"mode": "dynamic", "confidence_metric": "noise_nll", "rerecycle": True}
         bp_ldpc = dict(  # BP builds each code's Tanner layout in the process that decodes
             codes=tuple({"type": "ldpc", "n": 48, "col_weight": 3, "row_weight": 6,
@@ -239,12 +313,12 @@ class TestSweepControl:
                 ("dynamic", {"pipeline": dynamic}),
                 ("bp", bp_ldpc),
                 ("static-m4", static_m4)):
-            out1, out2 = tmp_path / f"{name}1.csv", tmp_path / f"{name}3.csv"
-            run_bler_sweep(tiny_config(**overrides), workers=1, output_path=out1)
-            run_bler_sweep(tiny_config(**overrides), workers=3, output_path=out2)
-            assert out1.read_bytes() == out2.read_bytes()
-            assert (tmp_path / f"{name}1.csv.meta.json").read_bytes() == \
-                (tmp_path / f"{name}3.csv.meta.json").read_bytes()
+            outputs = set()
+            for workers in (1, 2, 3):
+                out = tmp_path / f"{name}{workers}.csv"
+                run_bler_sweep(tiny_config(**overrides), workers=workers, output_path=out)
+                outputs.add((out.read_bytes(), Path(f"{out}.meta.json").read_bytes()))
+            assert len(outputs) == 1
 
 
 class TestCsv:
