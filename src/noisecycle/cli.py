@@ -16,7 +16,8 @@ import numpy as np
 
 from . import configio, theory
 from .channel import build_gm_model
-from .harness import WORKERS_ENV, ExperimentConfig, csv_text, run_bler_sweep, worker_count
+from .harness import (WORKERS_ENV, ExperimentConfig, csv_text, output_target,
+                      run_bler_sweep, worker_count)
 from .ordering import build_recycle_graph, plan_for
 
 
@@ -62,6 +63,7 @@ def _cmd_bler(args: argparse.Namespace) -> int:
             raw["base_seed"] = args.seed
         config = ExperimentConfig.from_dict(raw)
         workers = worker_count(args.workers)
+        output_target(config, args.output)
     except (OSError, ValueError) as exc:
         raise SystemExit(f"noisecycle bler: {args.config}: {exc}") from None
     points = run_bler_sweep(config, workers=workers, output_path=args.output)

@@ -62,6 +62,7 @@ __all__ = [
     "BlerPoint",
     "run_trial",
     "run_bler_sweep",
+    "output_target",
     "emit_csv",
     "parse_csv",
     "wilson_interval",
@@ -83,6 +84,12 @@ class SweepSpec:
         if not points:
             raise ValueError("sweep needs at least one Eb/N0 point")
         object.__setattr__(self, "ebn0_db", tuple(float(x) for x in points))
+        keys = [f"{x:g}" for x in self.ebn0_db]  # each point as the CSV and sidecar print it
+        for i, (x, key) in enumerate(zip(self.ebn0_db, keys)):
+            if key in keys[:i]:
+                raise ValueError(f"ebn0_db entry {x!r} prints as {key}, as the entry "
+                                 f"{self.ebn0_db[keys.index(key)]!r} does, so their CSV "
+                                 "rows would be alike")
         for name in ("min_trials", "max_trials", "min_block_errors"):
             configio.checked(getattr(self, name), name, int)
         if self.min_block_errors < 1:
@@ -189,11 +196,15 @@ class BlerPoint:
 # trials
 # ---------------------------------------------------------------------------
 
-# Trials advance in batches of this many, one stage at a time.  Batches of
-# 100 were at most 7% faster than batches of 32 at m = 4, n = 128, but their
-# arrays raised a sweep's peak resident set by 0.6 MB there and by 1 MB at
-# m = 3, n = 256.
-BATCH_TRIALS = 32
+# Trials advance in batches of this many, one stage at a time.  Each batch
+# pays a fixed cost (seeding, one decoder call per channel and step, the
+# pipeline's bookkeeping), which at a high-SNR point, where decodes take a
+# few queries, was about 40% of a trial in batches of 32.  Batches of 128
+# ran the m = 4, n = 128 high-SNR sweep 1.5x faster than batches of 32 and
+# raised its peak resident set by 1.9 MB (5%); 256 was no faster and cost
+# about 3 MB more.  BP decodes a batch in slices of 32 rows (see decoders),
+# so its message buffers do not grow with the batch.
+BATCH_TRIALS = 128
 
 
 def run_trial(config: ExperimentConfig, point_index: int,
@@ -401,6 +412,19 @@ def _run_task(point_index: int, start: int, stop: int) -> np.ndarray:
     return _run_range(_WORKER_CONFIG, point_index, start, stop)
 
 
+def output_target(config: ExperimentConfig,
+                  output_path: str | Path | None = None) -> str | Path | None:
+    """The CSV path a sweep of ``config`` writes: ``output_path`` if given,
+    else the config's; ``ValueError`` naming ``output_path`` if that path or
+    its ``.meta.json`` sidecar is a directory."""
+    target = output_path or config.output_path
+    if target is not None:
+        for path in (target, f"{target}.meta.json"):
+            if Path(path).is_dir():
+                raise ValueError(f"output_path {str(path)!r} is a directory")
+    return target
+
+
 def run_bler_sweep(config: ExperimentConfig, workers: int | None = None,
                    output_path: str | Path | None = None) -> list[BlerPoint]:
     """Sweep every Eb/N0 point; optionally write the CSV and its sidecar.
@@ -410,9 +434,11 @@ def run_bler_sweep(config: ExperimentConfig, workers: int | None = None,
     point stays in flight: its next segment, one trial range per worker, is
     queued once its current one is tallied; one worker runs the loop inline.
     Totals are integer sums over trial prefixes fixed by the config, whatever
-    the worker count or the order in which ranges finish.
+    the worker count or the order in which ranges finish.  An output path
+    that names a directory is rejected before any trial runs.
     """
     nworkers = worker_count(workers)
+    target_path = output_target(config, output_path)
     sweep, npoints = config.sweep, len(config._models)
     counts = [np.zeros((3, model.m), dtype=np.int64) for model in config._models]
     trials, targets = [0] * npoints, [sweep.min_trials] * npoints
@@ -455,7 +481,6 @@ def run_bler_sweep(config: ExperimentConfig, workers: int | None = None,
               for p, ebn0 in enumerate(sweep.ebn0_db)
               for j, (errors, queries, leads) in enumerate(counts[p].T)]
 
-    target_path = output_path or config.output_path
     if target_path is not None:
         emit_csv(points, target_path)
         keys = [f"{ebn0:g}" for ebn0 in config.sweep.ebn0_db]

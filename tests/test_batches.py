@@ -6,10 +6,15 @@ split of a range equal the totals over the whole range, and each row of a
 batch equals the same trial run alone, field by field and bit by bit.
 """
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from noisecycle import ExperimentConfig, SweepSpec, crc_encode, encode, run_trial, sample_rlc
+from noisecycle import (BpDecoder, ExperimentConfig, SweepSpec, crc_encode, encode,
+                        run_bler_sweep, run_trial, sample_rlc)
+from noisecycle import harness
 from noisecycle.decoders import METRICS, STATUSES, confidence
 from noisecycle.gf2 import CrcSpec
 from noisecycle.harness import BATCH_TRIALS, _run_batch, _run_range
@@ -46,8 +51,11 @@ MODES = {
                                ebn0_db=3.0),
     "dynamic-genie": experiment(3, {**DYNAMIC_Q, "genie": True, "rerecycle": True},
                                 ebn0_db=3.0),
-    # one query per decode at -6 dB: every phase-1 decode fails, no lead
-    "no-lead": experiment(3, DYNAMIC_Q, ebn0_db=-6.0, max_queries=1, n=24, k=12),
+    # one query per decode at -6 dB: every phase-1 decode fails, no lead.  A
+    # decode hits only if its hard decision, 48 bits at a bit error rate of
+    # 0.419, is one of the 16 codewords: at most 16 * 0.581^48 < 1e-10 per
+    # decode, so under 1e-7 over the batch's 3 * TRIALS decodes
+    "no-lead": experiment(3, DYNAMIC_Q, ebn0_db=-6.0, max_queries=1, n=48, k=4),
 }
 
 
@@ -113,6 +121,41 @@ def test_confidence_is_each_outcomes(mode):
         want = [[confidence(out, metric) for out in batch.result(row).outcomes]
                 for row in range(TRIALS)]
         assert np.array_equal(batch.confidence(metric), want)
+
+
+# BP on two (3,6) LDPC codes: a batch of more than 32 trials decodes in slices
+BP_LDPC = ExperimentConfig(
+    channel={"m": 2, "mode": "gm", "rho": 0.7},
+    codes=tuple({"type": "ldpc", "n": 48, "col_weight": 3, "row_weight": 6, "seed": 1 + j}
+                for j in range(2)),
+    decoders=({"type": "bp", "max_iters": 20},) * 2,
+    pipeline={**DYNAMIC_NLL, "rerecycle": True},
+    sweep=SweepSpec(ebn0_db=(2.0,), min_trials=TRIALS, max_trials=TRIALS),
+    base_seed=5,
+)
+
+
+@pytest.mark.parametrize("name", ["static-rerecycle", "dynamic-noise-nll", "bp-ldpc"])
+def test_results_do_not_depend_on_the_batch_size(name, monkeypatch, tmp_path):
+    # doubling segments of 50, 100, 200 and 400 trials cut through the batches
+    config = dataclasses.replace({**MODES, "bp-ldpc": BP_LDPC}[name], sweep=SweepSpec(
+        ebn0_db=(3.0, 4.0), min_trials=50, max_trials=400, min_block_errors=10**6))
+    calls, slices = [], []
+    decode_llrs, decode_slice = BpDecoder._decode_llrs, BpDecoder._decode_slice
+    monkeypatch.setattr(BpDecoder, "_decode_llrs", lambda self, code, llr: (
+        calls.append(len(llr)) or decode_llrs(self, code, llr)))
+    monkeypatch.setattr(BpDecoder, "_decode_slice", lambda self, code, llr: (
+        slices.append(len(llr)) or decode_slice(self, code, llr)))
+    outputs = set()
+    for size in (1, 7, 32, 128):
+        monkeypatch.setattr(harness, "BATCH_TRIALS", size)
+        out = tmp_path / f"{size}.csv"
+        run_bler_sweep(config, workers=1, output_path=out)
+        totals = _run_range(config, 1, 0, TRIALS)
+        outputs.add((totals.tobytes(), out.read_bytes(), Path(f"{out}.meta.json").read_bytes()))
+    assert len(outputs) == 1
+    if name == "bp-ldpc":  # calls of more than 32 rows, decoded in slices of at most 32
+        assert max(calls) > 32 and max(slices) == 32
 
 
 def test_stacked_messages_encode_like_single_ones(rng):

@@ -195,6 +195,8 @@ class TestBlerCommand:
         (lambda c: c["decoders"].__setitem__(0, {"type": "bp"}),
          ["channel 1", "a bp decoder needs a code with a sparse parity check"]),
         (lambda c: c.update(base_seed=-1), ["base_seed must be >= 0, got -1"]),
+        (lambda c: c["sweep"].update(ebn0_db=[3.0, 3.0000001]),
+         ["ebn0_db entry 3.0000001 prints as 3"]),
     ])
     def test_bad_descriptor_exits_before_any_trial(self, tmp_path, edit, named):
         config = {
@@ -239,6 +241,16 @@ class TestBlerCommand:
             main(["bler", str(cfg_path), "--output", str(out_path), *argv])
         assert exc.value.code == f"noisecycle bler: {cfg_path}: {named}"
         assert not out_path.exists()
+
+    def test_directory_output_option_exits_before_any_trial(self, tmp_path):
+        config = {
+            "channel": {"m": 1, "mode": "gm", "rho": 0.0},
+            "codes": [{"type": "rlc", "n": 32, "k": 26, "seed": 1}],
+            "decoders": [{"type": "orbgrand", "max_queries": 2000}],
+            "sweep": {"ebn0_db": [3.0], "min_trials": 10**6, "max_trials": 10**6},
+        }
+        self._exits_before_any_trial(tmp_path, config, ["output_path", "is a directory"],
+                                     {}, ["--output", str(tmp_path)])
 
     def test_negative_seed_option_exits_before_any_trial(self, tmp_path):
         config = {

@@ -563,7 +563,7 @@ class TestBpDecode:
         # are knife edges of the first; on its CRC'd twin the last row, a
         # codeword whose message fails the CRC, ends crc_failed.  Every row
         # is what the reference and a decode of that row alone give, and a
-        # permuted batch gives permuted outcomes
+        # permuted batch gives permuted outcomes; its 49 rows are two slices
         crc = CrcSpec("100000111")
         codes = [sample_regular_ldpc(256, 3, 6, seed=51),
                  sample_regular_ldpc(256, 3, 6, seed=51, crc=crc)]

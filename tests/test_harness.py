@@ -620,6 +620,42 @@ class TestValidation:
     def test_sweep_points_become_a_float_tuple(self):
         assert SweepSpec(ebn0_db=[3, 4.5]).ebn0_db == (3.0, 4.5)
 
+    @pytest.mark.parametrize("points, pattern", [
+        ((3.0, 3.0000001), r"ebn0_db entry 3.0000001 prints as 3, as the entry 3.0 does"),
+        ((2.0, 3.0, 2), r"ebn0_db entry 2.0 prints as 2, as the entry 2.0 does"),
+        ((1.0, 12345678.0, 12345679.0), r"ebn0_db entry 12345679.0 prints as 1.23457e\+07"),
+    ])
+    def test_sweep_points_that_print_alike_rejected(self, points, pattern):
+        # the CSV rows and the sidecar's keys could not tell them apart
+        with pytest.raises(ValueError, match=pattern):
+            SweepSpec(ebn0_db=points)
+
+    def test_points_that_print_apart_keep_their_config_hash(self):
+        sweep = SweepSpec(ebn0_db=(6.0, 2.0, 4.0), min_trials=50, max_trials=400,
+                          min_block_errors=5)
+        assert SweepSpec(ebn0_db=(0.0, -0.0, 1e-7)).ebn0_db == (0.0, -0.0, 1e-7)
+        assert tiny_config().sha256() == (
+            "3ff8e39d1e02475b57701c7f0d1b8f9410b38b8e5c443e425ae4077f369f5734")
+        assert tiny_config(sweep=sweep).sha256() == (
+            "f5e964d0e90bccca1a592a44641b6b161ad591fdeadae2a3dd6469b123a6f05f")
+
+    @pytest.mark.parametrize("where", ["argument", "config", "sidecar"])
+    def test_directory_output_path_rejected_before_any_trial(self, where, tmp_path,
+                                                             monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "_run_range", no_trials)
+        csv = tmp_path / "out.csv"
+        if where == "sidecar":
+            Path(f"{csv}.meta.json").mkdir()
+        target = tmp_path if where != "sidecar" else csv
+        config = tiny_config(output_path=str(target) if where == "config" else None)
+        with pytest.raises(ValueError, match=r"^output_path .* is a directory"):
+            run_bler_sweep(config, output_path=None if where == "config" else target)
+        assert sorted(tmp_path.iterdir()) == ([] if where != "sidecar"
+                                              else [Path(f"{csv}.meta.json")])
+
     def test_mixed_code_lengths_rejected(self):
         with pytest.raises(ValueError, match="one code length"):
             tiny_config(codes=({"type": "rlc", "n": 32, "k": 26, "seed": 1},
