@@ -47,11 +47,16 @@ _POSITIVE = _number(float, "a finite value > 0", lambda v: 0 < v < math.inf)
 _NONNEGATIVE = _number(float, "a finite value >= 0", lambda v: 0 <= v < math.inf)
 
 
-def _emit(lines: list[str], output: str | None) -> None:
+def _emit(command: str, lines: list[str], output: str | None) -> None:
+    """Write the table to ``output``, or to stdout; an ``output`` that cannot
+    be written exits with a message naming ``--output``."""
     text = "\n".join(lines) + "\n"
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SystemExit(f"noisecycle {command}: --output {output}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -95,7 +100,7 @@ def _cmd_rates(args: argparse.Namespace) -> int:
             c2 = theory.capacity(snr / (1 - rho * rho))
             avg = theory.gm_average_rate(args.m, rho, snr)
             lines.append(f"{args.m},{rho:.6g},{snr:.6g},{c1:.6g},{c2:.6g},{avg:.6g}")
-    _emit(lines, args.output)
+    _emit("rates", lines, args.output)
     return 0
 
 
@@ -110,7 +115,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             joint = theory.joint_capacity(model)
             lines.append(f"{rho:.6g},{snr:.6g},{indep:.6g},{ach:.6g},"
                          f"{bound:.6g},{joint:.6g}")
-    _emit(lines, args.output)
+    _emit("bounds", lines, args.output)
     return 0
 
 

@@ -22,9 +22,10 @@ syndrome under the code's membership check, which includes the CRC's
 checks when the code carries one.  The first zero syndrome is returned
 together with the number of queries spent, which doubles as a
 decoding-confidence proxy.  Their prologue covers all rows at once: the
-hard decision and the base syndrome from ``column_words``.  Rows whose
-hard decision is accepted decode at query 1 together; the others are
-ordered stably by reliability and go to one search call:
+hard decision and its packed syndrome, by ``gf2.packed_syndromes``, one
+table row per byte of the word.  Rows whose hard decision is accepted
+decode at query 1 together; the others are ordered stably by reliability
+and go to one search call:
 
 * SGRANDAB enumerates flip sets in exactly nondecreasing sum of flipped
   |LLR| via a priority-queue successor expansion, so an accepted answer is
@@ -51,36 +52,39 @@ ordered stably by reliability and go to one search call:
   numpy one weight at a time, and a chunk only when a search first reaches
   it, never past that search's query cap.
 
-BpDecoder runs each sum-product iteration on every still-active row of a
-slice of a call at once, the batch axis last, through the code's
-``TannerLayout``.  A slice is at most 32 rows (``_BP_ROWS``), so the five
-message buffers, each a float per Tanner slot and row, stay the size they
-had when a sweep's batches were 32 trials: with 128-trial batches decoded
-unsliced, a (3,6) LDPC sweep's peak resident set rose 15%, against 5% in
-32-row slices.  Messages sit in the layout's (d_max, m_rows) slot table
-with pads at +inf, the exclusive prefix and suffix products are d_max - 1
-multiplies each, and column sums gather through its (dv_max, n) column
-table, adding from 0.0 in ascending row order as ``np.bincount`` does.  A
-row leaves at its first iteration in which every sparse row has even
-parity, accepted or not on the packed membership check, so each row
-decodes as it would alone, and so does each slice.
+BpDecoder runs each sum-product iteration on a pool of at most 32 rows of
+a call (``_BP_ROWS``), the batch axis last, through the code's
+``TannerLayout``.  A row that stops, or reaches the cap, frees its slot,
+and the call's next queued row starts in it at the next iteration, so the
+pool stays full while rows wait; once none wait, it shrinks to the rows
+left.  So the five message buffers, each a float per Tanner slot and row,
+stay the size they had when a sweep's batches were 32 trials (decoded
+128 rows at once, a (3,6) LDPC sweep's peak resident set rose 15%), and
+they are full until the call's queue is empty.  Messages sit in the
+layout's (d_max, m_rows) slot table with pads at +inf, the exclusive
+prefix and suffix products are d_max - 1 multiplies each, and column sums
+take rows of c2v through its (dv_max, n) column table, adding from 0.0 in
+ascending row order as ``np.bincount`` does.  A row leaves at its first iteration in which every
+sparse row has even parity, accepted or not on its packed syndrome, so
+each row decodes as it would alone, whatever shares the pool with it.
 
 All decoders are pure given their inputs.  The rank tables, and the
-membership checks, packed columns and Tanner-graph layouts that codes build
-on first use, are not guarded by a lock, so share work across processes
-rather than threads.
+membership checks, packed columns, syndrome tables and Tanner-graph layouts
+that codes build on first use, are not guarded by a lock, so share work
+across processes rather than threads.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, fields
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .gf2 import CodeSpec
+from .gf2 import CodeSpec, packed_syndromes
 
 __all__ = [
     "SoftBlock",
@@ -420,10 +424,8 @@ class _GuessingDecoder(_Decoder):
     max_queries: int
 
     def _decode_llrs(self, code: CodeSpec, llr: np.ndarray):
-        n = code.n
         hard = (llr < 0).astype(np.uint8)
-        base = np.bitwise_xor.reduce(code.column_words[np.where(hard, np.arange(n), n)],
-                                     axis=1)
+        base = packed_syndromes(code, hard)
         queries = np.ones(len(hard), dtype=np.int64)
         status = np.full(len(hard), DECODED, dtype=np.int8)
         rows = np.flatnonzero(base.any(axis=1))
@@ -576,8 +578,8 @@ class SgrandabDecoder(_GuessingDecoder):
 # ---------------------------------------------------------------------------
 
 _ATANH_LIM = np.nextafter(1.0, 0.0)
-# rows whose messages one sum-product pass holds; a call with more decodes in
-# slices of this many, so its five message buffers stay this size
+# rows whose messages one sum-product pass holds; a call with more queues the
+# rest for the slots its rows free, so its five message buffers stay this size
 _BP_ROWS = 32
 
 
@@ -587,12 +589,13 @@ class BpDecoder(_Decoder):
 
     Check messages use the tanh rule with leave-one-out products computed
     by exclusive prefix/suffix products (no divisions).  A ``decode_batch``
-    call decodes its rows in slices of at most ``_BP_ROWS``, and each
-    iteration covers every row of a slice that has not stopped.  A row
-    stops as soon as its hard decision satisfies every row of
-    ``code.sparse``, as ``decoded`` if it also passes the membership check
-    and ``crc_failed`` if not; ``queries`` is its iteration count, at most
-    ``max_iters``.
+    call decodes its rows in a pool of at most ``_BP_ROWS`` slots, and each
+    iteration covers every row in the pool.  A row stops as soon as its
+    hard decision satisfies every row of ``code.sparse``, as ``decoded`` if
+    it also passes the membership check and ``crc_failed`` if not, or ends
+    ``abandoned`` after ``max_iters`` iterations; either way its slot goes
+    to the next queued row of the call.  ``queries`` is the row's own
+    iteration count.
     """
 
     max_iters: int = 50
@@ -600,25 +603,25 @@ class BpDecoder(_Decoder):
     def _decode_llrs(self, code: CodeSpec, llr: np.ndarray):
         if code.sparse is None:
             raise ValueError("BpDecoder needs a code with a sparse parity check")
-        parts = [self._decode_slice(code, llr[first:first + _BP_ROWS])
-                 for first in range(0, len(llr), _BP_ROWS) or (0,)]
-        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
-
-    def _decode_slice(self, code: CodeSpec, llr: np.ndarray):
         cols, col_slots = code.sparse.tanner.slot_cols, code.sparse.tanner.col_slots
-        n, rows = code.n, len(llr)
+        (rows, n), cap = llr.shape, self.max_iters
         status = np.full(rows, ABANDONED, dtype=np.int8)
-        iters = np.full(rows, self.max_iters, dtype=np.int64)
+        iters = np.full(rows, cap, dtype=np.int64)
         words = np.zeros(llr.shape, dtype=np.uint8)
-        active = np.arange(rows)
+        width = min(rows, _BP_ROWS)
+        if not width:
+            return status, iters, words
+        # slot s decodes row row[s], whose first iteration was loop step first[s];
+        # rows from queued on wait for a slot
+        row, first, queued = np.arange(width), np.ones(width, dtype=np.int64), width
         # the batch axis is last; variable n, which pads the checks, is +inf,
         # whose tanh is exactly 1.0, and no column sum reads it
-        prior = np.concatenate([llr.T, np.full((1, rows), np.inf)])
-        # flat buffers viewed contiguously at the active row count: v2c (in place
-        # its tanh, then the totals at each slot), prefix and suffix products,
-        # c2v and after it the zero message that pads col_slots, and the totals
+        prior = np.concatenate([llr[:width].T, np.full((1, width), np.inf)])
+        # flat buffers viewed contiguously at the slot count: v2c (in place its
+        # tanh, then the totals at each slot), prefix and suffix products, c2v
+        # and after it the zero message that pads col_slots, and the totals
         shapes = [cols.shape, cols.shape, cols.shape, (cols.size + 1,), (n + 1,)]
-        bufs = [np.empty(math.prod(shape) * rows) for shape in shapes]
+        bufs = [np.empty(math.prod(shape) * width) for shape in shapes]
 
         def views(width):
             t, pre, suf, c2v, total = (buf[:math.prod(shape) * width].reshape(shape + (width,))
@@ -628,9 +631,9 @@ class BpDecoder(_Decoder):
             chain = [*zip(pre[:-1], t[:-1], pre[1:]), *zip(suf[:0:-1], t[:0:-1], suf[-2::-1])]
             return t, pre, suf, c2v, c2v[:-1].reshape(t.shape), total, total[:n], chain
 
-        t, pre, suf, c2v, edges, total, col_sum, chain = views(rows)
+        t, pre, suf, c2v, edges, total, col_sum, chain = views(width)
         np.take(prior, cols, axis=0, out=t, mode="clip")
-        for it in range(1, self.max_iters + 1):
+        for it in itertools.count(1):
             np.multiply(t, 0.5, out=t)
             np.tanh(t, out=t)
             for a, b, out in chain:
@@ -640,29 +643,43 @@ class BpDecoder(_Decoder):
             np.minimum(edges, _ATANH_LIM, out=edges)
             np.arctanh(edges, out=edges)
             np.multiply(edges, 2.0, out=edges)
-            # each column's messages from 0.0 in ascending row order, as np.bincount adds
+            # each column's messages from 0.0 in ascending row order, as np.bincount
+            # adds; take, not fancy indexing, which reads the same values slower
             total.fill(0.0)
             for slots in col_slots:
-                col_sum += c2v[slots]
+                col_sum += c2v.take(slots, axis=0)
             np.add(total, prior, out=total)
             np.take(total, cols, axis=0, out=t, mode="clip")
             odd = np.logical_or.reduce(np.bitwise_xor.reduce(t < 0, axis=0), axis=0)
             np.subtract(t, edges, out=t)  # the next v2c
-            if np.count_nonzero(odd) == len(active):
+            # a slot frees when its row stops, or ends abandoned at the cap
+            free = ~odd
+            free |= first == it + 1 - cap
+            if not free.any():
                 continue
             done = np.flatnonzero(~odd)
-            word, finished = total[:n, done].T < 0, active[done]
-            words[finished] = word
-            rejected = np.bitwise_xor.reduce(
-                code.column_words[np.where(word, np.arange(n), n)], axis=1).any(axis=1)
-            status[finished] = np.where(rejected, CRC_FAILED, DECODED)
-            iters[finished] = it
-            active = active[odd]
-            if not active.size:
-                break
-            prior, v2c = prior[:, odd], t[..., odd]
-            t, pre, suf, c2v, edges, total, col_sum, chain = views(len(active))
-            t[...] = v2c
+            if done.size:
+                word, finished = total[:n, done].T < 0, row[done]
+                words[finished] = word
+                rejected = packed_syndromes(code, word).any(axis=1)
+                status[finished] = np.where(rejected, CRC_FAILED, DECODED)
+                iters[finished] = it + 1 - first[done]
+            free = np.flatnonzero(free)
+            refill, rest = free[:rows - queued], free[rows - queued:]
+            if refill.size:  # the next queued rows start in the freed slots
+                row[refill] = np.arange(queued, queued + refill.size)
+                first[refill], queued = it + 1, queued + refill.size
+                prior[:n, refill] = llr[row[refill]].T
+                t[..., refill] = prior[:, refill].take(cols, axis=0)
+            if rest.size:  # the queue is empty: drop the slots left free
+                keep = np.ones(len(row), dtype=bool)
+                keep[rest] = False
+                row, first = row[keep], first[keep]
+                if not row.size:
+                    break
+                prior, v2c = prior[:, keep], t[..., keep]
+                t, pre, suf, c2v, edges, total, col_sum, chain = views(len(row))
+                t[...] = v2c
         return status, iters, words
 
 

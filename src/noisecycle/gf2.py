@@ -18,11 +18,15 @@ Packing contract: dense bit matrices are row-major ``uint8`` arrays with
 entries in {0, 1}.  For throughput-critical paths rows are packed into
 ``uint64`` words, LSB first: bit ``j`` of a row lives in word ``j // 64``
 at bit position ``j % 64``.  The decoders read the columns of the
-membership check M in two packings: ``column_words`` hold column ``j`` as
-row ``j`` of a ``uint64`` array under the row rule above (``ceil(rows /
+membership check M in three packings: ``column_words`` hold column ``j``
+as row ``j`` of a ``uint64`` array under the row rule above (``ceil(rows /
 64)`` words, none when M has no rows), over an all-zero row ``n`` that pads
-ORBGRAND's rank pairs, and SGRANDAB's ``column_masks`` hold it as one
-Python integer whose bit ``r`` is ``M[r, j]``.
+ORBGRAND's rank pairs; SGRANDAB's ``column_masks`` hold it as one Python
+integer whose bit ``r`` is ``M[r, j]``; and ``packed_syndromes`` reads a
+byte table of them, which maps each byte of a word, packed LSB first, to
+the XOR of its columns' words, so a word's syndrome, packed under the row
+rule, is one gather and one XOR-reduce over its bytes.  ``encode`` reads
+the same kind of table of the generator's rows.
 """
 
 from __future__ import annotations
@@ -425,17 +429,16 @@ class CodeSpec:
         return np.concatenate([words, np.zeros((1, words.shape[1]), np.uint64)])
 
     @cached_property
-    def _byte_table(self) -> np.ndarray:
-        """(ceil(k / 8) * 256, words) ``uint64``: row 256 b + v is the XOR of
-        the packed generator rows 8 b + i for each bit i of v, built on first
-        use."""
-        rows = np.zeros((-(-self.k // 8) * 8, -(-self.n // 64)), dtype=np.uint64)
-        rows[: self.k] = pack_rows(self.generator)
-        rows = rows.reshape(-1, 8, 1, rows.shape[1])
-        table = np.zeros((len(rows), 256, rows.shape[3]), dtype=np.uint64)
-        for i in range(8):  # values with top bit i: those below 2^i, plus row i
-            table[:, 1 << i: 2 << i] = table[:, : 1 << i] ^ rows[:, i]
-        return table.reshape(-1, rows.shape[3])
+    def _generator_table(self) -> np.ndarray:
+        """``_xor_table`` of the generator rows, which ``encode`` reads,
+        built on first use."""
+        return _xor_table(self.generator)
+
+    @cached_property
+    def _syndrome_table(self) -> np.ndarray:
+        """``_xor_table`` of the columns of ``membership_check``, which
+        ``packed_syndromes`` reads, built on first use."""
+        return _xor_table(self.membership_check.T)
 
     @property
     def payload_bits(self) -> int:
@@ -443,15 +446,44 @@ class CodeSpec:
         return self.k - (self.crc.degree if self.crc else 0)
 
 
+def _xor_table(rows: np.ndarray) -> np.ndarray:
+    """The byte table of a (count, width) bit matrix: (ceil(count / 8) * 256,
+    ceil(width / 64)) ``uint64``, whose row 256 b + v is the XOR of the
+    packed rows 8 b + i for each bit i of v."""
+    count, words = len(rows), -(-rows.shape[1] // 64)
+    packed = np.zeros((-(-count // 8) * 8, words), dtype=np.uint64)
+    packed[:count] = pack_rows(rows)
+    packed = packed.reshape(len(packed) // 8, 8, 1, words)
+    table = np.zeros((len(packed), 256, words), dtype=np.uint64)
+    for i in range(8):  # values with top bit i: those below 2^i, plus row i
+        table[:, 1 << i: 2 << i] = table[:, : 1 << i] ^ packed[:, i]
+    return table.reshape(len(packed) * 256, words)  # words may be 0
+
+
+def _xor_rows(table: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """The XOR of the rows of ``_xor_table(rows)`` that ``bits`` (..., len(rows))
+    select, as (..., words) ``uint64``: each byte of ``bits``, packed LSB
+    first, picks one table row, and the picks are XORed."""
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    picks = packed + np.arange(0, 256 * packed.shape[-1], 256)
+    return np.bitwise_xor.reduce(table.take(picks, axis=0), axis=-2)
+
+
 def encode(code: CodeSpec, message) -> np.ndarray:
     """u |-> u G over GF(2), for one message or for messages stacked along
     leading axes."""
-    msg = _as_bits(message, code.k)
-    # each message byte picks the XOR of its generator rows from that byte's 256
-    packed = np.packbits(msg, axis=-1, bitorder="little")
-    rows = packed + np.arange(0, 256 * packed.shape[-1], 256)
-    words = np.bitwise_xor.reduce(code._byte_table.take(rows, axis=0), axis=-2)
+    words = _xor_rows(code._generator_table, _as_bits(message, code.k))
     return np.unpackbits(words.view(np.uint8), axis=-1, bitorder="little")[..., : code.n]
+
+
+def packed_syndromes(code: CodeSpec, words) -> np.ndarray:
+    """The syndromes of ``words`` (..., n), bits as ``uint8`` or ``bool``,
+    under ``code.membership_check``, packed as ``pack_rows`` packs a row:
+    (..., ceil(checks / 64)) ``uint64``, all zero iff the word is accepted."""
+    words = np.asarray(words)
+    if words.shape[-1:] != (code.n,):
+        raise ValueError(f"expected bit vectors of length {code.n}, got shape {words.shape}")
+    return _xor_rows(code._syndrome_table, words)
 
 
 def syndrome(code: CodeSpec, word) -> np.ndarray:

@@ -202,8 +202,9 @@ class BlerPoint:
 # few queries, was about 40% of a trial in batches of 32.  Batches of 128
 # ran the m = 4, n = 128 high-SNR sweep 1.5x faster than batches of 32 and
 # raised its peak resident set by 1.9 MB (5%); 256 was no faster and cost
-# about 3 MB more.  BP decodes a batch in slices of 32 rows (see decoders),
-# so its message buffers do not grow with the batch.
+# about 3 MB more.  BP holds at most 32 of a batch's rows at a time, each
+# freed slot taken by the next queued row (see decoders), so its message
+# buffers do not grow with the batch.
 BATCH_TRIALS = 128
 
 
@@ -416,12 +417,18 @@ def output_target(config: ExperimentConfig,
                   output_path: str | Path | None = None) -> str | Path | None:
     """The CSV path a sweep of ``config`` writes: ``output_path`` if given,
     else the config's; ``ValueError`` naming ``output_path`` if that path or
-    its ``.meta.json`` sidecar is a directory."""
+    its ``.meta.json`` sidecar is a directory, or if the nearest of its
+    ancestors that exists is not a directory."""
     target = output_path or config.output_path
     if target is not None:
         for path in (target, f"{target}.meta.json"):
             if Path(path).is_dir():
                 raise ValueError(f"output_path {str(path)!r} is a directory")
+        # the root exists, so the loop stops
+        ancestor = next(path for path in Path(target).absolute().parents if path.exists())
+        if not ancestor.is_dir():
+            raise ValueError(f"output_path {str(target)!r} lies under {str(ancestor)!r}, "
+                             "which is not a directory")
     return target
 
 
@@ -435,7 +442,8 @@ def run_bler_sweep(config: ExperimentConfig, workers: int | None = None,
     queued once its current one is tallied; one worker runs the loop inline.
     Totals are integer sums over trial prefixes fixed by the config, whatever
     the worker count or the order in which ranges finish.  An output path
-    that names a directory is rejected before any trial runs.
+    that names a directory, or lies under a file, is rejected before any
+    trial runs.
     """
     nworkers = worker_count(workers)
     target_path = output_target(config, output_path)

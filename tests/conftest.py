@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import tempfile
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,6 +143,47 @@ def bp_knife_edge(code, y, sigma2: float, column: int) -> np.ndarray:
     y = np.array(y, dtype=float)
     y[column] = -col_sum[column] * sigma2 / 2.0
     return y
+
+
+def bp_pool_widths(queries, slots: int) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """The schedule of a pool of ``slots`` rows over a call whose row i runs
+    ``queries[i]`` iterations: the first ``slots`` rows start at iteration
+    1, and a row that ends frees its slot to the next queued row, which
+    starts at the next iteration.  Returns the rows the pool holds at each
+    iteration and the hand-offs (ending row, starting row, iteration)."""
+    queue = list(enumerate(queries))
+    pool, queue = queue[:slots], queue[slots:]
+    widths, handoffs = [], []
+    while pool:
+        widths.append(len(pool))
+        left = []
+        for row, remaining in pool:
+            if remaining > 1:
+                left.append((row, remaining - 1))
+            elif queue:
+                handoffs.append((row, queue[0][0], len(widths)))
+                left.append(queue.pop(0))
+        pool = left
+    return widths, handoffs
+
+
+def record_bp_widths(monkeypatch) -> list[int]:
+    """A list to which each sum-product iteration of ``BpDecoder`` appends
+    the number of rows it holds: ``np.tanh``, which the decoder calls once
+    an iteration on its (d_max, m_rows, rows) message buffer, is wrapped
+    in the decoders module's namespace."""
+    from noisecycle import decoders
+    widths = []
+    wrapped = types.ModuleType("numpy")
+    wrapped.__dict__.update(np.__dict__)
+
+    def tanh(x, *args, **kwargs):
+        widths.append(x.shape[-1])
+        return np.tanh(x, *args, **kwargs)
+
+    wrapped.tanh = tanh
+    monkeypatch.setattr(decoders, "np", wrapped)
+    return widths
 
 
 def outcome_key(out: DecodeOutcome) -> tuple:

@@ -15,11 +15,11 @@ import pytest
 from noisecycle import (BpDecoder, ExperimentConfig, SweepSpec, crc_encode, encode,
                         run_bler_sweep, run_trial, sample_rlc)
 from noisecycle import harness
-from noisecycle.decoders import METRICS, STATUSES, confidence
+from noisecycle.decoders import _BP_ROWS, METRICS, STATUSES, confidence
 from noisecycle.gf2 import CrcSpec
 from noisecycle.harness import BATCH_TRIALS, _run_batch, _run_range
 
-from conftest import outcome_key
+from conftest import outcome_key, record_bp_widths
 
 B = BATCH_TRIALS
 TRIALS = 3 * B + 5  # several batches, and a part of one
@@ -123,7 +123,7 @@ def test_confidence_is_each_outcomes(mode):
         assert np.array_equal(batch.confidence(metric), want)
 
 
-# BP on two (3,6) LDPC codes: a batch of more than 32 trials decodes in slices
+# BP on two (3,6) LDPC codes: a batch of more than 32 trials decodes in a pool of 32
 BP_LDPC = ExperimentConfig(
     channel={"m": 2, "mode": "gm", "rho": 0.7},
     codes=tuple({"type": "ldpc", "n": 48, "col_weight": 3, "row_weight": 6, "seed": 1 + j}
@@ -140,12 +140,11 @@ def test_results_do_not_depend_on_the_batch_size(name, monkeypatch, tmp_path):
     # doubling segments of 50, 100, 200 and 400 trials cut through the batches
     config = dataclasses.replace({**MODES, "bp-ldpc": BP_LDPC}[name], sweep=SweepSpec(
         ebn0_db=(3.0, 4.0), min_trials=50, max_trials=400, min_block_errors=10**6))
-    calls, slices = [], []
-    decode_llrs, decode_slice = BpDecoder._decode_llrs, BpDecoder._decode_slice
+    calls = []
+    decode_llrs = BpDecoder._decode_llrs
     monkeypatch.setattr(BpDecoder, "_decode_llrs", lambda self, code, llr: (
         calls.append(len(llr)) or decode_llrs(self, code, llr)))
-    monkeypatch.setattr(BpDecoder, "_decode_slice", lambda self, code, llr: (
-        slices.append(len(llr)) or decode_slice(self, code, llr)))
+    widths = record_bp_widths(monkeypatch)
     outputs = set()
     for size in (1, 7, 32, 128):
         monkeypatch.setattr(harness, "BATCH_TRIALS", size)
@@ -154,8 +153,8 @@ def test_results_do_not_depend_on_the_batch_size(name, monkeypatch, tmp_path):
         totals = _run_range(config, 1, 0, TRIALS)
         outputs.add((totals.tobytes(), out.read_bytes(), Path(f"{out}.meta.json").read_bytes()))
     assert len(outputs) == 1
-    if name == "bp-ldpc":  # calls of more than 32 rows, decoded in slices of at most 32
-        assert max(calls) > 32 and max(slices) == 32
+    if name == "bp-ldpc":  # calls of more than 32 rows, whose iterations hold at most 32
+        assert max(calls) > _BP_ROWS == 32 and max(widths) == _BP_ROWS
 
 
 def test_stacked_messages_encode_like_single_ones(rng):

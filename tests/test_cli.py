@@ -131,6 +131,39 @@ class TestBoundsCommand:
             assert ach >= indep - 1e-9
 
 
+class TestTableOutput:
+    """``rates`` and ``bounds`` write ``--output``, and exit with a message
+    naming it, not a traceback, when it cannot be written."""
+
+    COMMANDS = [["rates", "--m", "2", "--rho-grid", "0.5", "--snr-grid", "1"],
+                ["bounds", "--rho-grid", "0.5", "--snr-grid", "1"]]
+
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_output_written(self, argv, tmp_path, capsys):
+        out = tmp_path / "table.csv"
+        assert main([*argv, "--output", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text().startswith(("m,rho,snr,", "rho,snr,"))
+
+    @pytest.mark.parametrize("argv", COMMANDS)
+    @pytest.mark.parametrize("where", ["directory", "under a file"])
+    def test_unwritable_output_exits_naming_it(self, argv, where, tmp_path):
+        (tmp_path / "afile").write_text("kept")
+        out = tmp_path if where == "directory" else tmp_path / "afile" / "table.csv"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-m", "noisecycle.cli", *argv,
+                               "--output", str(out)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode != 0
+        assert proc.stderr.startswith(f"noisecycle {argv[0]}: --output {out}: ")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "afile"]
+        assert (tmp_path / "afile").read_text() == "kept"
+
+
 class TestCapacityCommand:
     def test_waterfill_report(self, capsys):
         assert main(["capacity", "--m", "2", "--rho", "0.5", "--power", "1"]) == 0
@@ -251,6 +284,17 @@ class TestBlerCommand:
         }
         self._exits_before_any_trial(tmp_path, config, ["output_path", "is a directory"],
                                      {}, ["--output", str(tmp_path)])
+
+    def test_output_option_under_a_file_exits_before_any_trial(self, tmp_path):
+        config = {
+            "channel": {"m": 1, "mode": "gm", "rho": 0.0},
+            "codes": [{"type": "rlc", "n": 32, "k": 26, "seed": 1}],
+            "decoders": [{"type": "orbgrand", "max_queries": 2000}],
+            "sweep": {"ebn0_db": [3.0], "min_trials": 10**6, "max_trials": 10**6},
+        }
+        (tmp_path / "afile").write_text("")
+        self._exits_before_any_trial(tmp_path, config, ["output_path", "not a directory"],
+                                     {}, ["--output", str(tmp_path / "afile" / "out.csv")])
 
     def test_negative_seed_option_exits_before_any_trial(self, tmp_path):
         config = {

@@ -10,9 +10,10 @@ from noisecycle import (BpDecoder, CodeSpec, CrcSpec, OrbgrandDecoder,
                         crc_encode, encode, llrs, ml_decode_bruteforce, modulate_bpsk,
                         sample_regular_ldpc, sample_rlc, syndrome)
 from noisecycle import decoders
-from noisecycle.decoders import orbgrand_rank_patterns
+from noisecycle.decoders import _BP_ROWS, orbgrand_rank_patterns
 
-from conftest import bp_knife_edge, bp_reference, mod2, orbgrand_first_hit, outcome_key
+from conftest import (bp_knife_edge, bp_pool_widths, bp_reference, mod2, orbgrand_first_hit,
+                      outcome_key, record_bp_widths)
 
 
 class TestLlrs:
@@ -557,13 +558,15 @@ class TestBpDecode:
                 assert outcome_key(out) == outcome_key(bp_reference(code, soft, 10))
         assert statuses == {"decoded", "crc_failed", "abandoned"}
 
-    def test_mixed_stops_in_one_workload_scale_batch(self):
+    def test_mixed_stops_in_one_workload_scale_batch(self, monkeypatch):
         # the benchmark's LDPC code: in one call some rows stop at iteration
         # 1, some mid-way and some never (abandoned at the cap), and 16 rows
-        # are knife edges of the first; on its CRC'd twin the last row, a
-        # codeword whose message fails the CRC, ends crc_failed.  Every row
-        # is what the reference and a decode of that row alone give, and a
-        # permuted batch gives permuted outcomes; its 49 rows are two slices
+        # are knife edges of the first; on its CRC'd twin the 49th row, a
+        # codeword whose message fails the CRC, ends crc_failed.  Four copies
+        # of the first 32 rows queue behind those 49, so rows that stop at
+        # iteration 1 and rows abandoned at the cap both hand their slots to
+        # queued rows.  Every row is what the reference and a decode of that
+        # row alone give, and a permuted batch gives permuted outcomes
         crc = CrcSpec("100000111")
         codes = [sample_regular_ldpc(256, 3, 6, seed=51),
                  sample_regular_ldpc(256, 3, 6, seed=51, crc=crc)]
@@ -577,20 +580,30 @@ class TestBpDecode:
                   for column in range(0, 256, 16)]
         received = np.concatenate([received[:32], knives, received[32:]])
         variances = np.concatenate([sigma[:32] ** 2, np.full(16, 0.125), sigma[32:] ** 2])
-        order = rng.permutation(len(received))
+        source = np.concatenate([np.arange(len(received)), np.tile(np.arange(32), 4)])
+        batch, batch_variances = received[source], variances[source]
+        order = rng.permutation(len(batch))
         decoder = BpDecoder(20)
+        widths = record_bp_widths(monkeypatch)
         for code in codes:
-            keys = [outcome_key(out) for out in decoder.decode_batch(code, received, variances)]
+            widths.clear()
+            record = decoder.decode_batch(code, batch, batch_variances)
+            schedule, handoffs = bp_pool_widths(record.queries.tolist(), _BP_ROWS)
+            assert widths == schedule and max(widths) == _BP_ROWS
+            keys = [outcome_key(out) for out in record]
+            assert {keys[row][:2] for row, _, _ in handoffs} >= {
+                ("decoded", 1), ("abandoned", 20)}
+            assert keys == [keys[i] for i in source]  # a copy decodes as its original
             for key, y, v in zip(keys, received, variances.tolist()):
                 soft = SoftBlock(y, v)
                 assert key == outcome_key(bp_reference(code, soft, 20))
                 assert key == outcome_key(decoder.decode(code, soft))
-            permuted = decoder.decode_batch(code, received[order], variances[order])
+            permuted = decoder.decode_batch(code, batch[order], batch_variances[order])
             assert [outcome_key(out) for out in permuted] == [keys[i] for i in order]
             stops = {(status, 1 if it == 1 else 20 if it == 20 else "mid")
                      for status, it, _, _ in keys[:32]}
             assert stops == {("decoded", 1), ("decoded", "mid"), ("abandoned", 20)}
-            assert keys[-1][:2] == ("decoded" if code.crc is None else "crc_failed", 1)
+            assert keys[48][:2] == ("decoded" if code.crc is None else "crc_failed", 1)
 
     @pytest.mark.slow
     def test_moderate_snr_regression(self, rng):

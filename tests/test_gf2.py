@@ -7,7 +7,8 @@ from noisecycle import (CodeSpec, CrcSpec, SparseParityCheck,
                         code_from_parity_check, crc_check, crc_encode, encode,
                         ml_decode_bruteforce, parse_alist, sample_regular_ldpc,
                         sample_rlc, serialize_alist, syndrome)
-from noisecycle.gf2 import AlistError, gf2_nullspace, gf2_rank, gf2_row_reduce, pack_rows
+from noisecycle.gf2 import (AlistError, gf2_nullspace, gf2_rank, gf2_row_reduce, pack_rows,
+                            packed_syndromes)
 
 from conftest import column_ints, crc_longdivision, enumerate_codebook, mod2
 
@@ -368,6 +369,39 @@ class TestDerivedLayouts:
         bits = (packed[:n, rows // 64] >> (rows % 64).astype(np.uint64)) & np.uint64(1)
         assert np.array_equal(bits.T, code.membership_check)
         assert code.column_masks == column_ints(code.membership_check)
+
+    ALL_ZERO_ALIST = "6 3\n0 0\n" + " ".join(["0"] * 6) + "\n0 0 0\n" + "0\n" * 9
+
+    @pytest.mark.parametrize("build, words", [
+        (lambda: sample_rlc(12, 12, seed=3), 0),  # full rate: no checks at all
+        (lambda: code_from_parity_check(parse_alist(TestDerivedLayouts.ALL_ZERO_ALIST)), 0),
+        (lambda: sample_rlc(8, 8, seed=23, crc=CrcSpec("1011")), 1),  # the CRC's checks alone
+        (lambda: sample_rlc(16, 11, seed=3), 1),
+        (lambda: sample_rlc(13, 5, seed=4, crc=CrcSpec("111")), 1),
+        (lambda: sample_rlc(72, 4, seed=3), 2),
+        (lambda: sample_rlc(150, 20, seed=5, crc=CrcSpec("100000111")), 3),
+        (lambda: sample_regular_ldpc(60, 3, 6, seed=2, crc=CrcSpec("10011")), 1),
+    ])
+    def test_packed_syndromes_equal_the_dense_product(self, build, words, rng):
+        # n on and off byte edges; 0, 1 and 2+ words per column
+        code = build()
+        assert "_syndrome_table" not in vars(code)  # built on first use
+        n, checks = code.n, code.membership_check.shape[0]
+        assert -(-checks // 64) == words
+        bits = rng.integers(0, 2, size=(3, 5, n), dtype=np.uint8)
+        message = rng.integers(0, 2, size=code.payload_bits, dtype=np.uint8)
+        bits[0, 0] = encode(code, crc_encode(code.crc, message) if code.crc else message)
+        bits[0, 1] = 0
+        got = packed_syndromes(code, bits)
+        assert got.dtype == np.uint64 and got.shape == (3, 5, words)
+        want = mod2(bits.reshape(-1, n), code.membership_check.T)
+        assert np.array_equal(got.reshape(15, words), pack_rows(want))
+        assert not got[0, :2].any()
+        assert np.array_equal(packed_syndromes(code, bits.astype(bool)), got)
+        assert np.array_equal(packed_syndromes(code, bits[1, 2]), got[1, 2])
+        assert packed_syndromes(code, bits[:0]).shape == (0, 5, words)
+        with pytest.raises(ValueError, match=f"length {n}"):
+            packed_syndromes(code, bits[..., 1:])
 
     def test_tanner_layout_cached_per_parity_check(self):
         code = sample_regular_ldpc(12, 3, 6, seed=2)

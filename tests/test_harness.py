@@ -14,7 +14,8 @@ from noisecycle import harness
 from noisecycle.channel import ebn0_to_sigma2, modulate_bpsk, sample_noise
 from noisecycle.gf2 import crc_encode, encode
 from noisecycle.harness import (WORKERS_ENV, _payload_bits, _raw_count, _run_batch,
-                                _trial_states, csv_text, parse_csv, worker_count)
+                                _trial_states, csv_text, output_target, parse_csv,
+                                worker_count)
 from noisecycle.ordering import (build_recycle_graph, constrain_root_child,
                                  max_arborescence, plan_for)
 
@@ -655,6 +656,27 @@ class TestValidation:
             run_bler_sweep(config, output_path=None if where == "config" else target)
         assert sorted(tmp_path.iterdir()) == ([] if where != "sidecar"
                                               else [Path(f"{csv}.meta.json")])
+
+    @pytest.mark.parametrize("where", ["argument", "config"])
+    @pytest.mark.parametrize("below", ["out.csv", "sub/dir/out.csv"])
+    def test_output_path_under_a_file_rejected_before_any_trial(self, where, below,
+                                                               tmp_path, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "_run_range", no_trials)
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        target = afile / below
+        config = tiny_config(output_path=str(target) if where == "config" else None)
+        with pytest.raises(ValueError, match=r"^output_path .* lies under .*afile', "
+                                             r"which is not a directory"):
+            run_bler_sweep(config, output_path=None if where == "config" else target)
+        assert sorted(tmp_path.iterdir()) == [afile] and afile.read_text() == "kept\n"
+        # directories that do not exist yet are made when the sweep writes
+        fresh = tmp_path / "new" / below
+        assert output_target(config, fresh) == fresh
+        assert output_target(tiny_config(output_path="out.csv")) == "out.csv"
 
     def test_mixed_code_lengths_rejected(self):
         with pytest.raises(ValueError, match="one code length"):
