@@ -11,10 +11,11 @@ frozen dataclasses whose fields are their configuration,
 ``OrbgrandDecoder(max_queries)``, ``SgrandabDecoder(max_queries)`` and
 ``BpDecoder(max_iters=50)``; each rejects a limit below 1 when built.  They
 share one frame: ``decode_batch`` checks its input once (finite (B, n)
-``received``, finite positive (B,) ``variances``), takes the LLRs of all
-rows at once (the definition of :func:`llrs`), the decoder turns them into
-a status code, a query count and a word per row, and the frame adds the
-noise NLLs; ``decode`` is a batch of one.
+``received``, finite positive (B,) ``variances``, and LLRs that do not
+overflow), takes the LLRs of all rows at once (the definition of
+:func:`llrs`), the decoder turns them into a status code, a query count
+and a word per row, and the frame adds the noise NLLs; ``decode`` is a
+batch of one.
 
 The guessing decoders invert putative noise-effect patterns on the hard
 decision, most plausible first, and query codebook membership by one
@@ -27,10 +28,17 @@ table row per byte of the word.  Rows whose hard decision is accepted
 decode at query 1 together; the others are ordered stably by reliability
 and go to one search call:
 
-* SGRANDAB enumerates flip sets in exactly nondecreasing sum of flipped
-  |LLR| via a priority-queue successor expansion, so an accepted answer is
-  a maximum-likelihood decoding and memory stays O(queries).  It walks one
-  heap per row, which XORs the Python-int ``column_masks``.
+* SGRANDAB enumerates flip sets in nondecreasing sum of flipped |LLR| by
+  successor expansion, in the order a priority queue pops them (the
+  record rule of ``SgrandabDecoder``), so an accepted answer is a
+  maximum-likelihood decoding.  It searches a call's rows together in
+  score rounds.  A round sets each row's limit near the K-th smallest
+  score of its frontier, K doubling each round, expands every set within
+  it generation by generation, each set carrying its syndrome and flip
+  set as ``uint64`` words, places them in pop order and drops them.  A
+  row's frontier is O(its queries); a group of rows whose frontier and
+  next round would pass ``_GROUP_WORDS`` words goes on in two halves, and
+  a row alone takes a round that fits.
 * ORBGRAND (Duffy, ICASSP 2021) ranks positions by ascending |LLR| (rank 1
   = least reliable, ties by position) and sweeps flip sets in nondecreasing
   logistic weight, the sum of flipped ranks; equal-weight sets are ordered
@@ -76,7 +84,6 @@ across processes rather than threads.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass, fields
@@ -195,9 +202,10 @@ def _llrs(received: np.ndarray, variances: np.ndarray) -> np.ndarray:
     return 2.0 * received / variances[..., None]
 
 
-def _checked_batch(code: CodeSpec, received, variances) -> tuple[np.ndarray, np.ndarray]:
-    """``received`` as finite (B, code.n) floats and ``variances`` as finite,
-    positive (B,) floats, or ``ValueError`` naming the field."""
+def _checked_batch(code: CodeSpec, received, variances):
+    """``received`` as finite (B, code.n) floats, ``variances`` as finite,
+    positive (B,) floats and their finite LLRs, or ``ValueError`` naming
+    the field."""
     received, variances = np.asarray(received, dtype=float), np.asarray(variances, dtype=float)
     if received.ndim != 2 or received.shape[1] != code.n:
         raise ValueError(f"received must be (B, {code.n}), got shape {received.shape}")
@@ -207,7 +215,13 @@ def _checked_batch(code: CodeSpec, received, variances) -> tuple[np.ndarray, np.
         raise ValueError("received must be finite")
     if not (np.isfinite(variances) & (variances > 0)).all():
         raise ValueError("variances must be finite and positive")
-    return received, variances
+    with np.errstate(over="ignore"):
+        llr = _llrs(received, variances)
+    if llr.size and not (np.isfinite(llr.max()) and np.isfinite(llr.min())):
+        overflow = np.flatnonzero(~np.isfinite(llr).all(axis=1))
+        raise ValueError(f"received and variances give LLRs 2 y / variance that overflow, "
+                         f"in row(s) {overflow[:5].tolist()}")
+    return received, variances, llr
 
 
 class _Decoder:
@@ -230,8 +244,8 @@ class _Decoder:
                      variances: np.ndarray) -> DecodeRecord:
         """Decode row i of ``received`` (B, n) at noise variance
         ``variances[i]``, exactly as ``decode`` would, into one record."""
-        received, variances = _checked_batch(code, received, variances)
-        status, queries, words = self._decode_llrs(code, _llrs(received, variances))
+        received, variances, llr = _checked_batch(code, received, variances)
+        status, queries, words = self._decode_llrs(code, llr)
         return DecodeRecord(status, queries, words,
                             _noise_nll(received, variances, status == DECODED, words))
 
@@ -438,8 +452,9 @@ class _GuessingDecoder(_Decoder):
         return status, queries, hard
 
 
-# uint64 words that a group of ORBGRAND rows searching together may hold in
-# its pair table or in one chunk's syndromes; a larger group splits in two
+# uint64 words that a group of guessing rows searching together may hold: an
+# ORBGRAND group's pair table or one chunk's syndromes, a SGRANDAB group's
+# frontier and next round; a larger group splits in two
 _GROUP_WORDS = 1 << 15
 
 
@@ -519,58 +534,224 @@ class OrbgrandDecoder(_GuessingDecoder):
         return queries, (np.concatenate(at), np.concatenate(flips))
 
 
+class _Nodes(NamedTuple):
+    """Flip sets of SGRANDAB's search as arrays: ``at``, row * n plus the
+    set's last index in the row's reliability order; its score; and its
+    words, (count, syndrome words + flip words) ``uint64``: its syndrome,
+    then the indices it holds as bits."""
+
+    at: np.ndarray
+    score: np.ndarray
+    words: np.ndarray
+
+    def take(self, which) -> "_Nodes":
+        return _Nodes(*(field[which] for field in self))
+
+
+def _concat(parts: Sequence[_Nodes]) -> _Nodes:
+    return _Nodes(*map(np.concatenate, zip(*parts)))
+
+
+def _row_order(row: np.ndarray, score: np.ndarray, small: np.dtype) -> np.ndarray:
+    """An order by row, then score: a quicksort of the scores, then a
+    stable sort, a radix sort, of the rows as ``small`` ints."""
+    by_score = np.argsort(score)
+    return by_score[np.argsort(row.astype(small)[by_score], kind="stable")]
+
+
+def _expand(roots: _Nodes, limit: np.ndarray, succ: np.ndarray, reliab: np.ndarray,
+            step: np.ndarray):
+    """One round's sets: ``roots`` and, generation by generation, every
+    descendant whose path scores no more than ``limit[at]``.  A set at
+    ``at`` grows by ``succ[at]`` (NaN past the last index), then slides by
+    ``-reliab[at]``, XORing in ``step[2 at]`` or ``step[2 at + 1]``.
+    Returns the round's sets, roots first, each generation's size, and
+    their children's scores: child j, grown if j is even, is set j >> 1's."""
+    parts, scores, nodes = [roots], [], roots
+    while True:
+        with np.errstate(over="ignore"):  # scores past the float range are +inf, as the heap's
+            grow = nodes.score + succ[nodes.at]
+        score = np.empty((len(grow), 2))
+        score[:, 0] = grow
+        np.subtract(grow, reliab[nodes.at], out=score[:, 1])
+        scores.append(score)
+        kept = np.flatnonzero(score <= limit[nodes.at, None])
+        if not kept.size:
+            break
+        parent = kept >> 1
+        at = nodes.at[parent]
+        nodes = _Nodes(at + 1, score.ravel()[kept], nodes.words[parent] ^ step[2 * at + (kept & 1)])
+        parts.append(nodes)
+    return _concat(parts), [len(part.at) for part in parts], np.concatenate(scores).ravel()
+
+
+def _pop_ranks(row, score, parent, slid, seq, gen, popped) -> np.ndarray:
+    """Each set's place, from 0, among its row's sets in pop order, by the
+    record rule, for the sets of one round of some rows: listed generation
+    by generation, with their parents among them (-1 for a root, whose
+    ``seq`` is given) and slides; ``popped[row]`` counts the row's earlier
+    pops.  A set's seq needs its parent's place, so the places of
+    generations 0..g are found for g = 0, 1, ... in turn, each pass reading
+    the parents' places from the one before, which it keeps in order."""
+    count, last = len(row), int(gen.max())
+    # each set's records: indices into the sets, scores strictly falling, itself last
+    records = np.full((count, 1), -1, dtype=np.intp)
+    records[gen == 0, 0] = np.flatnonzero(gen == 0)
+    for g in range(1, last + 1):
+        nodes = np.flatnonzero(gen == g)
+        above = records[parent[nodes]]
+        keep = (above >= 0) & (score[above] > score[nodes, None])
+        depth = keep.sum(axis=1)
+        if depth.max() == records.shape[1]:
+            records, above, keep = (np.pad(a, ((0, 0), (0, 1)), constant_values=pad)
+                                    for a, pad in ((records, -1), (above, -1), (keep, False)))
+        records[nodes] = np.where(keep, above, -1)
+        records[nodes, depth] = nodes
+    rank, born, seq = np.zeros(count, dtype=np.int64), np.flatnonzero(parent >= 0), seq.copy()
+    for g in range(last + 1):
+        seq[born] = 2 * (popped[row[born]] + rank[parent[born]]) + slid[born] + 1
+        sofar = np.flatnonzero(gen <= g)
+        keys = [row[sofar]]
+        for col in records[sofar].T:  # a shorter list first: pads below any key
+            keys += [np.where(col < 0, -np.inf, score[col]), np.where(col < 0, -1, seq[col])]
+        o = sofar[np.lexsort(keys[::-1])]
+        starts = np.flatnonzero(np.diff(row[o], prepend=-1))
+        rank[o] = np.arange(len(o)) - np.repeat(starts, np.diff(starts, append=len(o)))
+    return rank
+
+
 @dataclass(frozen=True)
 class SgrandabDecoder(_GuessingDecoder):
     """Maximum-likelihood-ordered guessing, abandoned after ``max_queries``.
 
     Flip sets are index sets into the reliability order.  Successor
-    expansion from {0}: a popped set either grows by the next index or
-    slides its largest index one step up, which reaches every nonempty set
-    once while children never score below their parent.  Sets of equal
-    score pop in the order their parents popped, a grown set before a slid
-    one.  Each heap entry carries its set's syndrome, one or two XORs from
-    its parent's.
+    expansion from {0}: a set grows by the next index or slides its last
+    index one step up, which reaches every nonempty set once.  A child
+    scores its parent's score plus the reliability it adds, then less the
+    one a slide drops, in that float order.  Sets are queried in the order
+    a priority queue keyed by (score, seq) pops them, where seq orders a
+    set by its parent's pop, a grown set before a slid one.  A child never
+    scores below its parent in exact arithmetic, but a slid set can round
+    below it, and the queue then pops it at once.  So the rule is the
+    record rule: sets pop in lexicographic order of the suffix-maximum
+    records of the (score, seq) keys along their paths from {0} (the
+    largest key, then the largest after it, and so on to the set's own,
+    a list before its extensions).  Where no score falls or ties along a
+    path or ties across paths, that is the order of scores.
     """
 
     def _search(self, code: CodeSpec, order: np.ndarray, reliab: np.ndarray,
                 base: np.ndarray):
         """Each row's queries spent and the (row, position) pairs to flip,
-        one heap walk per row."""
-        queries, at, flips = np.empty(len(order), dtype=np.int64), [], []
-        for i, args in enumerate(zip(order, reliab, base)):
-            queries[i], hit = self._walk(code, *args)
-            if hit is not None:
-                at += [i] * len(hit)
-                flips += hit
-        return queries, (np.array(at, dtype=np.intp), np.array(flips, dtype=np.intp))
-
-    def _walk(self, code: CodeSpec, order: np.ndarray, reliab: np.ndarray,
-              base: np.ndarray):
-        """(queries spent, positions to flip) of one row's first hit;
-        (queries, None) when the cap runs out first."""
-        r = reliab.tolist()
-        n, cap = len(r), self.max_queries
-        masks = code.column_masks
-        sorted_masks = [masks[p] for p in order.tolist()]
-        # base read as column_masks reads each column's words
-        start = int.from_bytes(base.astype("<u8").tobytes(), "little")
-        heappush, heappop = heapq.heappush, heapq.heappop
-        heap = [(r[0], 0, (0,), start ^ sorted_masks[0])]
-        queries, seq = 1, 1
-        while queries < cap:  # the all-zero codeword's flip set pops before the heap empties
-            score, _, pat, s = heappop(heap)
-            queries += 1
-            t = pat[-1]
-            if t + 1 < n:
-                grow = score + r[t + 1]
-                nxt = sorted_masks[t + 1]
-                heappush(heap, (grow, seq, pat + (t + 1,), s ^ nxt))
-                heappush(heap, (grow - r[t], seq + 1, pat[:-1] + (t + 1,),
-                                s ^ nxt ^ sorted_masks[t]))
-                seq += 2
-            if s == 0:
-                return queries, order[list(pat)].tolist()
-        return queries, None
+        in score rounds over all rows.  A round sets each live row's limit
+        to the ``want``-th smallest score of its frontier, pops every set
+        whose path stays within it and places them by the record rule, a
+        sort by score unless scores fall or tie; ``want`` doubles each
+        round.  A row leaves at its first zero syndrome within the cap, or
+        at the cap.  A group of rows whose frontier and next round would
+        pass ``_GROUP_WORDS`` goes on in two halves, and a row alone takes
+        a round that fits."""
+        (rows, n), cap = order.shape, self.max_queries
+        checks, small = base.shape[1], np.min_scalar_type(rows)
+        width = checks + -(-n // 64)
+        queries = np.full(rows, cap, dtype=np.int64)
+        at, flips = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+        index = np.arange(n)
+        unit = np.zeros((rows, n, width), dtype=np.uint64)  # index t of a row's order as words
+        unit[..., :checks] = code.column_words[order]
+        unit[:, index, checks + index // 64] = np.uint64(1) << (index % 64).astype(np.uint64)
+        # step[2 (row * n + t) + s]: what a set whose last index is t XORs in to
+        # grow (s = 0) or slide (s = 1)
+        step = np.zeros((rows, n, 2, width), dtype=np.uint64)
+        step[:, :-1, 0] = unit[:, 1:]
+        step[:, :-1, 1] = unit[:, 1:] ^ unit[:, :-1]
+        step = step.reshape(-1, width)
+        words = unit[:, 0].copy()
+        words[:, :checks] ^= base
+        del unit
+        flat = reliab.ravel()
+        succ = np.concatenate([reliab[:, 1:], np.full((rows, 1), np.nan)], axis=1).ravel()
+        popped = np.zeros(rows, dtype=np.int64)  # each row's pops before the round
+        want = np.ones(rows, dtype=np.int64)
+        # a set of the frontier, pushed and not popped, carries its seq: 0 for {0},
+        # 2 g + 1 grown and 2 g + 2 slid, its parent having been its row's pop g
+        start = _Nodes(np.arange(rows) * n, reliab[:, 0].copy(), words)
+        groups = [(np.arange(rows), start, np.zeros(rows, dtype=np.int64))] if cap > 1 else []
+        while groups:
+            live, frontier, seq = groups.pop()
+            while live.size:
+                o = _row_order(frontier.at // n, frontier.score, small)
+                frontier, seq = frontier.take(o), seq[o]
+                first = np.searchsorted(frontier.at, live * n)
+                take = np.minimum(want[live], np.diff(first, append=len(seq)))
+                # in words: a frontier set is width + 3; a root brings its round
+                # about 4 sets to pop and 5 children to push
+                if (len(seq) + 12 * int(take.sum())) * (width + 3) > _GROUP_WORDS:
+                    if live.size > 1:
+                        half, cut = live.size // 2, first[live.size // 2]
+                        groups += [(live[half:], frontier.take(slice(cut, None)), seq[cut:]),
+                                   (live[:half], frontier.take(slice(cut)), seq[:cut])]
+                        break
+                    take = np.minimum(take, max(1, _GROUP_WORDS // (12 * (width + 3))))
+                limit = np.full(rows, -np.inf)
+                limit[live] = frontier.score[first + take - 1]
+                limit = np.repeat(limit, n)  # by at
+                roots = frontier.score <= limit[frontier.at]
+                nodes, sizes, kid_score = _expand(frontier.take(roots), limit, succ, flat, step)
+                root_seq, frontier, seq = seq[roots], frontier.take(~roots), seq[~roots]
+                # the round's sets after the roots are the children within the limit
+                inside = kid_score <= np.repeat(limit[nodes.at], 2)
+                born = np.flatnonzero(inside)
+                row = nodes.at // n
+                # each set's place among its row's pops this round: by score, unless
+                # a score falls or ties along a path or ties across paths
+                o = _row_order(row, nodes.score, small)
+                srow, sscore = row[o], nodes.score[o]
+                begin = np.zeros(rows, dtype=np.int64)
+                begin[live] = np.searchsorted(srow, live)
+                rank = np.empty(len(o), dtype=np.int64)
+                rank[o] = np.arange(len(o)) - begin[srow]
+                tied = np.flatnonzero((srow[1:] == srow[:-1]) & (sscore[1:] == sscore[:-1]))
+                fell = born[nodes.score[sizes[0]:] <= nodes.score[born >> 1]] >> 1
+                hard = np.zeros(rows, dtype=bool)
+                hard[srow[tied]] = hard[row[fell]] = True
+                if hard.any():
+                    mine = np.flatnonzero(hard[row])
+                    local = np.full(len(o) + 1, -1)
+                    local[mine] = np.arange(len(mine))
+                    parent = np.concatenate([np.full(sizes[0], -1), born >> 1])
+                    slid = np.concatenate([np.zeros(sizes[0], dtype=np.intp), born & 1])
+                    known = np.zeros(len(o), dtype=np.int64)
+                    known[:sizes[0]] = root_seq
+                    gen = np.repeat(np.arange(len(sizes)), sizes)
+                    rank[mine] = _pop_ranks(row[mine], nodes.score[mine], local[parent[mine]],
+                                            slid[mine], known[mine], gen[mine], popped)
+                # each row's first hit in pop order counts if it is within the cap
+                hit = np.flatnonzero(~nodes.words[:, :checks].any(axis=1))
+                hit = hit[np.lexsort((rank[hit], row[hit]))]
+                hit = hit[np.diff(row[hit], prepend=-1) != 0]
+                within = hit[popped[row[hit]] + rank[hit] <= cap - 2]
+                done = row[within]
+                queries[done] = popped[done] + rank[within] + 2
+                i, t = np.nonzero(np.unpackbits(nodes.words[within, checks:].view(np.uint8),
+                                                axis=1, bitorder="little")[:, :n])
+                at.append(done[i])
+                flips.append(order[done[i], t])
+                # the children above the limit join the frontier, seq from the parent's place
+                out = np.flatnonzero(~inside & (kid_score == kid_score))  # not NaN
+                parent = out >> 1
+                kids = _Nodes(nodes.at[parent] + 1, kid_score[out],
+                              nodes.words[parent] ^ step[2 * nodes.at[parent] + (out & 1)])
+                seq = np.concatenate([seq, 2 * (popped[row[parent]] + rank[parent]) + (out & 1) + 1])
+                popped += np.bincount(row, minlength=rows)
+                left = popped < cap - 1
+                left[row[hit]] = False
+                live = live[left[live]]
+                frontier = _concat([frontier, kids])
+                stay = left[frontier.at // n]
+                frontier, seq = frontier.take(stay), seq[stay]
+                want[live] = np.minimum(2 * want[live], cap - 1 - popped[live])
+        return queries, (np.concatenate(at), np.concatenate(flips))
 
 
 # ---------------------------------------------------------------------------

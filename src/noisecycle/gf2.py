@@ -18,14 +18,14 @@ Packing contract: dense bit matrices are row-major ``uint8`` arrays with
 entries in {0, 1}.  For throughput-critical paths rows are packed into
 ``uint64`` words, LSB first: bit ``j`` of a row lives in word ``j // 64``
 at bit position ``j % 64``.  The decoders read the columns of the
-membership check M in three packings: ``column_words`` hold column ``j``
-as row ``j`` of a ``uint64`` array under the row rule above (``ceil(rows /
-64)`` words, none when M has no rows), over an all-zero row ``n`` that pads
-ORBGRAND's rank pairs; SGRANDAB's ``column_masks`` hold it as one Python
-integer whose bit ``r`` is ``M[r, j]``; and ``packed_syndromes`` reads a
-byte table of them, which maps each byte of a word, packed LSB first, to
-the XOR of its columns' words, so a word's syndrome, packed under the row
-rule, is one gather and one XOR-reduce over its bytes.  ``encode`` reads
+membership check M in two packings: ``column_words``, which both
+guessing searches read, hold column ``j`` as row ``j`` of a ``uint64``
+array under the row rule above (``ceil(rows / 64)`` words, none when M has
+no rows), over an all-zero row ``n`` that pads ORBGRAND's rank pairs; and
+``packed_syndromes`` reads a byte table of
+them, which maps each byte of a word, packed LSB first, to the XOR of its
+columns' words, so a word's syndrome, packed under the row rule, is one
+gather and one XOR-reduce over its bytes.  ``encode`` reads
 the same kind of table of the generator's rows.
 """
 
@@ -411,14 +411,6 @@ class CodeSpec:
         payload_gen = np.concatenate(
             [np.eye(p, dtype=np.uint8), _remainder_matrix(self.crc, self.k)[:p]], axis=1)
         return gf2_nullspace((payload_gen @ self.generator) % 2)
-
-    @cached_property
-    def column_masks(self) -> list[int]:
-        """Columns of ``membership_check`` as ints, each column's
-        ``column_words`` read as one little-endian integer (see the module
-        docstring), built on first use."""
-        return [int.from_bytes(w.astype("<u8").tobytes(), "little")
-                for w in self.column_words[: self.n]]
 
     @cached_property
     def column_words(self) -> np.ndarray:

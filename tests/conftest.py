@@ -12,6 +12,7 @@ directory removed at exit, not to ``.hypothesis/`` in the working directory.
 
 from __future__ import annotations
 
+import heapq
 import math
 import multiprocessing
 import tempfile
@@ -76,6 +77,40 @@ def orbgrand_first_hit(code, y) -> tuple[int, np.ndarray]:
         if poly is None or np.array_equal(crc_longdivision(msg[:p], poly), msg[p:]):
             return pos, word
     raise AssertionError("no rank set gives an accepted word")
+
+
+def sgrandab_heap_search(code, order, reliab, base, cap: int) -> tuple[int, list[int] | None]:
+    """SGRANDAB's search on one row as a heap walk, the maximum-likelihood
+    reference for ``SgrandabDecoder._search``: (queries spent, positions to
+    flip) of the row's first hit, or (queries, None) when the cap of
+    ``cap`` queries runs out first.  ``order`` lists the positions by
+    ascending reliability, ``reliab`` their reliabilities in that order and
+    ``base`` the hard decision's packed syndrome; query 1 was the hard
+    decision.  Flip sets are index tuples into the order; a popped set
+    grows by the next index or slides its last one up, and entries pop by
+    (score, push count), each child one or two float operations from its
+    parent's score.  Syndromes are Python ints whose bit r is check r."""
+    r = [float(x) for x in reliab]
+    n = len(r)
+    masks = column_ints(code.membership_check)
+    sorted_masks = [masks[p] for p in np.asarray(order).tolist()]
+    start = int.from_bytes(np.asarray(base).astype("<u8").tobytes(), "little")
+    heap = [(r[0], 0, (0,), start ^ sorted_masks[0])]
+    queries, seq = 1, 1
+    while queries < cap:  # the all-zero codeword's flip set pops before the heap empties
+        score, _, pat, s = heapq.heappop(heap)
+        queries += 1
+        t = pat[-1]
+        if t + 1 < n:
+            grow = score + r[t + 1]
+            nxt = sorted_masks[t + 1]
+            heapq.heappush(heap, (grow, seq, pat + (t + 1,), s ^ nxt))
+            heapq.heappush(heap, (grow - r[t], seq + 1, pat[:-1] + (t + 1,),
+                                  s ^ nxt ^ sorted_masks[t]))
+            seq += 2
+        if s == 0:
+            return queries, [int(order[i]) for i in pat]
+    return queries, None
 
 
 def _reference_layout(code):

@@ -11,9 +11,10 @@ from noisecycle import (BpDecoder, CodeSpec, CrcSpec, OrbgrandDecoder,
                         sample_regular_ldpc, sample_rlc, syndrome)
 from noisecycle import decoders
 from noisecycle.decoders import _BP_ROWS, orbgrand_rank_patterns
+from noisecycle.gf2 import packed_syndromes
 
 from conftest import (bp_knife_edge, bp_pool_widths, bp_reference, mod2, orbgrand_first_hit,
-                      outcome_key, record_bp_widths)
+                      outcome_key, record_bp_widths, sgrandab_heap_search)
 
 
 class TestLlrs:
@@ -388,6 +389,113 @@ class TestSgrandabDecode:
         assert out.noise_nll == pytest.approx(want, rel=1e-12)
 
 
+class TestSgrandabAgainstTheHeap:
+    """``SgrandabDecoder._search`` against the heap walk it replaced,
+    ``sgrandab_heap_search``: equal queries and flips on every row at every
+    cap, including where scores tie, fall one ulp below a parent's or
+    overflow to +inf."""
+
+    @staticmethod
+    def _check(code, order, reliab, base, caps):
+        for cap in caps:
+            queries, (at, flips) = SgrandabDecoder(cap)._search(code, order, reliab, base)
+            for i in range(len(order)):
+                want, want_flips = sgrandab_heap_search(code, order[i], reliab[i], base[i], cap)
+                got_flips = sorted(flips[at == i].tolist()) or None  # a hit flips something
+                assert (int(queries[i]), got_flips) == (want, want_flips and sorted(want_flips))
+
+    @staticmethod
+    def _rows(code, rng, reliab):
+        """Rows of ascending ``reliab``, each on its own order of the
+        positions, with the syndromes of random hard decisions; the rows
+        whose hard decision is accepted are dropped, as the prologue does."""
+        reliab = np.asarray(reliab, dtype=float)
+        order = np.array([rng.permutation(code.n) for _ in reliab])
+        base = packed_syndromes(code, rng.integers(0, 2, size=order.shape, dtype=np.uint8))
+        keep = base.any(axis=1)
+        return order[keep], reliab[keep], base[keep]
+
+    def test_near_tied_reliabilities(self, rng):
+        # r = 0.7 (1 + k 2^-52): a slid set can round one ulp below its parent,
+        # as (2,) does below (1,) in the first row
+        k = np.sort(rng.integers(0, 8, size=(300, 8)), axis=1)
+        k[0] = [0, 1, 1, 2, 3, 4, 5, 6]
+        r = 0.7 * (1 + k * 2.0 ** -52)
+        falls = 0
+        for row in r:  # the singletons (t,), each slid from (t - 1,)
+            score = [row[0]]
+            for t in range(1, 8):
+                score.append(score[-1] + row[t] - row[t - 1])
+            falls += any(b < a for a, b in zip(score, score[1:]))
+        assert falls > 100
+        assert r[0, 0] + r[0, 1] - r[0, 0] + r[0, 2] - r[0, 1] < r[0, 0] + r[0, 1] - r[0, 0]
+        for code in (sample_rlc(8, 3, seed=2), sample_rlc(8, 3, seed=2, crc=CrcSpec("11"))):
+            self._check(code, *self._rows(code, rng, r), caps=(256, 40, 5, 2, 1))
+
+    def test_exact_ties_zeros_and_overflow(self, rng):
+        # |y| on a grid of 0.5, rows of one value, rows of zeros, and values
+        # near the float maximum whose sums are +inf and tie there
+        y = np.abs(np.round(2 * rng.normal(size=(120, 10))) / 2)
+        y[:10] = 0.5
+        y[10:20] = 0.0
+        y[20:30, 4:] = 0.0
+        y[30:40] = rng.uniform(0.5, 1.0, size=(10, 10)) * 1.7e308
+        for code in (sample_rlc(10, 5, seed=19), sample_rlc(10, 5, seed=19, crc=CrcSpec("111"))):
+            self._check(code, *self._rows(code, rng, np.sort(y, axis=1)), caps=(1024, 17, 2, 1))
+
+    @pytest.mark.parametrize("code", [sample_rlc(72, 4, seed=26),  # 68 checks: two words
+                                      sample_rlc(72, 12, seed=26, crc=CrcSpec("10011"))],
+                             ids=["two-words", "two-words-crc"])
+    def test_long_membership_check_and_caps_at_the_hit(self, code, rng):
+        order, reliab, base = self._rows(code, rng, np.sort(rng.exponential(size=(40, 72)), axis=1))
+        self._check(code, order, reliab, base, caps=(3000, 2, 1))
+        hits = sorted({sgrandab_heap_search(code, *args, 3000)[0]
+                       for args in zip(order, reliab, base)} - {2, 3000})
+        for hit in hits[:: max(1, len(hits) // 3)]:  # a cap at a row's hit, and one below
+            self._check(code, order, reliab, base, caps=(hit, hit - 1))
+
+    def test_a_call_mixes_hits_at_query_two_with_abandoned_rows(self, rng):
+        code = sample_rlc(64, 46, seed=31, crc=CrcSpec("100000111"))  # the C6 code
+        order, reliab, base = self._rows(code, rng, np.sort(rng.exponential(size=(48, 64)), axis=1))
+        base[::3] = code.column_words[order[::3, 0]]  # flipping the least reliable is a hit
+        queries, _ = SgrandabDecoder(50)._search(code, order, reliab, base)
+        assert (queries[::3] == 2).all() and (queries == 50).sum() > 10
+        self._check(code, order, reliab, base, caps=(50, 400))
+
+
+class TestGroupSplits:
+    """Both guessing searches split a group of rows in two when it would
+    pass ``decoders._GROUP_WORDS``; no split may change an output."""
+
+    @pytest.mark.parametrize("decoder", [OrbgrandDecoder(600), SgrandabDecoder(600)],
+                             ids=["orbgrand", "sgrandab"])
+    def test_forced_splits_change_no_output(self, decoder, rng, monkeypatch):
+        code = sample_rlc(64, 46, seed=31, crc=CrcSpec("100000111"))  # the C6 code
+        y = 1.0 + 0.55 * rng.normal(size=(40, 64))  # the all-zero word: every depth
+        y[:8] = np.round(8 * y[:8]) / 8  # scores that tie: SGRANDAB reads seqs
+        variances = np.full(40, 0.3025)
+        # ORBGRAND walks the chunks once a group; a SGRANDAB round holds one group's rows
+        groups = []
+        walk, expand = decoders._RankTable.chunks_below, decoders._expand
+        monkeypatch.setattr(decoders._RankTable, "chunks_below",
+                            lambda table, cap: groups.append(1) or walk(table, cap))
+        monkeypatch.setattr(decoders, "_expand", lambda roots, *args: groups.append(
+            len(np.unique(roots.at // code.n))) or expand(roots, *args))
+        want = [outcome_key(out) for out in decoder.decode_batch(code, y, variances)]
+        searched = sum(key[1] > 1 for key in want)
+        assert len({key[1] for key in want}) > 10 and ("abandoned", 600) in {k[:2] for k in want}
+        unsplit = len(groups)
+        for words in (1 << 11, 1):  # splits within the search, then at every step
+            monkeypatch.setattr(decoders, "_GROUP_WORDS", words)
+            groups.clear()
+            assert [outcome_key(out) for out in decoder.decode_batch(code, y, variances)] == want
+            assert len(groups) > unsplit
+            if isinstance(decoder, OrbgrandDecoder):
+                assert (len(groups) == 2 * searched - 1) == (words == 1)  # a group a row
+            else:
+                assert (max(groups) == 1) == (words == 1)  # each round a row's alone
+
+
 class TestOrbgrandDecode:
     def test_noiseless_single_query(self, rng):
         code = sample_rlc(16, 11, seed=9)
@@ -713,6 +821,9 @@ class TestDecoderContracts:
         (np.full((2, 24), 0.5), [1.0, 1.0, 1.0], "variances"),
         (np.full((2, 23), 0.5), [1.0, 1.0], "received"),
         (np.full(24, 0.5), [1.0], "received"),
+        # finite, but 2 y / variance overflows: decoding ran on infinite LLRs, and
+        # SGRANDAB's slid scores were inf - inf
+        (np.array([[0.5] * 24, [2e10] + [0.5] * 23]), [1.0, 1e-300], "received and variances"),
     ])
     def test_batch_input_checked(self, decoder, received, variances, field):
         code = sample_regular_ldpc(24, 3, 6, seed=1)

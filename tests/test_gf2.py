@@ -10,7 +10,7 @@ from noisecycle import (CodeSpec, CrcSpec, SparseParityCheck,
 from noisecycle.gf2 import (AlistError, gf2_nullspace, gf2_rank, gf2_row_reduce, pack_rows,
                             packed_syndromes)
 
-from conftest import column_ints, crc_longdivision, enumerate_codebook, mod2
+from conftest import crc_longdivision, enumerate_codebook, mod2
 
 
 class TestEncode:
@@ -342,14 +342,6 @@ class TestCodeSpecRank:
 
 
 class TestDerivedLayouts:
-    def test_column_masks_cached_per_code(self):
-        code = sample_rlc(16, 11, seed=3)
-        assert "column_masks" not in vars(code)  # built on first use
-        masks = code.column_masks
-        assert masks is code.column_masks
-        assert masks == column_ints(code.parity_check)
-        assert sample_rlc(16, 11, seed=3).column_masks is not masks
-
     @pytest.mark.parametrize("n, k, crc, words", [
         (16, 11, None, 1),
         (16, 11, CrcSpec("111"), 1),
@@ -368,7 +360,6 @@ class TestDerivedLayouts:
         rows = np.arange(code.membership_check.shape[0])
         bits = (packed[:n, rows // 64] >> (rows % 64).astype(np.uint64)) & np.uint64(1)
         assert np.array_equal(bits.T, code.membership_check)
-        assert code.column_masks == column_ints(code.membership_check)
 
     ALL_ZERO_ALIST = "6 3\n0 0\n" + " ".join(["0"] * 6) + "\n0 0 0\n" + "0\n" * 9
 
@@ -464,7 +455,6 @@ class TestMembershipCheck:
         assert code.membership_check.shape == (code.n - code.k + crc.degree, code.n)
         assert gf2_rank(code.membership_check) == code.n - code.payload_bits
         assert self._accepted(code) == self._crc_codebook(code, crc)
-        assert code.column_masks == column_ints(code.membership_check)
 
     def test_full_rate_code_checks_the_crc_alone(self):
         crc = CrcSpec("1011")
