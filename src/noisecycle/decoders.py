@@ -29,16 +29,19 @@ decode at query 1 together; the others are ordered stably by reliability
 and go to one search call:
 
 * SGRANDAB enumerates flip sets in nondecreasing sum of flipped |LLR| by
-  successor expansion, in the order a priority queue pops them (the
-  record rule of ``SgrandabDecoder``), so an accepted answer is a
-  maximum-likelihood decoding.  It searches a call's rows together in
-  score rounds.  A round sets each row's limit near the K-th smallest
-  score of its frontier, K doubling each round, expands every set within
-  it generation by generation, each set carrying its syndrome and flip
-  set as ``uint64`` words, places them in pop order and drops them.  A
-  row's frontier is O(its queries); a group of rows whose frontier and
-  next round would pass ``_GROUP_WORDS`` words goes on in two halves, and
-  a row alone takes a round that fits.
+  successor expansion, in the order a priority queue pops them (see
+  ``SgrandabDecoder``), so an accepted answer is a maximum-likelihood
+  decoding.  It searches a call's rows together in score rounds.  A
+  round sets each row's limit near the K-th smallest score of its
+  frontier, K doubling each round, expands every set within it
+  generation by generation, each set carrying its syndrome and flip set
+  as ``uint64`` words, sorts them by score and drops them.  A row's
+  frontier is O(its queries), and a round holds O(its roots) sets; a
+  group of rows whose frontier and next round would pass
+  ``_GROUP_WORDS`` words goes on in two halves.  A row whose round
+  breaks the score order, where a score falls below or ties another, or
+  whose round outgrows its roots, as tied reliabilities make it, is
+  searched again by the queue itself, which holds O(cap) sets.
 * ORBGRAND (Duffy, ICASSP 2021) ranks positions by ascending |LLR| (rank 1
   = least reliable, ties by position) and sweeps flip sets in nondecreasing
   logistic weight, the sum of flipped ranks; equal-weight sets are ordered
@@ -84,6 +87,7 @@ across processes rather than threads.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, fields
@@ -552,6 +556,15 @@ def _concat(parts: Sequence[_Nodes]) -> _Nodes:
     return _Nodes(*map(np.concatenate, zip(*parts)))
 
 
+def _children(nodes: _Nodes, kids: np.ndarray, kid_score: np.ndarray, step: np.ndarray) -> _Nodes:
+    """Child j >> 1 of ``nodes`` for each j of ``kids``, grown if j is even
+    and slid if odd, at its score ``kid_score[j]``: XORing in ``step[2 at]``
+    or ``step[2 at + 1]``."""
+    parent = kids >> 1
+    at = nodes.at[parent]
+    return _Nodes(at + 1, kid_score[kids], nodes.words[parent] ^ step[2 * at + (kids & 1)])
+
+
 def _row_order(row: np.ndarray, score: np.ndarray, small: np.dtype) -> np.ndarray:
     """An order by row, then score: a quicksort of the scores, then a
     stable sort, a radix sort, of the rows as ``small`` ints."""
@@ -559,65 +572,70 @@ def _row_order(row: np.ndarray, score: np.ndarray, small: np.dtype) -> np.ndarra
     return by_score[np.argsort(row.astype(small)[by_score], kind="stable")]
 
 
-def _expand(roots: _Nodes, limit: np.ndarray, succ: np.ndarray, reliab: np.ndarray,
-            step: np.ndarray):
+def _expand(roots: _Nodes, limit: np.ndarray, room: np.ndarray, n: int, succ: np.ndarray,
+            reliab: np.ndarray, step: np.ndarray):
     """One round's sets: ``roots`` and, generation by generation, every
     descendant whose path scores no more than ``limit[at]``.  A set at
     ``at`` grows by ``succ[at]`` (NaN past the last index), then slides by
-    ``-reliab[at]``, XORing in ``step[2 at]`` or ``step[2 at + 1]``.
-    Returns the round's sets, roots first, each generation's size, and
-    their children's scores: child j, grown if j is even, is set j >> 1's."""
-    parts, scores, nodes = [roots], [], roots
+    ``-reliab[at]``.  Once the round would hold more than ``room.sum()``
+    sets, the rows past their own ``room[row]`` stop growing.  Returns the
+    round's sets, roots first; their children's scores, child j being set
+    j >> 1's; which children are the sets after the roots; and the rows
+    that stopped."""
+    parts, scores, born, nodes = [roots], [], [], roots
+    over = np.zeros(len(room), dtype=bool)
+    held, total = len(roots.at), int(room.sum())
+    before = 0  # sets in the generations before ``nodes``
     while True:
-        with np.errstate(over="ignore"):  # scores past the float range are +inf, as the heap's
+        with np.errstate(over="ignore"):  # scores past the float range are +inf, as a queue's
             grow = nodes.score + succ[nodes.at]
         score = np.empty((len(grow), 2))
         score[:, 0] = grow
         np.subtract(grow, reliab[nodes.at], out=score[:, 1])
-        scores.append(score)
+        scores.append(score.ravel())
         kept = np.flatnonzero(score <= limit[nodes.at, None])
+        if held + kept.size > total:
+            row = nodes.at[kept >> 1] // n
+            sets = np.concatenate([part.at // n for part in parts] + [row])
+            over |= np.bincount(sets, minlength=len(room)) > room
+            kept = kept[~over[row]]
         if not kept.size:
             break
-        parent = kept >> 1
-        at = nodes.at[parent]
-        nodes = _Nodes(at + 1, score.ravel()[kept], nodes.words[parent] ^ step[2 * at + (kept & 1)])
+        held += kept.size
+        born.append(2 * before + kept)
+        before += len(nodes.at)
+        nodes = _children(nodes, kept, scores[-1], step)
         parts.append(nodes)
-    return _concat(parts), [len(part.at) for part in parts], np.concatenate(scores).ravel()
+    born = np.concatenate(born) if born else np.zeros(0, dtype=np.intp)
+    return _concat(parts), np.concatenate(scores), born, over
 
 
-def _pop_ranks(row, score, parent, slid, seq, gen, popped) -> np.ndarray:
-    """Each set's place, from 0, among its row's sets in pop order, by the
-    record rule, for the sets of one round of some rows: listed generation
-    by generation, with their parents among them (-1 for a root, whose
-    ``seq`` is given) and slides; ``popped[row]`` counts the row's earlier
-    pops.  A set's seq needs its parent's place, so the places of
-    generations 0..g are found for g = 0, 1, ... in turn, each pass reading
-    the parents' places from the one before, which it keeps in order."""
-    count, last = len(row), int(gen.max())
-    # each set's records: indices into the sets, scores strictly falling, itself last
-    records = np.full((count, 1), -1, dtype=np.intp)
-    records[gen == 0, 0] = np.flatnonzero(gen == 0)
-    for g in range(1, last + 1):
-        nodes = np.flatnonzero(gen == g)
-        above = records[parent[nodes]]
-        keep = (above >= 0) & (score[above] > score[nodes, None])
-        depth = keep.sum(axis=1)
-        if depth.max() == records.shape[1]:
-            records, above, keep = (np.pad(a, ((0, 0), (0, 1)), constant_values=pad)
-                                    for a, pad in ((records, -1), (above, -1), (keep, False)))
-        records[nodes] = np.where(keep, above, -1)
-        records[nodes, depth] = nodes
-    rank, born, seq = np.zeros(count, dtype=np.int64), np.flatnonzero(parent >= 0), seq.copy()
-    for g in range(last + 1):
-        seq[born] = 2 * (popped[row[born]] + rank[parent[born]]) + slid[born] + 1
-        sofar = np.flatnonzero(gen <= g)
-        keys = [row[sofar]]
-        for col in records[sofar].T:  # a shorter list first: pads below any key
-            keys += [np.where(col < 0, -np.inf, score[col]), np.where(col < 0, -1, seq[col])]
-        o = sofar[np.lexsort(keys[::-1])]
-        starts = np.flatnonzero(np.diff(row[o], prepend=-1))
-        rank[o] = np.arange(len(o)) - np.repeat(starts, np.diff(starts, append=len(o)))
-    return rank
+def _queue_search(masks: list[int], reliab: list[float], syndrome: int, cap: int):
+    """(queries spent, flip set) of one row's first hit, popping a
+    priority queue of (score, seq, flip set, syndrome); (queries, None)
+    when the cap runs out first.  ``masks`` are the columns in reliability
+    order as ints, ``syndrome`` the hard decision's, query 1."""
+    n = len(reliab)
+    queue = [(reliab[0], 0, (0,), syndrome ^ masks[0])]
+    queries, seq = 1, 1
+    while queries < cap:  # the all-zero codeword's flip set pops before the queue empties
+        score, _, flips, syndrome = heapq.heappop(queue)
+        queries += 1
+        t = flips[-1]
+        if t + 1 < n:
+            grow = score + reliab[t + 1]
+            heapq.heappush(queue, (grow, seq, flips + (t + 1,), syndrome ^ masks[t + 1]))
+            heapq.heappush(queue, (grow - reliab[t], seq + 1, flips[:-1] + (t + 1,),
+                                   syndrome ^ masks[t + 1] ^ masks[t]))
+            seq += 2
+        if syndrome == 0:
+            return queries, flips
+    return queries, None
+
+
+# sets that one root of a SGRANDAB round may bring into it, popped or pushed;
+# a row that brings more once the round as a whole has goes to the queue
+_ROUND_SETS = 12
 
 
 @dataclass(frozen=True)
@@ -629,33 +647,69 @@ class SgrandabDecoder(_GuessingDecoder):
     index one step up, which reaches every nonempty set once.  A child
     scores its parent's score plus the reliability it adds, then less the
     one a slide drops, in that float order.  Sets are queried in the order
-    a priority queue keyed by (score, seq) pops them, where seq orders a
-    set by its parent's pop, a grown set before a slid one.  A child never
-    scores below its parent in exact arithmetic, but a slid set can round
-    below it, and the queue then pops it at once.  So the rule is the
-    record rule: sets pop in lexicographic order of the suffix-maximum
-    records of the (score, seq) keys along their paths from {0} (the
-    largest key, then the largest after it, and so on to the set's own,
-    a list before its extensions).  Where no score falls or ties along a
-    path or ties across paths, that is the order of scores.
+    a priority queue keyed by (score, seq) pops them, where seq counts
+    pushes, a grown child before its slid sibling.  A child never scores
+    below its parent in exact arithmetic, so while no score falls below or
+    ties its parent's, or ties another's, that order is ascending score,
+    which the score rounds of ``_search`` produce.  With tied or near-tied
+    reliabilities, a slid set can round below its parent and the queue pops
+    it at once, and tied sets pop by seq.  A row where a round meets either,
+    or outgrows its roots, as tied scores make it, is searched again from
+    the start by the queue itself, which holds O(``max_queries``) sets.
     """
 
     def _search(self, code: CodeSpec, order: np.ndarray, reliab: np.ndarray,
                 base: np.ndarray):
-        """Each row's queries spent and the (row, position) pairs to flip,
-        in score rounds over all rows.  A round sets each live row's limit
-        to the ``want``-th smallest score of its frontier, pops every set
-        whose path stays within it and places them by the record rule, a
-        sort by score unless scores fall or tie; ``want`` doubles each
-        round.  A row leaves at its first zero syndrome within the cap, or
-        at the cap.  A group of rows whose frontier and next round would
-        pass ``_GROUP_WORDS`` goes on in two halves, and a row alone takes
-        a round that fits."""
+        """Each row's queries spent and the (row, position) pairs to flip.
+        Query 2 flips {0}, the queue's first pop, in every row; the rows it
+        does not decode go on in rounds (``_rounds``), and the rows the
+        rounds give up are searched by the queue (``_queue_search``)."""
         (rows, n), cap = order.shape, self.max_queries
-        checks, small = base.shape[1], np.min_scalar_type(rows)
-        width = checks + -(-n // 64)
         queries = np.full(rows, cap, dtype=np.int64)
-        at, flips = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+        words = base ^ code.column_words[order[:, 0]]
+        rest = words.any(axis=1)
+        hit = np.flatnonzero(~rest) if cap > 1 else np.zeros(0, dtype=np.intp)
+        queries[hit] = 2
+        at, flips, queue = [hit], [order[hit, 0]], hit[:0]
+        if cap > 2 and rest.any():
+            live = np.flatnonzero(rest)
+            got, hit, pos, queue = self._rounds(code, order[live], reliab[live], words[live])
+            queries[live] = got
+            at.append(live[hit])
+            flips.append(order[live[hit], pos])
+            queue = live[queue]
+        if queue.size:
+            masks = [int.from_bytes(w.astype("<u8").tobytes(), "little")
+                     for w in code.column_words[:n]]
+            for row in queue.tolist():
+                start = int.from_bytes(base[row].astype("<u8").tobytes(), "little")
+                queries[row], hit = _queue_search([masks[p] for p in order[row].tolist()],
+                                                  reliab[row].tolist(), start, cap)
+                if hit is not None:
+                    at.append(np.full(len(hit), row))
+                    flips.append(order[row, list(hit)])
+        return queries, (np.concatenate(at), np.concatenate(flips))
+
+    def _rounds(self, code: CodeSpec, order: np.ndarray, reliab: np.ndarray,
+                words: np.ndarray):
+        """The search of the rows that {0}, query 2, left with syndromes
+        ``words``, in score rounds over all of them: each row's queries, the
+        (row, index) pairs to flip, and the rows left to the queue.
+
+        A round sets each live row's limit to the ``want``-th smallest
+        score of its frontier, pops every set whose path stays within it,
+        in order of score, and pushes their other children; ``want`` doubles
+        each round.  A row leaves at its first zero syndrome within the
+        cap, or at the cap.  It leaves for the queue at a round where a
+        score falls or ties, or where it brings more than ``_ROUND_SETS``
+        sets a root once the round as a whole has, so a round holds at most
+        twice that many sets a root, and a row alone at most that many.  A
+        group of rows whose frontier and next round would pass
+        ``_GROUP_WORDS`` goes on in two halves, and a row alone takes fewer
+        roots."""
+        (rows, n), cap = order.shape, self.max_queries
+        checks, small = words.shape[1], np.min_scalar_type(rows)
+        width = checks + -(-n // 64)
         index = np.arange(n)
         unit = np.zeros((rows, n, width), dtype=np.uint64)  # index t of a row's order as words
         unit[..., :checks] = code.column_words[order]
@@ -666,92 +720,76 @@ class SgrandabDecoder(_GuessingDecoder):
         step[:, :-1, 0] = unit[:, 1:]
         step[:, :-1, 1] = unit[:, 1:] ^ unit[:, :-1]
         step = step.reshape(-1, width)
-        words = unit[:, 0].copy()
-        words[:, :checks] ^= base
+        start = np.concatenate([words, unit[:, 0, checks:]], axis=1)
         del unit
         flat = reliab.ravel()
         succ = np.concatenate([reliab[:, 1:], np.full((rows, 1), np.nan)], axis=1).ravel()
-        popped = np.zeros(rows, dtype=np.int64)  # each row's pops before the round
+        # the frontier starts as the children of {0}, query 2
+        zero = _Nodes(np.arange(rows) * n, reliab[:, 0], start)
+        with np.errstate(over="ignore"):
+            grow = zero.score + succ[zero.at]
+        kid_score = np.stack([grow, grow - zero.score], axis=1).ravel()
+        queries = np.full(rows, cap, dtype=np.int64)
+        at, flips = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+        popped = np.ones(rows, dtype=np.int64)  # each row's pops before the round
         want = np.ones(rows, dtype=np.int64)
-        # a set of the frontier, pushed and not popped, carries its seq: 0 for {0},
-        # 2 g + 1 grown and 2 g + 2 slid, its parent having been its row's pop g
-        start = _Nodes(np.arange(rows) * n, reliab[:, 0].copy(), words)
-        groups = [(np.arange(rows), start, np.zeros(rows, dtype=np.int64))] if cap > 1 else []
+        queue = np.zeros(rows, dtype=bool)
+        groups = [(np.arange(rows), _children(zero, np.flatnonzero(kid_score == kid_score),
+                                               kid_score, step))]
         while groups:
-            live, frontier, seq = groups.pop()
+            live, frontier = groups.pop()
             while live.size:
-                o = _row_order(frontier.at // n, frontier.score, small)
-                frontier, seq = frontier.take(o), seq[o]
+                frontier = frontier.take(_row_order(frontier.at // n, frontier.score, small))
                 first = np.searchsorted(frontier.at, live * n)
-                take = np.minimum(want[live], np.diff(first, append=len(seq)))
-                # in words: a frontier set is width + 3; a root brings its round
-                # about 4 sets to pop and 5 children to push
-                if (len(seq) + 12 * int(take.sum())) * (width + 3) > _GROUP_WORDS:
+                take = np.minimum(want[live], np.searchsorted(frontier.at, live * n + n) - first)
+                # in words: a frontier set is width + 3
+                if (len(frontier.at) + _ROUND_SETS * int(take.sum())) * (width + 3) > _GROUP_WORDS:
                     if live.size > 1:
                         half, cut = live.size // 2, first[live.size // 2]
-                        groups += [(live[half:], frontier.take(slice(cut, None)), seq[cut:]),
-                                   (live[:half], frontier.take(slice(cut)), seq[:cut])]
+                        groups += [(live[half:], frontier.take(slice(cut, None))),
+                                   (live[:half], frontier.take(slice(cut)))]
                         break
-                    take = np.minimum(take, max(1, _GROUP_WORDS // (12 * (width + 3))))
-                limit = np.full(rows, -np.inf)
-                limit[live] = frontier.score[first + take - 1]
+                    take = np.minimum(take, max(1, _GROUP_WORDS // (_ROUND_SETS * (width + 3))))
+                limit, room = np.full(rows, -np.inf), np.zeros(rows, dtype=np.int64)
+                limit[live], room[live] = frontier.score[first + take - 1], _ROUND_SETS * take
                 limit = np.repeat(limit, n)  # by at
                 roots = frontier.score <= limit[frontier.at]
-                nodes, sizes, kid_score = _expand(frontier.take(roots), limit, succ, flat, step)
-                root_seq, frontier, seq = seq[roots], frontier.take(~roots), seq[~roots]
-                # the round's sets after the roots are the children within the limit
-                inside = kid_score <= np.repeat(limit[nodes.at], 2)
-                born = np.flatnonzero(inside)
-                row = nodes.at // n
-                # each set's place among its row's pops this round: by score, unless
-                # a score falls or ties along a path or ties across paths
-                o = _row_order(row, nodes.score, small)
+                nodes, kid_score, born, over = _expand(frontier.take(roots), limit, room, n,
+                                                       succ, flat, step)
+                row, head = nodes.at // n, len(nodes.at) - len(born)  # the roots come first
+                o = _row_order(row, nodes.score, small)  # the round's pop order, row by row
                 srow, sscore = row[o], nodes.score[o]
-                begin = np.zeros(rows, dtype=np.int64)
-                begin[live] = np.searchsorted(srow, live)
-                rank = np.empty(len(o), dtype=np.int64)
-                rank[o] = np.arange(len(o)) - begin[srow]
-                tied = np.flatnonzero((srow[1:] == srow[:-1]) & (sscore[1:] == sscore[:-1]))
-                fell = born[nodes.score[sizes[0]:] <= nodes.score[born >> 1]] >> 1
-                hard = np.zeros(rows, dtype=bool)
-                hard[srow[tied]] = hard[row[fell]] = True
-                if hard.any():
-                    mine = np.flatnonzero(hard[row])
-                    local = np.full(len(o) + 1, -1)
-                    local[mine] = np.arange(len(mine))
-                    parent = np.concatenate([np.full(sizes[0], -1), born >> 1])
-                    slid = np.concatenate([np.zeros(sizes[0], dtype=np.intp), born & 1])
-                    known = np.zeros(len(o), dtype=np.int64)
-                    known[:sizes[0]] = root_seq
-                    gen = np.repeat(np.arange(len(sizes)), sizes)
-                    rank[mine] = _pop_ranks(row[mine], nodes.score[mine], local[parent[mine]],
-                                            slid[mine], known[mine], gen[mine], popped)
+                # a row where a score falls or ties, or whose round passed its room,
+                # goes to the queue
+                queue |= over
+                queue[srow[1:][(srow[1:] == srow[:-1]) & (sscore[1:] == sscore[:-1])]] = True
+                queue[row[head:][nodes.score[head:] <= nodes.score[born >> 1]]] = True
                 # each row's first hit in pop order counts if it is within the cap
-                hit = np.flatnonzero(~nodes.words[:, :checks].any(axis=1))
-                hit = hit[np.lexsort((rank[hit], row[hit]))]
-                hit = hit[np.diff(row[hit], prepend=-1) != 0]
-                within = hit[popped[row[hit]] + rank[hit] <= cap - 2]
-                done = row[within]
-                queries[done] = popped[done] + rank[within] + 2
-                i, t = np.nonzero(np.unpackbits(nodes.words[within, checks:].view(np.uint8),
+                pos = np.flatnonzero(~nodes.words[o, :checks].any(axis=1) & ~queue[srow])
+                hrow = srow[pos]
+                lead = np.ones(len(pos), dtype=bool)  # a row's first hit
+                lead[1:] = hrow[1:] != hrow[:-1]
+                pos, hrow = pos[lead], hrow[lead]
+                place = popped[hrow] + pos - np.searchsorted(srow, hrow)  # pops before the hit
+                within = place <= cap - 2
+                done = hrow[within]
+                queries[done] = place[within] + 2
+                i, t = np.nonzero(np.unpackbits(nodes.words[o[pos[within]], checks:].view(np.uint8),
                                                 axis=1, bitorder="little")[:, :n])
                 at.append(done[i])
-                flips.append(order[done[i], t])
-                # the children above the limit join the frontier, seq from the parent's place
-                out = np.flatnonzero(~inside & (kid_score == kid_score))  # not NaN
-                parent = out >> 1
-                kids = _Nodes(nodes.at[parent] + 1, kid_score[out],
-                              nodes.words[parent] ^ step[2 * nodes.at[parent] + (out & 1)])
-                seq = np.concatenate([seq, 2 * (popped[row[parent]] + rank[parent]) + (out & 1) + 1])
+                flips.append(t)
+                # the popped sets' other children join the frontier
+                inside = np.zeros(len(kid_score), dtype=bool)
+                inside[born] = True
+                out = np.flatnonzero(~inside & (kid_score == kid_score))
+                frontier = _concat([frontier.take(~roots), _children(nodes, out, kid_score, step)])
                 popped += np.bincount(row, minlength=rows)
-                left = popped < cap - 1
-                left[row[hit]] = False
+                left = (popped < cap - 1) & ~queue
+                left[hrow] = False
                 live = live[left[live]]
-                frontier = _concat([frontier, kids])
-                stay = left[frontier.at // n]
-                frontier, seq = frontier.take(stay), seq[stay]
+                frontier = frontier.take(left[frontier.at // n])
                 want[live] = np.minimum(2 * want[live], cap - 1 - popped[live])
-        return queries, (np.concatenate(at), np.concatenate(flips))
+        return queries, np.concatenate(at), np.concatenate(flips), np.flatnonzero(queue)
 
 
 # ---------------------------------------------------------------------------

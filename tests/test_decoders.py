@@ -462,6 +462,36 @@ class TestSgrandabAgainstTheHeap:
         assert (queries[::3] == 2).all() and (queries == 50).sum() > 10
         self._check(code, order, reliab, base, caps=(50, 400))
 
+    def test_rounds_stay_within_the_cap_on_long_ties(self, rng, monkeypatch):
+        # at n = 128: 40 exact zeros, where 2^40 sets score 0; one |y| for every
+        # position, as a hard decision gives, where all sets of a size tie; and
+        # distinct values within 1e-9 of each other, whose sums tie or crowd a
+        # round past its room
+        code = sample_rlc(128, 100, seed=3)
+        reliab = np.empty((3, 128))
+        reliab[0] = np.sort(np.concatenate([np.zeros(40), rng.exponential(size=88)]))
+        reliab[1] = 2.0
+        reliab[2] = np.sort(1.0 + 1e-9 * rng.random(128))
+        order, reliab, base = self._rows(code, rng, reliab)
+        sets, queued = [], []
+        expand, queue = decoders._expand, decoders._queue_search
+
+        def counted(*args):
+            out = expand(*args)
+            sets.append(len(out[0].at))
+            return out
+
+        monkeypatch.setattr(decoders, "_expand", counted)
+        monkeypatch.setattr(decoders, "_queue_search", lambda *args: queued.append(
+            args[1][0]) or queue(*args))
+        for cap in (3, 40, 2000):
+            for row in range(len(order)):  # a lone row's round holds _ROUND_SETS sets a root
+                sets.clear()
+                self._check(code, *(a[row:row + 1] for a in (order, reliab, base)), caps=(cap,))
+                assert max(sets, default=0) <= decoders._ROUND_SETS * cap
+            self._check(code, order, reliab, base, caps=(cap,))
+        assert sorted(set(queued)) == sorted(set(reliab[:, 0]))  # every row ends in the queue
+
 
 class TestGroupSplits:
     """Both guessing searches split a group of rows in two when it would
@@ -472,7 +502,7 @@ class TestGroupSplits:
     def test_forced_splits_change_no_output(self, decoder, rng, monkeypatch):
         code = sample_rlc(64, 46, seed=31, crc=CrcSpec("100000111"))  # the C6 code
         y = 1.0 + 0.55 * rng.normal(size=(40, 64))  # the all-zero word: every depth
-        y[:8] = np.round(8 * y[:8]) / 8  # scores that tie: SGRANDAB reads seqs
+        y[:8] = np.round(8 * y[:8]) / 8  # tied scores: SGRANDAB's queue searches these
         variances = np.full(40, 0.3025)
         # ORBGRAND walks the chunks once a group; a SGRANDAB round holds one group's rows
         groups = []
