@@ -11,8 +11,8 @@ frozen dataclasses whose fields are their configuration,
 ``OrbgrandDecoder(max_queries)``, ``SgrandabDecoder(max_queries)`` and
 ``BpDecoder(max_iters=50)``; each rejects a limit below 1 when built.  They
 share one frame: ``decode_batch`` checks its input once (finite (B, n)
-``received``, finite positive (B,) ``variances``, and LLRs that do not
-overflow), takes the LLRs of all rows at once (the definition of
+``received``, finite positive (B,) ``variances``, and LLRs and noise NLLs
+that cannot overflow), takes the LLRs of all rows at once (the definition of
 :func:`llrs`), the decoder turns them into a status code, a query count
 and a word per row, and the frame adds the noise NLLs; ``decode`` is a
 batch of one.
@@ -209,7 +209,7 @@ def _llrs(received: np.ndarray, variances: np.ndarray) -> np.ndarray:
 def _checked_batch(code: CodeSpec, received, variances):
     """``received`` as finite (B, code.n) floats, ``variances`` as finite,
     positive (B,) floats and their finite LLRs, or ``ValueError`` naming
-    the field."""
+    the field; rows whose noise NLL could overflow are rejected too."""
     received, variances = np.asarray(received, dtype=float), np.asarray(variances, dtype=float)
     if received.ndim != 2 or received.shape[1] != code.n:
         raise ValueError(f"received must be (B, {code.n}), got shape {received.shape}")
@@ -221,10 +221,12 @@ def _checked_batch(code: CodeSpec, received, variances):
         raise ValueError("variances must be finite and positive")
     with np.errstate(over="ignore"):
         llr = _llrs(received, variances)
-    if llr.size and not (np.isfinite(llr.max()) and np.isfinite(llr.min())):
-        overflow = np.flatnonzero(~np.isfinite(llr).all(axis=1))
-        raise ValueError(f"received and variances give LLRs 2 y / variance that overflow, "
-                         f"in row(s) {overflow[:5].tolist()}")
+        # bounds the noise NLL's sum(z^2) / (2 variance), as |z| <= |y| + 1
+        nll_bound = np.square(np.abs(received) + 1.0).sum(axis=1) / (2.0 * variances)
+    finite = np.isfinite(llr).all(axis=1) & np.isfinite(nll_bound)
+    if not finite.all():
+        raise ValueError(f"received and variances give LLRs 2 y / variance or noise NLLs "
+                         f"that overflow, in row(s) {np.flatnonzero(~finite)[:5].tolist()}")
     return received, variances, llr
 
 

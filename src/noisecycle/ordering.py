@@ -6,7 +6,7 @@ effective SNR channel j would see when recycling channel i's noise
 estimate.  A maximum-weight arborescence rooted at the zero node therefore
 maximizes the total effective SNR over all single-decode orders; its BFS
 traversal is the decode order, ``RecyclingPlan.order``.  :func:`plan_for`
-is the one place a pipeline's static plan is built.
+is the one place a pipeline's plans are built, each dynamic lead's too.
 
 Node ids follow the graph convention: node 0 is the zero node and node j
 (1-based) is channel j, i.e. channel index j - 1 elsewhere in the package.

@@ -9,8 +9,9 @@ batch of one:
 
 * independent: every channel once, from its raw output;
 * static: in the plan's order, each channel recycling its plan parent;
-* dynamic: every channel from its raw output, then outward from the most
-  confident one, each channel recycling its inward neighbour;
+* dynamic: every channel from its raw output, then the others in the order
+  of the plan that the most confident one leads, ``plan_for(model, lead)``,
+  each recycling its plan parent;
 * re-recycling (static or dynamic): one more decode of the lead, recycling
   the plan child most correlated with it (static) or the most confident
   non-lead (dynamic).
@@ -55,7 +56,7 @@ from .channel import ChannelModel, ChannelOutput, modulate_bpsk
 from .decoders import (ABANDONED, DECODED, METRICS, DecodeOutcome, DecodeRecord,
                        SoftBlock, confidences)
 from .gf2 import CodeSpec
-from .ordering import RecyclingPlan
+from .ordering import RecyclingPlan, plan_for
 from .recycling import effective_variance, estimate_noise, llse_update
 
 __all__ = ["PipelineConfig", "BlockResult", "check_model", "run_block", "run_batch"]
@@ -231,22 +232,21 @@ def run_batch(config: PipelineConfig, received: np.ndarray, sent: np.ndarray,
     and ``sent`` the codewords behind them, which only the correctness
     flags and the genie read.
 
-    Dynamic mode leads each block with its most confident decoding (lowest
-    metric value, ties to the lowest channel index) and re-decodes the
-    others outward from it in index distance (lead+1, lead-1, lead+2, ...).
-    A block with every channel undecoded has no lead and nothing is
-    re-decoded.  Each distance is one call per target channel, in
-    descending index order, over the blocks that reach it at that distance;
-    re-recycling is one call per lead channel.
+    Each row walks its plan's decode order: ``config.plan`` from the first
+    channel (static), or, after every channel is decoded raw, the plan
+    forced to the most confident decoding (lowest metric value, ties to the
+    lowest index) from the second (dynamic); a block with no channel
+    decoded has no lead and is not re-decoded.  Each position is one call
+    per channel, in ascending order, over the rows whose plan puts that
+    channel there; re-recycling is one call per lead channel.
     """
     check_model(config, model)
     m = model.m
     batch = _Batch(received, sent, codes, decoders, model, config.genie)
     every = np.arange(len(received))
     if config.mode == MODE_STATIC:
-        for ch in config.plan.order:
-            batch.decode(ch - 1, every, config.plan.parent_of(ch) - 1)
         batch.lead[:] = config.plan.order[0] - 1
+        plans, start = {config.plan.order[0] - 1: config.plan}, 0
     else:
         for j in range(m):
             batch.decode(j, every)
@@ -255,10 +255,17 @@ def run_batch(config: PipelineConfig, received: np.ndarray, sent: np.ndarray,
         conf = batch.confidence(config.confidence_metric)
         led = (conf < math.inf).any(axis=1)
         batch.lead[led] = conf[led].argmin(axis=1)
-        for step in range(1, m):
-            for j in range(m - 1, -1, -1):
-                rows = every[led & (np.abs(j - batch.lead) == step)]
-                batch.decode(j, rows, np.where(batch.lead[rows] < j, j - 1, j + 1))
+        plans = {lead: plan_for(model, lead + 1) for lead in set(batch.lead[led].tolist())}
+        start = 1
+    # [lead, position] -> channel, [lead, channel] -> parent; lead -1 walks nothing
+    order, parent = np.full((2, m + 1, m), -1)
+    for lead, plan in plans.items():
+        order[lead], parent[lead] = np.subtract(plan.order, 1), np.subtract(plan.parent, 1)
+    at = order[batch.lead]
+    for position in range(start, m):
+        for j in range(m):
+            rows = every[at[:, position] == j]
+            batch.decode(j, rows, parent[batch.lead[rows], j])
     if config.rerecycle:
         feedback = _feedback(config, batch)
         go = (feedback >= 0) & batch.usable[every, feedback]

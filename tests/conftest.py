@@ -268,6 +268,13 @@ def fig2_model() -> ChannelModel:
                         corr=corr)
 
 
+# the README's explicit channel model: with channel 1 leading, channel 3's
+# best parent is channel 1 (rho 0.8), not its index neighbour channel 2
+README_MODEL = {"m": 3, "mode": "explicit",
+                "corr": [[1, 0.6, 0.8], [0.6, 1, 0.4], [0.8, 0.4, 1]],
+                "sigma2": [1.0, 1.2, 0.8], "power": 1.0}
+
+
 @dataclass
 class PerfectDecoder:
     """Always returns the codeword it was built with, in one query."""

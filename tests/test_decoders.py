@@ -854,6 +854,9 @@ class TestDecoderContracts:
         # finite, but 2 y / variance overflows: decoding ran on infinite LLRs, and
         # SGRANDAB's slid scores were inf - inf
         (np.array([[0.5] * 24, [2e10] + [0.5] * 23]), [1.0, 1e-300], "received and variances"),
+        # finite LLRs, but the noise NLL's sum(z^2) overflows: a decoded row
+        # reported noise_nll = inf, which the noise_nll lead choice reads as failed
+        (np.array([[0.5] * 24, [-1e200, 1e200] * 12]), [1.0, 1.0], "received and variances"),
     ])
     def test_batch_input_checked(self, decoder, received, variances, field):
         code = sample_regular_ldpc(24, 3, 6, seed=1)

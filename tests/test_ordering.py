@@ -313,3 +313,18 @@ class TestPlanFor:
     def test_pinned_parents_length_checked(self):
         with pytest.raises(ValueError):
             plan_for(fig2_model(), parents=(0, 1))
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_gauss_markov_forced_lead_plans_are_outward_chains(self, m):
+        # where correlation decays with index distance, the tree a dynamic
+        # lead's block follows recycles each channel's inward neighbour
+        rng = np.random.default_rng(m)
+        for rho in (0.2, 0.6, 0.9):
+            gm = build_gm_model(m, rho, 1.0)
+            unequal = ChannelModel(m=m, sigma2=10 ** rng.uniform(-0.3, 0.3, m),
+                                   power=np.ones(m), corr=gm.corr)
+            for model in (gm, unequal):
+                for lead in range(1, m + 1):
+                    chain = tuple(0 if j == lead else j - 1 if j > lead else j + 1
+                                  for j in range(1, m + 1))
+                    assert plan_for(model, forced_lead=lead).parent == chain, (rho, lead)

@@ -6,9 +6,13 @@ from noisecycle import (ChannelModel, NoiseEstimate, OrbgrandDecoder,
                         effective_variance, encode, llse_update,
                         max_arborescence, modulate_bpsk, run_block,
                         sample_noise, sample_rlc, transmit)
-from noisecycle.ordering import RecyclingPlan
+from noisecycle.configio import load_channel_model
+from noisecycle.decoders import DECODED, DecodeRecord
+from noisecycle.ordering import RecyclingPlan, plan_for
 from noisecycle.pipeline import run_batch
-from conftest import FailingDecoder, PerfectDecoder, RecordingDecoder, fig2_model
+from noisecycle.recycling import normalized_corr
+from conftest import (README_MODEL, FailingDecoder, PerfectDecoder, RecordingDecoder,
+                      fig2_model)
 
 INDEPENDENT = PipelineConfig(mode="independent")
 DYNAMIC_Q = PipelineConfig(mode="dynamic", confidence_metric="query_count")
@@ -161,11 +165,12 @@ class TestDynamicRecycling:
         decoders = [Tagger(0, 50), Tagger(1, 1), Tagger(2, 50)]
         result = run_block(DYNAMIC_Q, outputs, codes, decoders, model)
         assert result.lead_channel == 1
-        # phase 1 hits 0,1,2; then outward from the lead: 2 first, then 0
-        assert [i for i, _ in log] == [0, 1, 2, 2, 0]
+        # phase 1 hits 0,1,2; then the lead's plan, on a Gauss-Markov chain
+        # outward from the lead: its children 0 and 2, in ascending order
+        assert [i for i, _ in log] == [0, 1, 2, 0, 2]
         est1 = outputs.received[1] - modulate_bpsk(cws[1])
-        assert np.allclose(log[3][1].received, outputs.received[2] - 0.7 * est1)
-        assert np.allclose(log[4][1].received, outputs.received[0] - 0.7 * est1)
+        assert np.allclose(log[4][1].received, outputs.received[2] - 0.7 * est1)
+        assert np.allclose(log[3][1].received, outputs.received[0] - 0.7 * est1)
 
     def test_confidence_tie_breaks_to_lowest_index(self, rng):
         model = build_gm_model(2, 0.5, 1.0)
@@ -225,6 +230,75 @@ class TestDynamicRecycling:
         decoders = [FailingDecoder(), RecordingDecoder(cws[1], 999, [])]
         result = run_block(DYNAMIC_Q, outputs, codes, decoders, model)
         assert result.lead_channel == 1
+
+
+class ZeroWordDecoder:
+    """Decodes every row to the all-zero word in ``queries`` queries and logs
+    each ``decode_batch`` call as (channel, received, variances)."""
+
+    def __init__(self, channel, queries, log):
+        self.channel, self.queries, self.log = channel, queries, log
+
+    def decode_batch(self, code, received, variances):
+        self.log.append((self.channel, received.copy(), variances.copy()))
+        rows = len(received)
+        return DecodeRecord(np.full(rows, DECODED, dtype=np.int8),
+                            np.full(rows, self.queries), np.zeros((rows, code.n), np.uint8),
+                            np.zeros(rows))
+
+
+def random_explicit_model(rng, m):
+    a = rng.normal(size=(m, m))
+    cov = a @ a.T + 0.1 * np.eye(m)
+    scale = np.sqrt(np.diag(cov))
+    return ChannelModel(m=m, sigma2=10 ** rng.uniform(-0.3, 0.3, m), power=np.ones(m),
+                        corr=cov / np.outer(scale, scale))
+
+
+def dynamic_walk(model, lead, rng, n=16):
+    """The (channel, received, variances) log of one all-zero block whose
+    channel ``lead`` (0-based) decodes in the fewest queries, and its
+    channel outputs."""
+    m = model.m
+    received = 1.0 + sample_noise(model, n, rng).samples[None]
+    log: list = []
+    decoders = [ZeroWordDecoder(j, 1 if j == lead else 5, log) for j in range(m)]
+    batch = run_batch(DYNAMIC_Q, received, np.zeros((1, m, n), np.uint8),
+                      [sample_rlc(n, 11, seed=60)] * m, decoders, model)
+    assert batch.lead.tolist() == [lead]
+    return log, received[0]
+
+
+class TestDynamicTrees:
+    """After phase 1, a dynamic block follows its lead's plan,
+    ``plan_for(model, lead + 1)``: each other channel once, recycling its plan
+    parent, which has been decoded before it."""
+
+    @pytest.mark.parametrize("m", range(2, 6))
+    def test_each_channel_recycles_its_plan_parent(self, m):
+        rng = np.random.default_rng(70 + m)
+        for _ in range(5):
+            model = random_explicit_model(rng, m)
+            for lead in range(m):
+                log, y = dynamic_walk(model, lead, rng)
+                assert [j for j, *_ in log[:m]] == list(range(m))
+                walk = [j for j, *_ in log[m:]]
+                assert sorted(walk) == [j for j in range(m) if j != lead]
+                plan = plan_for(model, forced_lead=lead + 1)
+                for at, (j, received, variances) in enumerate(log[m:]):
+                    source = plan.parent_of(j + 1) - 1
+                    assert source == lead or source in walk[:at]
+                    assert variances.tolist() == [
+                        effective_variance(model.sigma2[j], model.corr[source, j])]
+                    assert np.allclose(received[0], y[j] - normalized_corr(model, source, j)
+                                       * (y[source] - 1.0))
+
+    def test_readme_model_channel_3_recycles_lead_channel_1(self, rng):
+        model = load_channel_model(README_MODEL)
+        log, y = dynamic_walk(model, 0, rng)
+        (received, variances), = [(r, v) for j, r, v in log[3:] if j == 2]
+        assert variances.tolist() == [effective_variance(0.8, 0.8)]
+        assert np.allclose(received[0], y[2] - normalized_corr(model, 0, 2) * (y[0] - 1.0))
 
 
 class TestDecodeAndEstimate:
@@ -362,8 +436,8 @@ class TestReRecycle:
                                 rerecycle=True)
         result = run_block(config, outputs, codes, decoders, model)
         assert result.lead_channel == 1
-        # phase 1, outward re-decodes, then the lead once more
-        assert [i for i, _ in log] == [0, 1, 2, 2, 0, 1]
+        # phase 1, the lead's plan (children 0 and 2), then the lead once more
+        assert [i for i, _ in log] == [0, 1, 2, 0, 2, 1]
         # channel 2 (3 queries) beats channel 0 (5); its estimate is taken
         # against its original output
         est2 = outputs.received[2] - modulate_bpsk(cws[2])
