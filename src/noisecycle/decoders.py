@@ -63,6 +63,10 @@ and go to one search call:
   numpy one weight at a time, and a chunk only when a search first reaches
   it, never past that search's query cap.
 
+Both searches share one working-set budget, ``_GROUP_WORDS``: 2^17 words,
+1 MiB a group.  It bounds their memory; within it, rows share numpy calls,
+whose fixed cost per call outweighs a small round's work.
+
 BpDecoder runs each sum-product iteration on a pool of at most 32 rows of
 a call (``_BP_ROWS``), the batch axis last, through the code's
 ``TannerLayout``.  A row that stops, or reaches the cap, frees its slot,
@@ -458,10 +462,12 @@ class _GuessingDecoder(_Decoder):
         return status, queries, hard
 
 
-# uint64 words that a group of guessing rows searching together may hold: an
-# ORBGRAND group's pair table or one chunk's syndromes, a SGRANDAB group's
-# frontier and next round; a larger group splits in two
-_GROUP_WORDS = 1 << 15
+# uint64 words, 1 MiB, that a group of guessing rows searching together may
+# hold: an ORBGRAND group's pair table or one chunk's syndromes, a SGRANDAB
+# group's frontier and next round; a larger group splits in two.  Each numpy
+# call costs microseconds whatever its size, so a smaller budget splits deep
+# rows into more, smaller calls
+_GROUP_WORDS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -589,8 +595,7 @@ def _expand(roots: _Nodes, limit: np.ndarray, room: np.ndarray, n: int, succ: np
     held, total = len(roots.at), int(room.sum())
     before = 0  # sets in the generations before ``nodes``
     while True:
-        with np.errstate(over="ignore"):  # scores past the float range are +inf, as a queue's
-            grow = nodes.score + succ[nodes.at]
+        grow = nodes.score + succ[nodes.at]
         score = np.empty((len(grow), 2))
         score[:, 0] = grow
         np.subtract(grow, reliab[nodes.at], out=score[:, 1])
@@ -675,7 +680,8 @@ class SgrandabDecoder(_GuessingDecoder):
         at, flips, queue = [hit], [order[hit, 0]], hit[:0]
         if cap > 2 and rest.any():
             live = np.flatnonzero(rest)
-            got, hit, pos, queue = self._rounds(code, order[live], reliab[live], words[live])
+            with np.errstate(over="ignore"):  # scores past the float range are +inf, as a queue's
+                got, hit, pos, queue = self._rounds(code, order[live], reliab[live], words[live])
             queries[live] = got
             at.append(live[hit])
             flips.append(order[live[hit], pos])
@@ -728,8 +734,7 @@ class SgrandabDecoder(_GuessingDecoder):
         succ = np.concatenate([reliab[:, 1:], np.full((rows, 1), np.nan)], axis=1).ravel()
         # the frontier starts as the children of {0}, query 2
         zero = _Nodes(np.arange(rows) * n, reliab[:, 0], start)
-        with np.errstate(over="ignore"):
-            grow = zero.score + succ[zero.at]
+        grow = zero.score + succ[zero.at]
         kid_score = np.stack([grow, grow - zero.score], axis=1).ravel()
         queries = np.full(rows, cap, dtype=np.int64)
         at, flips = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]

@@ -1,14 +1,15 @@
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from noisecycle import (BpDecoder, CodeSpec, CrcSpec, OrbgrandDecoder,
                         SgrandabDecoder, SoftBlock, confidence, crc_check,
-                        crc_encode, encode, llrs, ml_decode_bruteforce, modulate_bpsk,
-                        sample_regular_ldpc, sample_rlc, syndrome)
+                        crc_encode, ebn0_to_sigma2, encode, llrs, ml_decode_bruteforce,
+                        modulate_bpsk, sample_regular_ldpc, sample_rlc, syndrome)
 from noisecycle import decoders
 from noisecycle.decoders import _BP_ROWS, orbgrand_rank_patterns
 from noisecycle.gf2 import packed_syndromes
@@ -515,15 +516,38 @@ class TestGroupSplits:
         searched = sum(key[1] > 1 for key in want)
         assert len({key[1] for key in want}) > 10 and ("abandoned", 600) in {k[:2] for k in want}
         unsplit = len(groups)
-        for words in (1 << 11, 1):  # splits within the search, then at every step
+        # a quarter of the default, which this call may not reach; splits within
+        # the search; then splits at every step
+        for words in (1 << 15, 1 << 11, 1):
             monkeypatch.setattr(decoders, "_GROUP_WORDS", words)
             groups.clear()
             assert [outcome_key(out) for out in decoder.decode_batch(code, y, variances)] == want
+            if words == 1 << 15:
+                continue
             assert len(groups) > unsplit
             if isinstance(decoder, OrbgrandDecoder):
                 assert (len(groups) == 2 * searched - 1) == (words == 1)  # a group a row
             else:
                 assert (max(groups) == 1) == (words == 1)  # each round a row's alone
+
+    @pytest.mark.parametrize("code, decoder, ebn0", [
+        (sample_rlc(64, 46, seed=31, crc=CrcSpec("100000111")), SgrandabDecoder(8000), 3.9),
+        (sample_rlc(128, 110, seed=21), OrbgrandDecoder(40_000), 3.5),
+    ], ids=["c6-sgrandab", "c7-orbgrand"])
+    def test_batch_memory_within_budget(self, code, decoder, ebn0):
+        # a sweep's 128-row batch at the C6 and C7 points, caches warm: the
+        # group budget bounds what a call holds
+        sigma2 = ebn0_to_sigma2(ebn0, code.rate)
+        y = 1.0 + np.sqrt(sigma2) * np.random.default_rng(25).normal(size=(128, code.n))
+        variances = np.full(128, sigma2)
+        decoder.decode_batch(code, y, variances)
+        tracemalloc.start()
+        try:
+            decoder.decode_batch(code, y, variances)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * decoders._GROUP_WORDS * 8
 
 
 class TestOrbgrandDecode:
