@@ -59,12 +59,10 @@ class ChannelModel:
             raise ValueError("corr must have unit diagonal")
         if (np.abs(corr) > 1 + 1e-12).any():
             raise ValueError("correlations must lie in [-1, 1]")
-        sig = np.sqrt(sigma2)
-        cov = corr * np.outer(sig, sig)
         object.__setattr__(self, "sigma2", sigma2)
         object.__setattr__(self, "power", power)
         object.__setattr__(self, "corr", corr)
-        object.__setattr__(self, "_chol", _factor_covariance(cov))
+        object.__setattr__(self, "_chol", _factor_covariance(self.covariance))
 
     @property
     def covariance(self) -> np.ndarray:

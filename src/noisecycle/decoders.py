@@ -5,17 +5,19 @@ may add ``decode_batch(code, received, variances) -> DecodeRecord``, which
 decodes the rows of a (B, n) array exactly as ``decode`` would into one
 record of arrays: status codes into ``STATUSES``, query counts, words and
 noise NLLs.  A record has a length and reads row by row as
-``DecodeOutcome`` s.  The pipeline adapts an outside decoder without
-``decode_batch`` by calling ``decode`` row by row.  The three here are
-frozen dataclasses whose fields are their configuration,
-``OrbgrandDecoder(max_queries)``, ``SgrandabDecoder(max_queries)`` and
-``BpDecoder(max_iters=50)``; each rejects a limit below 1 when built.  They
-share one frame: ``decode_batch`` checks its input once (finite (B, n)
-``received``, finite positive (B,) ``variances``, and LLRs and noise NLLs
-that cannot overflow), takes the LLRs of all rows at once (the definition of
-:func:`llrs`), the decoder turns them into a status code, a query count
-and a word per row, and the frame adds the noise NLLs; ``decode`` is a
-batch of one.
+``DecodeOutcome`` s.  The pipeline calls ``decode`` row by row for a
+decoder without ``decode_batch``; the benchmark's replay
+(``bench/replay.py``) wraps each decoder in one that has only ``decode``.
+The three here are frozen dataclasses whose fields are their
+configuration, ``OrbgrandDecoder(max_queries)``,
+``SgrandabDecoder(max_queries)`` and ``BpDecoder(max_iters=50)``; each
+rejects a limit below 1 when built.  They share one frame:
+``decode_batch`` checks its input once (finite (B, n) ``received``, finite
+positive (B,) ``variances``, and LLRs and noise NLLs that cannot
+overflow), takes the LLRs 2 y / variance of all rows at once (``_llrs``,
+their one definition), the decoder turns them into a status code, a query
+count and a word per row, and the frame adds the noise NLLs; ``decode`` is
+a batch of one.
 
 The guessing decoders invert putative noise-effect patterns on the hard
 decision, most plausible first, and query codebook membership by one
@@ -106,10 +108,7 @@ __all__ = [
     "DecodeOutcome",
     "DecodeRecord",
     "STATUSES",
-    "llrs",
-    "confidence",
     "confidences",
-    "orbgrand_rank_patterns",
     "OrbgrandDecoder",
     "SgrandabDecoder",
     "BpDecoder",
@@ -200,13 +199,9 @@ class DecodeRecord:
         return (self[row] for row in range(len(self)))
 
 
-def llrs(soft: SoftBlock) -> np.ndarray:
-    """Bit LLRs 2 y / sigma^2 under the 0 -> +1 map (positive favors 0)."""
-    return _llrs(soft.received, np.array(soft.noise_variance))
-
-
 def _llrs(received: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    # rows (..., n) of received values, each at its variance in (...)
+    """Bit LLRs 2 y / sigma^2 under the 0 -> +1 map (positive favors 0) of
+    rows (..., n) of received values, each at its variance in (...)."""
     return 2.0 * received / variances[..., None]
 
 
@@ -278,43 +273,10 @@ def _noise_nll(received: np.ndarray, variances: np.ndarray, decoded: np.ndarray,
 # guessing decoders
 # ---------------------------------------------------------------------------
 
-def _rank_subsets(weight: int, size: int, lo: int, n: int) -> Iterator[tuple[int, ...]]:
-    # ascending tuples of `size` distinct ranks in [lo, n] summing to `weight`
-    if size == 1:
-        if lo <= weight <= n:
-            yield (weight,)
-        return
-    r = lo
-    while True:
-        rest = weight - r
-        min_rest = (size - 1) * r + size * (size - 1) // 2
-        if min_rest > rest:
-            return
-        max_rest = (size - 1) * n - (size - 2) * (size - 1) // 2
-        if rest <= max_rest:
-            for tail in _rank_subsets(rest, size - 1, r + 1, n):
-                yield (r,) + tail
-        r += 1
-
-
-def orbgrand_rank_patterns(n: int, max_weight: int | None = None
-                           ) -> Iterator[tuple[int, ...]]:
-    """Rank sets (1-based) by (logistic weight, size, lex), starting empty."""
-    yield ()
-    cap = n * (n + 1) // 2
-    if max_weight is not None:
-        cap = min(cap, max_weight)
-    for w in range(1, cap + 1):
-        size = 1
-        while size * (size + 1) // 2 <= w and size <= n:
-            yield from _rank_subsets(w, size, 1, n)
-            size += 1
-
-
 def _rank_layers(n: int) -> Iterator[np.ndarray]:
-    """The rank sets of ``orbgrand_rank_patterns(n)`` after the empty one, as
-    0-based ranks: one array per (weight, size) in stream order, its rows in
-    lexicographic order.
+    """ORBGRAND's rank stream for n positions after the empty set: the rank
+    sets by (logistic weight, size, lexicographic order), as 0-based ranks,
+    one array per (weight, size) in stream order.
 
     Lowering every rank by one maps the sets of weight w and size s one to
     one onto sets of weight w - s, in the same order: a set holding rank 0
@@ -915,24 +877,19 @@ class BpDecoder(_Decoder):
 
 METRIC_QUERY_COUNT = "query_count"
 METRIC_NOISE_NLL = "noise_nll"
-METRICS = (METRIC_QUERY_COUNT, METRIC_NOISE_NLL)  # every name ``confidence`` accepts
-
-
-def confidence(outcome: DecodeOutcome, metric: str) -> float:
-    """Lower is more confident; non-decoded outcomes map to +inf.
-
-    ``query_count`` returns the query/iteration count.  ``noise_nll``
-    returns the outcome's Gaussian negative log-likelihood of the noise,
-    sum(z^2) / (2 sigma^2) + n * ln(sigma * sqrt(2 pi)), so the most likely
-    noise sequence wins the comparison.
-    """
-    return float(confidences(STATUSES.index(outcome.status), outcome.queries,
-                             outcome.noise_nll, metric))
+METRICS = (METRIC_QUERY_COUNT, METRIC_NOISE_NLL)  # every name ``confidences`` accepts
 
 
 def confidences(status, queries, noise_nll, metric: str) -> np.ndarray:
-    """:func:`confidence` of outcomes given as arrays of equal shape: status
-    codes, query counts and noise NLLs."""
+    """Confidence of outcomes given as arrays of equal shape (status codes,
+    query counts and noise NLLs): lower is more confident, and outcomes that
+    did not decode map to +inf.
+
+    ``query_count`` is the query/iteration count.  ``noise_nll`` is the
+    outcome's Gaussian negative log-likelihood of the noise,
+    sum(z^2) / (2 sigma^2) + n * ln(sigma * sqrt(2 pi)), so the most likely
+    noise sequence wins the comparison.
+    """
     if metric not in METRICS:
         raise ValueError(f"unknown confidence metric {metric!r}")
     value = queries if metric == METRIC_QUERY_COUNT else noise_nll

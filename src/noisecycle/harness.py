@@ -551,17 +551,28 @@ def emit_csv(points: Sequence[BlerPoint], path: str | Path) -> Path:
 
 
 def parse_csv(text: str) -> list[BlerPoint]:
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0] != CSV_HEADER:
+    """The points of a CSV that :func:`csv_text` wrote; a row that is not
+    one cell per column, or a cell that does not parse, fails with its line
+    number and column."""
+    lines = [(number, ln) for number, ln in enumerate(text.splitlines(), start=1) if ln]
+    if not lines or lines[0][1] != CSV_HEADER:
         raise ValueError("unrecognized CSV header")
+    columns = CSV_HEADER.split(",")
+    kinds = [float, int, str, int, int, float, float, float]
     points = []
-    for ln in lines[1:]:
+    for number, ln in lines[1:]:
         cells = ln.split(",")
-        points.append(BlerPoint(
-            ebn0_db=float(cells[0]), channel=int(cells[1]), mode=cells[2],
-            trials=int(cells[3]), block_errors=int(cells[4]), bler=float(cells[5]),
-            mean_queries=float(cells[6]), lead_fraction=float(cells[7]),
-        ))
+        if len(cells) != len(columns):
+            raise ValueError(f"CSV line {number}: expected {len(columns)} cells "
+                             f"({CSV_HEADER}), got {len(cells)}")
+        values = []
+        for column, kind, cell in zip(columns, kinds, cells):
+            try:
+                values.append(kind(cell))
+            except ValueError:
+                raise ValueError(f"CSV line {number}, column {column}: cannot read "
+                                 f"{cell!r} as {kind.__name__}") from None
+        points.append(BlerPoint(*values))
     return points
 
 

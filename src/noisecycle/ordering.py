@@ -6,7 +6,9 @@ effective SNR channel j would see when recycling channel i's noise
 estimate.  A maximum-weight arborescence rooted at the zero node therefore
 maximizes the total effective SNR over all single-decode orders; its BFS
 traversal is the decode order, ``RecyclingPlan.order``.  :func:`plan_for`
-is the one place a pipeline's plans are built, each dynamic lead's too.
+is the one place a pipeline's plans are built, each dynamic lead's too; a
+forced lead's plan is solved on the graph whose only zero-node edge is the
+lead's.
 
 Node ids follow the graph convention: node 0 is the zero node and node j
 (1-based) is channel j, i.e. channel index j - 1 elsewhere in the package.
@@ -36,7 +38,6 @@ __all__ = [
     "RecycleGraph",
     "RecyclingPlan",
     "build_recycle_graph",
-    "constrain_root_child",
     "max_arborescence",
     "brute_force_plan",
     "plan_for",
@@ -131,6 +132,10 @@ class RecyclingPlan:
 
 def build_recycle_graph(model: ChannelModel) -> RecycleGraph:
     """Zero-node edges carry raw SNRs, cross edges recycled effective SNRs."""
+    return RecycleGraph(_recycle_weights(model))
+
+
+def _recycle_weights(model: ChannelModel) -> np.ndarray:
     m = model.m
     w = np.full((m + 1, m + 1), np.nan)
     for j in range(1, m + 1):
@@ -138,18 +143,7 @@ def build_recycle_graph(model: ChannelModel) -> RecycleGraph:
         for i in range(1, m + 1):
             if i != j:
                 w[i, j] = effective_snr(model, j - 1, i - 1)  # raises on |rho| = 1
-    return RecycleGraph(w)
-
-
-def constrain_root_child(graph: RecycleGraph, channel: int) -> RecycleGraph:
-    """Drop all zero-node edges except 0 -> channel (forced-lead variant)."""
-    if not 1 <= channel <= graph.m:
-        raise ValueError("channel out of range")
-    w = graph.weights.copy()
-    for j in range(1, graph.node_count):
-        if j != channel:
-            w[0, j] = np.nan
-    return RecycleGraph(w)
+    return w
 
 
 def _order_total(graph: RecycleGraph, parent: tuple[int, ...]) -> float:
@@ -168,8 +162,9 @@ def plan_for(model: ChannelModel, forced_lead: int | None = None,
     Pinned ``parents`` (the parent node of each channel, 0 for the zero
     node) are scored on the recycle graph; otherwise the maximum
     arborescence is solved, with ``forced_lead`` (a 1-based channel) as the
-    zero node's only child when given.  Pinned parents already fix the
-    lead, so the two cannot be given together.
+    zero node's only child when given: the graph keeps no other zero-node
+    edge, and its cross edges still reach every channel.  Pinned parents
+    already fix the lead, so the two cannot be given together.
     """
     m = model.m
     if forced_lead is not None and parents is not None:
@@ -180,11 +175,12 @@ def plan_for(model: ChannelModel, forced_lead: int | None = None,
                          f"channels, got {list(parents)}")
     if forced_lead is not None and not 1 <= forced_lead <= m:
         raise ValueError(f"forced_lead must be a channel in [1, {m}], got {forced_lead}")
-    graph = build_recycle_graph(model)
+    w = _recycle_weights(model)
+    if forced_lead is not None:
+        w[0, [j for j in range(1, m + 1) if j != forced_lead]] = np.nan
+    graph = RecycleGraph(w)
     if parents is not None:
         return _plan_from_parent(graph, tuple(int(p) for p in parents))
-    if forced_lead is not None:
-        graph = constrain_root_child(graph, forced_lead)
     return max_arborescence(graph)
 
 

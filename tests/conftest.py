@@ -24,8 +24,9 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from noisecycle import ChannelModel, DecodeOutcome
+from noisecycle import ChannelModel, DecodeOutcome, RecycleGraph
 from noisecycle.channel import modulate_bpsk
+from noisecycle.decoders import STATUSES, confidences
 
 settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
 settings.load_profile("deterministic")
@@ -62,7 +63,6 @@ def orbgrand_first_hit(code, y) -> tuple[int, np.ndarray]:
     reliable position, ties by position.  A word is accepted when H w = 0
     and, with a CRC, its message (the first k bits: the codes are
     systematic) passes long division."""
-    from noisecycle.decoders import orbgrand_rank_patterns
     y = np.asarray(y, dtype=float)
     hard = (y < 0).astype(np.uint8)
     order = np.argsort(np.abs(y), kind="stable")
@@ -77,6 +77,40 @@ def orbgrand_first_hit(code, y) -> tuple[int, np.ndarray]:
         if poly is None or np.array_equal(crc_longdivision(msg[:p], poly), msg[p:]):
             return pos, word
     raise AssertionError("no rank set gives an accepted word")
+
+
+def _rank_subsets(weight: int, size: int, lo: int, n: int):
+    # ascending tuples of `size` distinct ranks in [lo, n] summing to `weight`
+    if size == 1:
+        if lo <= weight <= n:
+            yield (weight,)
+        return
+    r = lo
+    while True:
+        rest = weight - r
+        min_rest = (size - 1) * r + size * (size - 1) // 2
+        if min_rest > rest:
+            return
+        max_rest = (size - 1) * n - (size - 2) * (size - 1) // 2
+        if rest <= max_rest:
+            for tail in _rank_subsets(rest, size - 1, r + 1, n):
+                yield (r,) + tail
+        r += 1
+
+
+def orbgrand_rank_patterns(n: int, max_weight: int | None = None):
+    """ORBGRAND's rank sets (1-based) by (logistic weight, size, lex),
+    starting empty, one tuple at a time: the reference for the rank stream
+    that ``decoders._rank_layers`` builds in numpy."""
+    yield ()
+    cap = n * (n + 1) // 2
+    if max_weight is not None:
+        cap = min(cap, max_weight)
+    for w in range(1, cap + 1):
+        size = 1
+        while size * (size + 1) // 2 <= w and size <= n:
+            yield from _rank_subsets(w, size, 1, n)
+            size += 1
 
 
 def sgrandab_heap_search(code, order, reliab, base, cap: int) -> tuple[int, list[int] | None]:
@@ -221,6 +255,11 @@ def record_bp_widths(monkeypatch) -> list[int]:
     return widths
 
 
+def outcome_confidence(out: DecodeOutcome, metric: str) -> float:
+    """``decoders.confidences`` of one outcome, its fields as scalars."""
+    return float(confidences(STATUSES.index(out.status), out.queries, out.noise_nll, metric))
+
+
 def outcome_key(out: DecodeOutcome) -> tuple:
     """Everything a decode reports, in a form compared with ``==``: status,
     query count, noise NLL and the codeword's dtype and bytes."""
@@ -266,6 +305,27 @@ def fig2_model() -> ChannelModel:
     ])
     return ChannelModel(m=3, sigma2=np.ones(3), power=np.array([1.1, 1.0, 1.05]),
                         corr=corr)
+
+
+def random_explicit_model(rng, m) -> ChannelModel:
+    """m channels, corr normalised from A A^T + 0.1 I, sigma2 within a
+    factor of two of 1, unit powers."""
+    a = rng.normal(size=(m, m))
+    cov = a @ a.T + 0.1 * np.eye(m)
+    scale = np.sqrt(np.diag(cov))
+    return ChannelModel(m=m, sigma2=10 ** rng.uniform(-0.3, 0.3, m), power=np.ones(m),
+                        corr=cov / np.outer(scale, scale))
+
+
+def forced_lead_graph(graph: RecycleGraph, lead: int) -> RecycleGraph:
+    """``graph`` without the zero-node edges of every channel but ``lead``
+    (1-based): the graph whose maximum arborescence is the forced-lead
+    plan."""
+    w = graph.weights.copy()
+    for j in range(1, graph.node_count):
+        if j != lead:
+            w[0, j] = np.nan
+    return RecycleGraph(w)
 
 
 # the README's explicit channel model: with channel 1 leading, channel 3's

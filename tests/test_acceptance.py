@@ -22,11 +22,10 @@ from noisecycle import (ChannelModel, ExperimentConfig, RecycleGraph,
                         max_arborescence, ml_decode_bruteforce,
                         pair_upper_bound, run_bler_sweep,
                         sample_noise, sample_rlc, wilson_interval)
-from noisecycle.decoders import orbgrand_rank_patterns
 from noisecycle.harness import BATCH_TRIALS, _run_batch
 from noisecycle.recycling import normalized_corr
 
-from conftest import README_MODEL, fig2_model
+from conftest import README_MODEL, fig2_model, orbgrand_rank_patterns
 
 
 def report(cid: str, ok: bool, detail: str = "") -> None:

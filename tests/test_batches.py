@@ -15,11 +15,11 @@ import pytest
 from noisecycle import (BpDecoder, ExperimentConfig, SweepSpec, crc_encode, encode,
                         run_bler_sweep, run_trial, sample_rlc)
 from noisecycle import harness
-from noisecycle.decoders import _BP_ROWS, METRICS, STATUSES, confidence
+from noisecycle.decoders import _BP_ROWS, METRICS, STATUSES
 from noisecycle.gf2 import CrcSpec
 from noisecycle.harness import BATCH_TRIALS, _run_batch, _run_range
 
-from conftest import outcome_key, record_bp_widths
+from conftest import outcome_confidence, outcome_key, record_bp_widths
 
 B = BATCH_TRIALS
 TRIALS = 3 * B + 5  # several batches, and a part of one
@@ -115,10 +115,10 @@ def test_batches_exercise_their_mode(mode):
 
 
 def test_confidence_is_each_outcomes(mode):
-    # the (B, m) array of the batch is confidence() of each row's outcomes
+    # the (B, m) array of the batch is the confidence of each row's outcomes
     _, config, batch = mode
     for metric in METRICS:
-        want = [[confidence(out, metric) for out in batch.result(row).outcomes]
+        want = [[outcome_confidence(out, metric) for out in batch.result(row).outcomes]
                 for row in range(TRIALS)]
         assert np.array_equal(batch.confidence(metric), want)
 

@@ -3,11 +3,13 @@ import math
 import pytest
 
 from noisecycle import (BpDecoder, DecodeOutcome, OrbgrandDecoder, PipelineConfig,
-                        SgrandabDecoder, confidence)
+                        SgrandabDecoder)
 from noisecycle.configio import (load_channel_model, load_code, load_decoder,
                                  load_pipeline)
 from noisecycle.decoders import METRICS
 from noisecycle.ordering import RecyclingPlan
+
+from conftest import outcome_confidence
 
 
 class TestDecoderTable:
@@ -148,13 +150,13 @@ class TestModeSettings:
     def test_dynamic_metric_named(self):
         with pytest.raises(ValueError, match="confidence metric.*got 'bogus'"):
             PipelineConfig(mode="dynamic", confidence_metric="bogus")
-        # the pipeline accepts exactly the metrics that ``confidence`` computes
+        # the pipeline accepts exactly the metrics that ``confidences`` computes
         outcome = DecodeOutcome(status="abandoned", queries=1, codeword=None)
         with pytest.raises(ValueError, match="unknown confidence metric 'bogus'"):
-            confidence(outcome, "bogus")
+            outcome_confidence(outcome, "bogus")
         for metric in METRICS:
             assert PipelineConfig(mode="dynamic", confidence_metric=metric).confidence_metric
-            assert confidence(outcome, metric) == math.inf
+            assert outcome_confidence(outcome, metric) == math.inf
 
     def test_label_marks_switches(self):
         assert PipelineConfig(mode="static", rerecycle=True, genie=True).label == "static+rr+genie"

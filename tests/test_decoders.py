@@ -7,28 +7,29 @@ import numpy as np
 import pytest
 
 from noisecycle import (BpDecoder, CodeSpec, CrcSpec, OrbgrandDecoder,
-                        SgrandabDecoder, SoftBlock, confidence, crc_check,
-                        crc_encode, ebn0_to_sigma2, encode, llrs, ml_decode_bruteforce,
+                        SgrandabDecoder, SoftBlock, crc_check,
+                        crc_encode, ebn0_to_sigma2, encode, ml_decode_bruteforce,
                         modulate_bpsk, sample_regular_ldpc, sample_rlc, syndrome)
 from noisecycle import decoders
-from noisecycle.decoders import _BP_ROWS, orbgrand_rank_patterns
+from noisecycle.decoders import _BP_ROWS, _llrs
 from noisecycle.gf2 import packed_syndromes
 
 from conftest import (bp_knife_edge, bp_pool_widths, bp_reference, mod2, orbgrand_first_hit,
-                      outcome_key, record_bp_widths, sgrandab_heap_search)
+                      orbgrand_rank_patterns, outcome_confidence, outcome_key,
+                      record_bp_widths, sgrandab_heap_search)
 
 
 class TestLlrs:
     def test_matched_amplitude(self):
-        assert llrs(SoftBlock(np.array([0.7]), 0.7))[0] == pytest.approx(2.0)
+        assert _llrs(np.array([0.7]), np.array(0.7))[0] == pytest.approx(2.0)
 
     def test_zero_observation_is_erasure(self):
-        assert llrs(SoftBlock(np.array([0.0, 1.0]), 0.5))[0] == 0.0
+        assert _llrs(np.array([0.0, 1.0]), np.array(0.5))[0] == 0.0
 
     def test_hard_decisions_scale_invariant(self, rng):
         y = rng.normal(size=32)
-        a = llrs(SoftBlock(y, 1.0))
-        b = llrs(SoftBlock(3.7 * y, 1.0))
+        a = _llrs(y, np.array(1.0))
+        b = _llrs(3.7 * y, np.array(1.0))
         assert np.array_equal(np.sign(a), np.sign(b))
 
     @pytest.mark.parametrize("received, variance, field", [
@@ -836,15 +837,15 @@ class TestConfidence:
         from noisecycle import DecodeOutcome
         out = DecodeOutcome(status="decoded", queries=17,
                             codeword=np.zeros(2, dtype=np.uint8))
-        assert confidence(out, "query_count") == 17.0
+        assert outcome_confidence(out, "query_count") == 17.0
 
     def test_noise_nll_at_zero_estimate(self):
         out = self._decoded([0.0, 0.0], 1.0)
-        assert confidence(out, "noise_nll") == pytest.approx(math.log(2 * math.pi))
+        assert outcome_confidence(out, "noise_nll") == pytest.approx(math.log(2 * math.pi))
 
     def test_nll_ordering_matches_energy_for_equal_sigma(self, rng):
         noises = [rng.uniform(-0.9, 0.9, size=8) for _ in range(20)]
-        nll = [confidence(self._decoded(z, 0.7), "noise_nll") for z in noises]
+        nll = [outcome_confidence(self._decoded(z, 0.7), "noise_nll") for z in noises]
         energy = [float(np.sum(z ** 2)) for z in noises]
         assert np.argsort(nll).tolist() == np.argsort(energy).tolist()
 
@@ -852,12 +853,12 @@ class TestConfidence:
         from noisecycle import DecodeOutcome
         out = DecodeOutcome(status="abandoned", queries=5, codeword=None)
         assert out.noise_nll == math.inf
-        assert confidence(out, "query_count") == math.inf
-        assert confidence(out, "noise_nll") == math.inf
+        assert outcome_confidence(out, "query_count") == math.inf
+        assert outcome_confidence(out, "noise_nll") == math.inf
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError):
-            confidence(self._decoded([0.0], 1.0), "entropy")
+            outcome_confidence(self._decoded([0.0], 1.0), "entropy")
 
 
 class TestDecoderContracts:

@@ -6,9 +6,9 @@ import pytest
 from noisecycle import (CodeSpec, CrcSpec, SparseParityCheck,
                         code_from_parity_check, crc_check, crc_encode, encode,
                         ml_decode_bruteforce, parse_alist, sample_regular_ldpc,
-                        sample_rlc, serialize_alist, syndrome)
+                        sample_rlc, syndrome)
 from noisecycle.gf2 import (AlistError, gf2_nullspace, gf2_rank, gf2_row_reduce, pack_rows,
-                            packed_syndromes)
+                            packed_syndromes, serialize_alist)
 
 from conftest import crc_longdivision, enumerate_codebook, mod2
 

@@ -16,8 +16,9 @@ from noisecycle.gf2 import crc_encode, encode
 from noisecycle.harness import (WORKERS_ENV, _payload_bits, _raw_count, _run_batch,
                                 _trial_states, csv_text, output_target, parse_csv,
                                 worker_count)
-from noisecycle.ordering import (build_recycle_graph, constrain_root_child,
-                                 max_arborescence, plan_for)
+from noisecycle.ordering import brute_force_plan, build_recycle_graph, plan_for
+
+from conftest import forced_lead_graph
 
 
 def tiny_config(**overrides):
@@ -214,7 +215,7 @@ class TestStaticPlanChoice:
     def test_forced_lead(self):
         config = self._config({"mode": "static", "forced_lead": 3})
         model = config._models[0]
-        want = max_arborescence(constrain_root_child(build_recycle_graph(model), 3))
+        want = brute_force_plan(forced_lead_graph(build_recycle_graph(model), 3))
         assert want.children_of(0) == [3]
         assert want == plan_for(model, forced_lead=3)
         self._check_trials(config, want)
@@ -340,6 +341,18 @@ class TestCsv:
                             lead_fraction=0.0)]
         again = parse_csv(csv_text(points))
         assert again == sorted(points, key=lambda p: (p.ebn0_db, p.channel))
+
+    @pytest.mark.parametrize("rows, match", [
+        ("1,1,static\n", r"CSV line 2: expected 8 cells .*got 3"),
+        ("1,1,static,10,0,0,1,0,9\n", r"CSV line 2: expected 8 cells .*got 9"),
+        ("1,1,static,10,0,0,1,0\n\n1,1,static,ten,0,0,1,0\n",
+         r"CSV line 4, column trials: cannot read 'ten' as int"),
+        ("x,1,static,10,0,0,1,0\n", r"CSV line 2, column ebn0_db: cannot read 'x' as float"),
+    ])
+    def test_bad_row_names_its_line_and_column(self, rows, match):
+        # line numbers count every line of the text, blank ones too
+        with pytest.raises(ValueError, match=match):
+            parse_csv(harness.CSV_HEADER + "\n" + rows)
 
     def test_rows_sorted_after_shuffle(self, rng):
         points = [BlerPoint(ebn0_db=float(db), channel=ch, mode="independent",

@@ -6,10 +6,10 @@ import pytest
 
 from noisecycle import (RecycleGraph, RecyclingPlan, brute_force_plan,
                         build_gm_model, build_recycle_graph, capacity,
-                        constrain_root_child, max_arborescence, plan_for)
+                        max_arborescence, plan_for)
 from noisecycle.channel import ChannelModel
 
-from conftest import fig2_model
+from conftest import fig2_model, forced_lead_graph, random_explicit_model
 
 
 def random_graph(rng, m, low=0.05, high=20.0):
@@ -155,16 +155,6 @@ class TestUnreachableChannels:
                            match=r"channels \[2, 3\] cannot be reached from the zero node"):
             RecycleGraph(w)
 
-    def test_forced_lead_that_cannot_reach_every_channel(self):
-        w = np.full((4, 4), np.nan)
-        w[0, 1:] = 1.0
-        w[1, 2] = w[2, 1] = 2.0  # channel 3 hangs off the zero node alone
-        graph = RecycleGraph(w)
-        assert max_arborescence(graph).parent == (0, 1, 0)
-        with pytest.raises(ValueError,
-                           match=r"channels \[3\] cannot be reached from the zero node"):
-            constrain_root_child(graph, 1)
-
 
 class TestNoChannels:
     @pytest.mark.parametrize("node_count", [0, 1])
@@ -258,15 +248,30 @@ class TestConstrainedRoot:
     def test_forced_lead_is_only_root_child(self, rng):
         graph = random_graph(rng, 4)
         for lead in (1, 2, 3, 4):
-            plan = max_arborescence(constrain_root_child(graph, lead))
+            plan = max_arborescence(forced_lead_graph(graph, lead))
             assert plan.children_of(0) == [lead]
 
     def test_constrained_total_never_exceeds_free_total(self, rng):
         graph = random_graph(rng, 4)
         free = max_arborescence(graph).total_snr
         for lead in (1, 2, 3, 4):
-            assert max_arborescence(constrain_root_child(graph, lead)).total_snr \
+            assert max_arborescence(forced_lead_graph(graph, lead)).total_snr \
                 <= free + 1e-12
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_forced_lead_plans_are_the_oracles(self, m):
+        # plan_for with a forced lead is the brute-force plan of the model's
+        # graph without the other channels' zero-node edges, for every lead
+        rng = np.random.default_rng(40 + m)
+        for _ in range(8):
+            model = random_explicit_model(rng, m)
+            graph = build_recycle_graph(model)
+            free = plan_for(model).total_snr
+            for lead in range(1, m + 1):
+                plan = plan_for(model, forced_lead=lead)
+                assert plan == brute_force_plan(forced_lead_graph(graph, lead)), lead
+                assert plan.children_of(0) == [lead]
+                assert plan.total_snr <= free + 1e-12
 
 
 class TestPlanValidation:
@@ -291,7 +296,7 @@ class TestPlanFor:
 
     def test_forced_lead(self):
         model = fig2_model()
-        want = max_arborescence(constrain_root_child(build_recycle_graph(model), 3))
+        want = brute_force_plan(forced_lead_graph(build_recycle_graph(model), 3))
         got = plan_for(model, forced_lead=3)
         assert got == want
         assert got.children_of(0) == [3]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from noisecycle import (ChannelModel, NoiseEstimate, OrbgrandDecoder,
+from noisecycle import (ChannelModel, OrbgrandDecoder,
                         PipelineConfig, build_gm_model, build_recycle_graph,
                         effective_variance, encode, llse_update,
                         max_arborescence, modulate_bpsk, run_block,
@@ -10,9 +10,9 @@ from noisecycle.configio import load_channel_model
 from noisecycle.decoders import DECODED, DecodeRecord
 from noisecycle.ordering import RecyclingPlan, plan_for
 from noisecycle.pipeline import run_batch
-from noisecycle.recycling import normalized_corr
+from noisecycle.recycling import NoiseEstimate, normalized_corr
 from conftest import (README_MODEL, FailingDecoder, PerfectDecoder, RecordingDecoder,
-                      fig2_model)
+                      fig2_model, random_explicit_model)
 
 INDEPENDENT = PipelineConfig(mode="independent")
 DYNAMIC_Q = PipelineConfig(mode="dynamic", confidence_metric="query_count")
@@ -245,14 +245,6 @@ class ZeroWordDecoder:
         return DecodeRecord(np.full(rows, DECODED, dtype=np.int8),
                             np.full(rows, self.queries), np.zeros((rows, code.n), np.uint8),
                             np.zeros(rows))
-
-
-def random_explicit_model(rng, m):
-    a = rng.normal(size=(m, m))
-    cov = a @ a.T + 0.1 * np.eye(m)
-    scale = np.sqrt(np.diag(cov))
-    return ChannelModel(m=m, sigma2=10 ** rng.uniform(-0.3, 0.3, m), power=np.ones(m),
-                        corr=cov / np.outer(scale, scale))
 
 
 def dynamic_walk(model, lead, rng, n=16):

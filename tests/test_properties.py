@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from noisecycle import (BlerPoint, BpDecoder, ChannelModel, CrcSpec, DecodeOutcome,
-                        NoiseEstimate, OrbgrandDecoder, PipelineConfig, RecycleGraph,
+                        OrbgrandDecoder, PipelineConfig, RecycleGraph,
                         SgrandabDecoder, SoftBlock, brute_force_plan, build_gm_model,
                         build_recycle_graph, code_from_parity_check, crc_encode, encode,
                         llse_update, max_arborescence, ml_decode_bruteforce, modulate_bpsk,
@@ -16,6 +16,7 @@ from noisecycle import (BlerPoint, BpDecoder, ChannelModel, CrcSpec, DecodeOutco
 from noisecycle.gf2 import gf2_rank
 from noisecycle.harness import csv_text, parse_csv
 from noisecycle.ordering import RecyclingPlan
+from noisecycle.recycling import NoiseEstimate
 
 from conftest import (bp_knife_edge, bp_reference, decoded_outcome, orbgrand_first_hit,
                       outcome_key)

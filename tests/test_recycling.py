@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from noisecycle import (ChannelModel, NoiseEstimate,
-                        composite_bler, effective_snr, effective_variance,
-                        estimate_noise, llse_update, modulate_bpsk,
-                        normalized_corr, sample_noise)
+from noisecycle import (ChannelModel, composite_bler, effective_snr,
+                        effective_variance, estimate_noise, llse_update,
+                        modulate_bpsk, normalized_corr, sample_noise)
+from noisecycle.recycling import NoiseEstimate
 
 
 def two_channel(rho, s2_i=1.0, s2_j=1.0):
