@@ -19,6 +19,7 @@ from .channel import build_gm_model
 from .harness import (WORKERS_ENV, ExperimentConfig, csv_text, output_target,
                       run_bler_sweep, worker_count)
 from .ordering import build_recycle_graph, plan_for
+from .recycling import effective_variance
 
 
 def _number(kind: type, need: str, ok):
@@ -97,7 +98,7 @@ def _cmd_rates(args: argparse.Namespace) -> int:
     for rho in args.rho_grid:
         for snr in args.snr_grid:
             c1 = theory.capacity(snr)
-            c2 = theory.capacity(snr / (1 - rho * rho))
+            c2 = theory.capacity(snr / effective_variance(1.0, rho))
             avg = theory.gm_average_rate(args.m, rho, snr)
             lines.append(f"{args.m},{rho:.6g},{snr:.6g},{c1:.6g},{c2:.6g},{avg:.6g}")
     _emit("rates", lines, args.output)
@@ -108,10 +109,10 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     lines = ["rho,snr,independent_sum,achievable_sum,upper_bound,joint_capacity"]
     for rho in args.rho_grid:
         for snr in args.snr_grid:
-            indep = 2 * theory.capacity(snr)
-            ach = theory.capacity(snr) + theory.capacity(snr / (1 - rho * rho))
-            bound = theory.pair_upper_bound(snr, snr, 1.0, 1.0, rho).total
             model = build_gm_model(2, rho, 1.0, snr)
+            indep = theory.independent_rates(model).sum_rate
+            ach = theory.achievable_rates(model, plan_for(model)).sum_rate
+            bound = theory.pair_upper_bound(snr, snr, 1.0, 1.0, rho).total
             joint = theory.joint_capacity(model)
             lines.append(f"{rho:.6g},{snr:.6g},{indep:.6g},{ach:.6g},"
                          f"{bound:.6g},{joint:.6g}")

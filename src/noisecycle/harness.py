@@ -64,7 +64,6 @@ __all__ = [
     "run_bler_sweep",
     "output_target",
     "emit_csv",
-    "parse_csv",
     "wilson_interval",
     "worker_count",
 ]
@@ -111,11 +110,16 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.base_seed < 0:
+        if configio.checked(self.base_seed, "base_seed", int) < 0:
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
+        if self.output_path is not None:
+            configio.checked(self.output_path, "output_path", str)
         # The built experiment lives in private attributes, not fields:
         # dataclasses.asdict, and so canonical_json and sha256, sees fields only.
         base = configio.load_channel_model(self.channel)
+        if (base.power != 1.0).any():
+            raise ValueError("an experiment's channel power must be 1, as its BPSK symbols "
+                             f"have unit energy; got power {base.power.tolist()}")
         if len(self.codes) != base.m or len(self.decoders) != base.m:
             raise ValueError("codes and decoders must list one entry per channel")
         codes, decoders = [], []
@@ -161,9 +165,8 @@ class ExperimentConfig:
             decoders=tuple(map(dict, configio.checked_list(raw["decoders"], "decoders", dict))),
             pipeline=dict(configio.checked(raw.get("pipeline", {}), "pipeline", dict)),
             sweep=SweepSpec(**sweep),
-            base_seed=configio.checked(raw.get("base_seed", 0), "base_seed", int),
-            output_path=(None if raw.get("output_path") is None
-                         else configio.checked(raw["output_path"], "output_path", str)),
+            base_seed=raw.get("base_seed", 0),
+            output_path=raw.get("output_path"),
         )
 
     def canonical_json(self) -> str:
@@ -548,32 +551,6 @@ def emit_csv(points: Sequence[BlerPoint], path: str | Path) -> Path:
     out = Path(path)
     _atomic_write(out, csv_text(points))
     return out
-
-
-def parse_csv(text: str) -> list[BlerPoint]:
-    """The points of a CSV that :func:`csv_text` wrote; a row that is not
-    one cell per column, or a cell that does not parse, fails with its line
-    number and column."""
-    lines = [(number, ln) for number, ln in enumerate(text.splitlines(), start=1) if ln]
-    if not lines or lines[0][1] != CSV_HEADER:
-        raise ValueError("unrecognized CSV header")
-    columns = CSV_HEADER.split(",")
-    kinds = [float, int, str, int, int, float, float, float]
-    points = []
-    for number, ln in lines[1:]:
-        cells = ln.split(",")
-        if len(cells) != len(columns):
-            raise ValueError(f"CSV line {number}: expected {len(columns)} cells "
-                             f"({CSV_HEADER}), got {len(cells)}")
-        values = []
-        for column, kind, cell in zip(columns, kinds, cells):
-            try:
-                values.append(kind(cell))
-            except ValueError:
-                raise ValueError(f"CSV line {number}, column {column}: cannot read "
-                                 f"{cell!r} as {kind.__name__}") from None
-        points.append(BlerPoint(*values))
-    return points
 
 
 WILSON_Z = 1.96  # the standard normal quantile of a two-sided 95% interval

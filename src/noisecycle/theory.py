@@ -3,9 +3,11 @@
 All logarithms are base 2, so every rate is in bits per channel use.
 ``capacity(snr) = 0.5 * log2(1 + snr)``; a recycling plan lifts a
 channel's operating SNR from P / sigma^2 to P / (sigma^2 (1 - rho^2)) on
-its plan edge.  The pairwise upper bound and the joint encoder-decoder
-water-filling capacity bracket what sequential decoding with independent
-encoders can achieve.
+its plan edge, where the reduced variance is always
+:func:`recycling.effective_variance`'s.  The pairwise upper bound and the
+joint encoder-decoder water-filling capacity, whose water level is exact
+(the parallel Gaussian channels of Cover and Thomas, ch. 9), bracket what
+sequential decoding with independent encoders can achieve.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .channel import ChannelModel
 from .ordering import RecyclingPlan
-from .recycling import effective_snr
+from .recycling import effective_snr, effective_variance
 
 __all__ = [
     "RateReport",
@@ -30,15 +32,11 @@ __all__ = [
     "water_fill",
 ]
 
-WATER_FILL_REL_TOL = 1e-12  # relative width at which water_fill's bisection stops
-
-
 @dataclass(frozen=True)
 class RateReport:
     """Nonnegative per-channel rates in bits, with their sum and average."""
 
     per_channel_rates: tuple[float, ...]
-    label: str
 
     def __post_init__(self) -> None:
         if any(r < 0 for r in self.per_channel_rates):
@@ -98,12 +96,12 @@ def achievable_rates(model: ChannelModel, plan: RecyclingPlan) -> RateReport:
         parent = plan.parent_of(ch)
         source = None if parent == 0 else parent - 1
         rates.append(capacity(effective_snr(model, ch - 1, source)))
-    return RateReport(tuple(rates), "recycling")
+    return RateReport(tuple(rates))
 
 
 def independent_rates(model: ChannelModel) -> RateReport:
     """Per-channel capacities without recycling: C(P_j / sigma_j^2)."""
-    return RateReport(tuple(capacity(model.snr(j)) for j in range(model.m)), "independent")
+    return RateReport(tuple(capacity(model.snr(j)) for j in range(model.m)))
 
 
 def gm_average_rate(m: int, rho: float, snr: float) -> float:
@@ -117,7 +115,7 @@ def gm_average_rate(m: int, rho: float, snr: float) -> float:
     if abs(rho) >= 1:
         raise ValueError("need |rho| < 1")
     c1 = capacity(snr)
-    c2 = capacity(snr / (1.0 - rho * rho))
+    c2 = capacity(snr / effective_variance(1.0, rho))
     return (c1 + (m - 1) * c2) / m
 
 
@@ -137,15 +135,15 @@ def pair_upper_bound(p_i: float, p_j: float, sigma2_i: float, sigma2_j: float,
         raise ValueError("need |rho| < 1")
     if min(p_i, p_j, sigma2_i, sigma2_j) <= 0:
         raise ValueError("powers and variances must be positive")
-    one_minus = 1.0 - rho * rho
+    reduced = effective_variance(sigma2_j, rho)
     rho_tilde = rho * np.sqrt(sigma2_i * sigma2_j) / np.sqrt(
         (p_i + sigma2_i) * (p_j + sigma2_j))
     return UpperBoundBreakdown(
         lead_capacity=capacity(p_i / sigma2_i),
         variance_ratio=0.5 * float(np.log2((p_j + sigma2_j)
-                                           / (p_j + one_minus * sigma2_j))),
+                                           / (p_j + reduced))),
         correlation_penalty=0.5 * float(np.log2(1.0 - rho_tilde ** 2)),
-        reduced_capacity=capacity(p_j / (one_minus * sigma2_j)),
+        reduced_capacity=capacity(p_j / reduced),
         rho_tilde=float(rho_tilde),
     )
 
@@ -154,23 +152,20 @@ def water_fill(noise_eigenvalues: np.ndarray,
                total_power: float) -> tuple[np.ndarray, float]:
     """Allocate ``total_power`` over noise eigenmodes: p_k = max(0, nu - l_k).
 
-    The water level nu is found by bisection to the relative tolerance
-    ``WATER_FILL_REL_TOL``.  Returns (allocations, nu).
+    With the eigenvalues ascending, the level over the k lowest is
+    nu_k = (total_power + l_(1) + ... + l_(k)) / k, and nu is nu_k at the
+    largest k with nu_k > l_(k): the modes below the water are a prefix of
+    the sorted eigenvalues, and nu_1 > l_(1) always.  Returns (allocations
+    in the input's order, nu).
     """
     lam = np.asarray(noise_eigenvalues, dtype=float)
     if (lam <= 0).any():
         raise ValueError("noise eigenvalues must be positive")
     if total_power <= 0:
         raise ValueError("total power must be positive")
-    lo = float(lam.min())
-    hi = float(lam.max() + total_power)
-    while hi - lo > WATER_FILL_REL_TOL * max(1.0, abs(hi)):
-        nu = 0.5 * (lo + hi)
-        if np.clip(nu - lam, 0.0, None).sum() > total_power:
-            hi = nu
-        else:
-            lo = nu
-    nu = 0.5 * (lo + hi)
+    ascending = np.sort(lam, axis=None)
+    levels = (total_power + np.cumsum(ascending)) / np.arange(1, ascending.size + 1)
+    nu = float(levels[levels > ascending][-1])
     return np.clip(nu - lam, 0.0, None), nu
 
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from noisecycle.cli import main
-from noisecycle.harness import parse_csv
 
 
 @pytest.fixture
@@ -172,6 +171,76 @@ class TestCapacityCommand:
         assert "capacity_bits,1.20752" in out
 
 
+# The closed-form tables' exact stdout on a small grid: m = 1, a negative
+# rho, rho near 1, SNR 0 and, in the m = 3 capacity, a dry eigenmode.
+PINNED_TABLES = [
+    (["rates", "--m", "1", "--rho-grid", "0,0.6,0.99", "--snr-grid", "0,0.5,4"], """\
+m,rho,snr,lead_rate,recycled_rate,average_rate
+1,0,0,0,0,0
+1,0,0.5,0.292481,0.292481,0.292481
+1,0,4,1.16096,1.16096,1.16096
+1,0.6,0,0,0,0
+1,0.6,0.5,0.292481,0.416445,0.292481
+1,0.6,4,1.16096,1.42899,1.16096
+1,0.99,0,0,0,0
+1,0.99,0.5,0.292481,2.3537,0.292481
+1,0.99,4,1.16096,3.82912,1.16096
+"""),
+    (["rates", "--m", "3", "--rho-grid=-0.5,0.9", "--snr-grid", "0.01,10"], """\
+m,rho,snr,lead_rate,recycled_rate,average_rate
+3,-0.5,0.01,0.00717765,0.00955441,0.00876216
+3,-0.5,10,1.72972,1.92065,1.85701
+3,0.9,0.01,0.00717765,0.0370003,0.0270594
+3,0.9,10,1.72972,2.87251,2.49158
+"""),
+    (["bounds", "--rho-grid=0,0.6,-0.9,0.99", "--snr-grid", "0.1,1,31.6"], """\
+rho,snr,independent_sum,achievable_sum,upper_bound,joint_capacity
+0,0.1,0.137504,0.137504,0.137504,0.137504
+0,1,1,1,1,1
+0,31.6,5.0268,5.0268,5.0268,5.0268
+0.6,0.1,0.137504,0.173478,0.204695,0.292481
+0.6,1,1,1.17878,1.2539,1.32193
+0.6,31.6,5.0268,5.34072,5.34848,5.34873
+-0.9,0.1,0.137504,0.373779,0.537,0.792481
+-0.9,1,1,1.82345,2.03474,2.19796
+-0.9,31.6,5.0268,6.20661,6.22421,6.22476
+0.99,0.1,0.137504,1.36425,1.76508,2.19616
+0.99,1,1,3.33976,3.62279,3.82554
+0.99,31.6,5.0268,7.83032,7.85168,7.85234
+"""),
+    (["capacity", "--m", "1", "--rho", "0", "--power", "2", "--sigma2", "0.5"], """\
+eigenvalue,power
+0.5,2
+water_level,2.5
+capacity_bits,1.16096
+"""),
+    (["capacity", "--m", "3", "--rho", "0.9", "--power", "0.1"], """\
+eigenvalue,power
+0.069326,0.210337
+0.19,0.089663
+2.74067,0
+water_level,0.279663
+capacity_bits,1.28496
+"""),
+    (["capacity", "--m", "4", "--rho", "0.6", "--sigma2", "3"], """\
+eigenvalue,power
+0.85395,2.09237
+1.28696,1.65936
+2.69805,0.248272
+7.16104,0
+water_level,2.94632
+capacity_bits,1.55432
+"""),
+]
+
+
+@pytest.mark.parametrize("argv, text", PINNED_TABLES,
+                         ids=[" ".join(argv) for argv, _ in PINNED_TABLES])
+def test_table_bytes_pinned(argv, text, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == text
+
+
 class TestBlerCommand:
     def test_end_to_end(self, tmp_path, capsys):
         config = {
@@ -187,11 +256,11 @@ class TestBlerCommand:
         cfg_path.write_text(json.dumps(config))
         out_path = tmp_path / "out.csv"
         assert main(["bler", str(cfg_path), "--output", str(out_path)]) == 0
-        stdout_points = parse_csv(capsys.readouterr().out)
-        file_points = parse_csv(out_path.read_text())
-        assert stdout_points == file_points
-        assert len(file_points) == 2
-        assert all(p.trials == 200 for p in file_points)
+        text = out_path.read_text()
+        assert capsys.readouterr().out == text
+        rows = [row.split(",") for row in text.splitlines()[1:]]
+        assert [row[:4] for row in rows] == [["6", "1", "static", "200"],
+                                             ["6", "2", "static", "200"]]
         assert (tmp_path / "out.csv.meta.json").exists()
 
     def test_unknown_key_exits_nonzero_naming_it(self, tmp_path):

@@ -14,8 +14,7 @@ from noisecycle import harness
 from noisecycle.channel import ebn0_to_sigma2, modulate_bpsk, sample_noise
 from noisecycle.gf2 import crc_encode, encode
 from noisecycle.harness import (WORKERS_ENV, _payload_bits, _raw_count, _run_batch,
-                                _trial_states, csv_text, output_target, parse_csv,
-                                worker_count)
+                                _trial_states, csv_text, output_target, worker_count)
 from noisecycle.ordering import brute_force_plan, build_recycle_graph, plan_for
 
 from conftest import forced_lead_graph
@@ -330,29 +329,9 @@ class TestCsv:
 
     def test_single_point_two_lines(self, tmp_path):
         path = emit_csv([self.POINT], tmp_path / "one.csv")
-        lines = path.read_text().splitlines()
-        assert len(lines) == 2
-        assert lines[0].startswith("ebn0_db,channel,mode")
-
-    def test_round_trip(self):
-        points = [self.POINT,
-                  BlerPoint(ebn0_db=4.5, channel=2, mode="static", trials=2000,
-                            block_errors=7, bler=0.0035, mean_queries=12.5,
-                            lead_fraction=0.0)]
-        again = parse_csv(csv_text(points))
-        assert again == sorted(points, key=lambda p: (p.ebn0_db, p.channel))
-
-    @pytest.mark.parametrize("rows, match", [
-        ("1,1,static\n", r"CSV line 2: expected 8 cells .*got 3"),
-        ("1,1,static,10,0,0,1,0,9\n", r"CSV line 2: expected 8 cells .*got 9"),
-        ("1,1,static,10,0,0,1,0\n\n1,1,static,ten,0,0,1,0\n",
-         r"CSV line 4, column trials: cannot read 'ten' as int"),
-        ("x,1,static,10,0,0,1,0\n", r"CSV line 2, column ebn0_db: cannot read 'x' as float"),
-    ])
-    def test_bad_row_names_its_line_and_column(self, rows, match):
-        # line numbers count every line of the text, blank ones too
-        with pytest.raises(ValueError, match=match):
-            parse_csv(harness.CSV_HEADER + "\n" + rows)
+        assert path.read_text().splitlines() == [
+            "ebn0_db,channel,mode,trials,block_errors,bler,mean_queries,lead_fraction",
+            "4,1,static,1000,12,0.012,35.25,1"]
 
     def test_rows_sorted_after_shuffle(self, rng):
         points = [BlerPoint(ebn0_db=float(db), channel=ch, mode="independent",
@@ -455,6 +434,25 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"channel 2: max_iters must be >= 1"):
             tiny_config(decoders=({"type": "orbgrand", "max_queries": 2000},
                                   {"type": "bp", "max_iters": 0}))
+
+    @pytest.mark.parametrize("overrides, pattern", [
+        ({"base_seed": 2.5}, r"base_seed must be an integer, got 2.5"),
+        ({"base_seed": True}, r"base_seed must be an integer, got True"),
+        ({"base_seed": -1}, r"base_seed must be >= 0, got -1"),
+        ({"output_path": 5}, r"output_path must be a string, got 5"),
+        ({"output_path": Path("out.csv")}, r"output_path must be a string"),
+    ])
+    def test_constructor_checks_what_from_dict_checks(self, overrides, pattern):
+        with pytest.raises(ValueError, match=pattern):
+            tiny_config(**overrides)
+
+    @pytest.mark.parametrize("power, sha", [
+        (1.0, "3b8404223ac38196c2dd9dc262e6c7c3fc0e6d3f5675d0916cd8b04a472c45a1"),
+        ([1.0, 1.0], "71674cfd95777baeeca8b402f5cf9ff296019eb7591334c47b454e1940158920"),
+    ])
+    def test_unit_power_keeps_its_config_hash(self, power, sha):
+        assert tiny_config(channel={"m": 2, "mode": "gm", "rho": 0.6,
+                                    "power": power}).sha256() == sha
 
     STATIC = {
         "channel": {"m": 2, "mode": "gm", "rho": 0.6},
@@ -579,6 +577,11 @@ class TestValidation:
         # would be read by nothing
         ({("pipeline",): {"mode": "static", "parents": [0, 1], "forced_lead": 2}},
          r"forced_lead and parents cannot both be given"),
+        # the simulator's BPSK has unit energy, so a plan made for another
+        # power would not be the plan of the channel that runs
+        ({("channel", "power"): 2.0}, r"channel power must be 1.*got power \[2.0, 2.0\]"),
+        ({("channel", "power"): [20.0, 1.0]},
+         r"channel power must be 1.*got power \[20.0, 1.0\]"),
     ])
     def test_bad_input_fails_at_construction(self, edits, pattern, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

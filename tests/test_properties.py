@@ -1,6 +1,6 @@
 """Property tests: decoders against the ML, rank-stream and BP reference
 oracles, recycling against independent decoding and the LLSE residual,
-the plan solver against brute force under ties, and the CSV round trip,
+the plan solver against brute force under ties, and the CSV's row order,
 over generated inputs."""
 
 import numpy as np
@@ -14,7 +14,7 @@ from noisecycle import (BlerPoint, BpDecoder, ChannelModel, CrcSpec, DecodeOutco
                         llse_update, max_arborescence, ml_decode_bruteforce, modulate_bpsk,
                         run_block, sample_noise, sample_rlc)
 from noisecycle.gf2 import gf2_rank
-from noisecycle.harness import csv_text, parse_csv
+from noisecycle.harness import CSV_HEADER, csv_text
 from noisecycle.ordering import RecyclingPlan
 from noisecycle.recycling import NoiseEstimate
 
@@ -286,5 +286,8 @@ points = st.builds(
 
 
 @given(st.lists(points, min_size=1, max_size=6))
-def test_csv_round_trip(pts):
-    assert parse_csv(csv_text(pts)) == sorted(pts, key=lambda p: (p.ebn0_db, p.channel))
+def test_csv_rows_sorted(pts):
+    header, *rows = csv_text(pts).splitlines()
+    assert header == CSV_HEADER
+    keys = [(float(cells[0]), int(cells[1])) for cells in (row.split(",") for row in rows)]
+    assert keys == sorted((p.ebn0_db, p.channel) for p in pts)

@@ -147,6 +147,16 @@ class TestWaterFilling:
         assert alloc[1] == 0.0
         assert alloc[0] == pytest.approx(0.5, abs=1e-9)
 
+    @pytest.mark.parametrize("lam, total, alloc, nu", [
+        # sorted (1, 2, 3): nu_2 = (1.5 + 1 + 2) / 2 = 2.25 > 2, nu_3 = 2.5 < 3
+        ([3.0, 1.0, 2.0], 1.5, [0.0, 1.25, 0.25], 2.25),
+        # nu_2 = (1 + 1 + 2) / 2 = 2 is not above 2, so the level is nu_1 = 2
+        ([2.0, 1.0], 1.0, [0.0, 1.0], 2.0),
+    ])
+    def test_exact_level_in_input_order(self, lam, total, alloc, nu):
+        got_alloc, got_nu = water_fill(np.array(lam), total)
+        assert (got_alloc.tolist(), got_nu) == (alloc, nu)
+
     def test_total_power_conserved(self, rng):
         for _ in range(20):
             lam = rng.uniform(0.1, 5.0, size=5)
@@ -227,9 +237,9 @@ class TestJointCapacity:
 
 class TestReportTypes:
     def test_rate_report_derives_its_totals(self):
-        rep = RateReport((0.5, 0.25, 0.75), "hand-made")
+        rep = RateReport((0.5, 0.25, 0.75))
         assert (rep.sum_rate, rep.average_rate) == (1.5, 0.5)
 
     def test_rate_report_rejects_negative_rates(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            RateReport((0.5, -0.25), "broken")
+            RateReport((0.5, -0.25))
